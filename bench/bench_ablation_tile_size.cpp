@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     core::PmvnOptions opts;
     opts.samples_per_shift = 100;
     opts.shifts = 10;
-    const core::PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const engine::QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
     std::printf("%lld,%.3f,%.3f,%.3f,%.5e\n", static_cast<long long>(tile),
                 factor_s, r.seconds, factor_s + r.seconds, r.prob);
     std::fflush(stdout);

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     rt.wait_all();
     tile::potrf_tiled(rt, ld);
     const double dense_build = td.seconds();
-    const core::PmvnResult rd = core::pmvn_dense(rt, ld, a, b, opts);
+    const engine::QueryResult rd = core::pmvn_dense(rt, ld, a, b, opts);
     rows.push_back({n, "dense", 256, rd.prob, rd.error3sigma, 0.0, dense_build,
                     rd.seconds});
 
@@ -121,14 +121,14 @@ int main(int argc, char** argv) {
     tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, 256, 1e-7, -1);
     tlr::potrf_tlr(rt, lt);
     const double tlr_build = tt.seconds();
-    const core::PmvnResult rtl = core::pmvn_tlr(rt, lt, a, b, opts);
+    const engine::QueryResult rtl = core::pmvn_tlr(rt, lt, a, b, opts);
     rows.push_back({n, "tlr", 256, rtl.prob, rtl.error3sigma,
                     std::abs(rtl.prob - rd.prob), tlr_build, rtl.seconds});
 
     for (const i64 m : {15, 30, 60}) {
       const vecchia::VecchiaFactor f =
           vecchia::VecchiaFactor::build(rt, gen, xy, 256, m);
-      const core::PmvnResult rv = core::pmvn_vecchia(rt, f, a, b, opts);
+      const engine::QueryResult rv = core::pmvn_vecchia(rt, f, a, b, opts);
       rows.push_back({n, "vecchia", m, rv.prob, rv.error3sigma,
                       std::abs(rv.prob - rd.prob), f.build_seconds(),
                       rv.seconds});

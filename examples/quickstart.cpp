@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   pm.samples_per_shift = 2000;
   pm.shifts = 10;
   pm.sampler = stats::SamplerKind::kRichtmyer;
-  const core::PmvnResult par = core::pmvn_dense(rt, l, a, b, pm);
+  const engine::QueryResult par = core::pmvn_dense(rt, l, a, b, pm);
   std::printf("parallel PMVN  : %.6e  (3-sigma %.1e, rel err %+.2e, %.3f s)\n",
               par.prob, par.error3sigma, par.prob / truth - 1.0, par.seconds);
 

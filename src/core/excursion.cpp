@@ -18,26 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-engine::FactorSpec factor_spec(const CrdOptions& opts) {
-  engine::FactorSpec spec;
-  switch (opts.mode) {
-    case CrdMode::kDense:
-      spec.kind = engine::FactorKind::kDense;
-      break;
-    case CrdMode::kTlr:
-      spec.kind = engine::FactorKind::kTlr;
-      break;
-    case CrdMode::kVecchia:
-      spec.kind = engine::FactorKind::kVecchia;
-      break;
-  }
-  spec.tile = opts.tile;
-  spec.tlr_tol = opts.tlr_tol;
-  spec.tlr_max_rank = opts.tlr_max_rank;
-  spec.vecchia_m = opts.vecchia_m;
-  return spec;
-}
-
 // A query normalised into E+ space: kBelow becomes kAbove of the reflected
 // field (X < u <=> -X > -u; the covariance is reflection-invariant), which
 // only flips the sign of the standardised threshold z.
@@ -117,57 +97,6 @@ void finalize_result(PreparedQuery&& pq, std::vector<double> prefix_prob,
   }
 }
 
-// Literal Algorithm 1 oracle: one full PMVN per prefix. The prefixes are
-// evaluated as chunked batches of limit sets against one dense factor —
-// per-query arithmetic is identical to one-at-a-time evaluation, so this
-// stays a bitwise-faithful oracle for the sweep strategy.
-CrdResult naive_per_prefix(rt::Runtime& rt, const la::MatrixGenerator& cov,
-                           std::span<const double> sd,
-                           std::span<const double> mean,
-                           const CrdOptions& opts) {
-  const i64 n = cov.rows();
-  CrdQuery query{opts.threshold, opts.alpha, opts.direction,
-                 opts.pmvn.seed};
-  PreparedQuery pq = prepare_query(sd, mean, query, opts.pmvn.seed);
-
-  const engine::FactorSpec spec{engine::FactorKind::kDense, opts.tile, 0.0,
-                                -1};
-  auto factor = std::make_shared<const engine::CholeskyFactor>(
-      engine::CholeskyFactor::factor_ordered(rt, cov, pq.order, spec, sd));
-  const engine::PmvnEngine eng(rt, factor, engine_options(opts.pmvn));
-
-  const WallTimer sweep_timer;
-  std::vector<double> prefix_prob(static_cast<std::size_t>(n));
-  const std::vector<double> b_ord(static_cast<std::size_t>(n), kInf);
-  constexpr i64 kChunk = 16;
-  for (i64 k0 = 0; k0 < n; k0 += kChunk) {
-    const i64 kc = std::min(kChunk, n - k0);
-    // Prefix k keeps limits on the first k+1 coordinates only; the rest are
-    // (-inf, inf) and contribute an exact factor 1.
-    std::vector<std::vector<double>> partials(static_cast<std::size_t>(kc));
-    std::vector<engine::LimitSet> limits(static_cast<std::size_t>(kc));
-    for (i64 c = 0; c < kc; ++c) {
-      std::vector<double>& a_partial = partials[static_cast<std::size_t>(c)];
-      a_partial.assign(static_cast<std::size_t>(n), -kInf);
-      for (i64 i = 0; i <= k0 + c; ++i)
-        a_partial[static_cast<std::size_t>(i)] =
-            pq.a_ord[static_cast<std::size_t>(i)];
-      limits[static_cast<std::size_t>(c)] =
-          engine::LimitSet{a_partial, b_ord, pq.seed, /*prefix=*/false};
-    }
-    const std::vector<engine::QueryResult> chunk = eng.evaluate(limits);
-    for (i64 c = 0; c < kc; ++c)
-      prefix_prob[static_cast<std::size_t>(k0 + c)] =
-          chunk[static_cast<std::size_t>(c)].prob;
-  }
-
-  CrdResult res;
-  res.factor_seconds = factor->factor_seconds();
-  res.sweep_seconds = sweep_timer.seconds();
-  finalize_result(std::move(pq), std::move(prefix_prob), res);
-  return res;
-}
-
 }  // namespace
 
 CrdResult detect_confidence_region(rt::Runtime& rt,
@@ -179,10 +108,6 @@ CrdResult detect_confidence_region(rt::Runtime& rt,
   PARMVN_EXPECTS(static_cast<i64>(mean.size()) == n);
   PARMVN_EXPECTS(opts.alpha > 0.0 && opts.alpha < 1.0);
 
-  if (opts.strategy == CrdStrategy::kNaivePerPrefix) {
-    const std::vector<double> sd = engine::standard_deviations(cov);
-    return naive_per_prefix(rt, cov, sd, mean, opts);
-  }
   const CrdQuery query{opts.threshold, opts.alpha, opts.direction,
                        opts.pmvn.seed};
   std::vector<CrdResult> results =
@@ -200,7 +125,9 @@ std::vector<CrdResult> detect_confidence_regions(
   const i64 n = cov.rows();
   PARMVN_EXPECTS(cov.cols() == n);
   PARMVN_EXPECTS(static_cast<i64>(mean.size()) == n);
-  PARMVN_EXPECTS(opts.strategy == CrdStrategy::kSweep);
+  // Reject nonsense integration options before any O(n^3) factorization
+  // runs (and lands in the cache); PmvnEngine would only catch them after.
+  opts.pmvn.validate();
   if (queries.empty()) return {};
 
   const std::vector<double> sd = engine::standard_deviations(cov);
@@ -218,7 +145,8 @@ std::vector<CrdResult> detect_confidence_regions(
   for (std::size_t qi = 0; qi < prepared.size(); ++qi)
     groups[prepared[qi].order].push_back(qi);
 
-  const engine::FactorSpec spec = factor_spec(opts);
+  const engine::FactorSpec spec{opts.mode, opts.tile, opts.tlr_tol,
+                                opts.tlr_max_rank, opts.vecchia_m};
   std::vector<CrdResult> results(queries.size());
   const std::vector<double> b_ord(static_cast<std::size_t>(n), kInf);
 
@@ -261,7 +189,7 @@ std::vector<CrdResult> detect_confidence_regions(
     // Deduplicate identical integrals within the group: queries differing
     // only in alpha share (a_ord, seed) and therefore the exact same prefix
     // sweep — an alpha-level sweep costs one integration, not k.
-    const engine::PmvnEngine eng(rt, factor, engine_options(opts.pmvn));
+    const engine::PmvnEngine eng(rt, factor, opts.pmvn);
     std::vector<engine::LimitSet> limits;
     std::vector<std::size_t> slot_of_member(members.size());
     // Decision threshold for adaptive early stop: the region test compares

@@ -5,15 +5,11 @@
 // a confidence level 1-alpha, computes the positive confidence function
 // F+(s) (paper eq. 5) and the region E+_{u,alpha} = {s : F+(s) >= 1-alpha}.
 //
-// Two strategies:
-//  * kSweep (default): one Cholesky + one prefix-PMVN sweep over the
-//    marginal-probability ordering gives every prefix's joint probability at
-//    once — the running SOV product after row i IS the joint probability of
-//    the top-(i+1) locations (this is what makes large n tractable).
-//  * kNaivePerPrefix: the literal Algorithm 1 loop (one PMVN call per
-//    prefix); O(n) integrations, kept as a test oracle for small n. Since
-//    the engine refactor the prefixes are evaluated as batched limit sets
-//    against one factor, so even the oracle no longer refactors.
+// One Cholesky + one prefix-PMVN sweep over the marginal-probability
+// ordering gives every prefix's joint probability at once — the running SOV
+// product after row i IS the joint probability of the top-(i+1) locations
+// (this is what makes large n tractable; test_core_excursion checks it
+// against the literal Algorithm 1 loop of one PMVN call per prefix).
 //
 // Multi-query serving: detect_confidence_regions() evaluates many
 // (threshold, alpha, direction) queries against one mean field. Queries
@@ -45,8 +41,7 @@ namespace parmvn::core {
 /// or TLR Cholesky (O(n m^3) build, O(n m) memory) and computes the
 /// *Vecchia estimand* — the confidence function of the Vecchia-approximate
 /// density — which agrees with the other arms statistically, not bitwise.
-enum class CrdMode { kDense, kTlr, kVecchia };
-enum class CrdStrategy { kSweep, kNaivePerPrefix };
+using CrdMode = engine::FactorKind;
 
 /// Excursion direction: E+ = {X > u} (the paper's case) or E- = {X < u}
 /// (Bolin & Lindgren's negative excursions, e.g. drought or low-pressure
@@ -62,7 +57,6 @@ struct CrdOptions {
   double tlr_tol = 1e-3;   // TLR compression accuracy (paper's sweep values)
   i64 tlr_max_rank = -1;
   i64 vecchia_m = 30;      // Vecchia conditioning-set size (kVecchia only)
-  CrdStrategy strategy = CrdStrategy::kSweep;
   PmvnOptions pmvn;
 };
 
@@ -100,9 +94,9 @@ struct CrdResult {
                                     // shared-slot members report the same)
   int shifts_used = 0;              // shift blocks actually evaluated
   bool converged = false;           // adaptive stop criterion met
-  /// kEp when the tiered EP screen (PmvnOptions::tiered) decided this
+  /// kEp when the tiered EP screen (EngineOptions::tiered) decided this
   /// query's region without spending QMC samples on it; kDeadline when
-  /// PmvnOptions::deadline_ms expired mid-sweep (prefix_prob and the region
+  /// EngineOptions::deadline_ms expired mid-sweep (prefix_prob and the region
   /// are then computed from the partial estimate, converged == false).
   engine::EvalMethod method = engine::EvalMethod::kQmc;
   /// Per-query outcome of a batched detection. A failed ordering group
@@ -123,8 +117,9 @@ struct CrdResult {
 /// Batched detection: evaluate every query against the shared field,
 /// factoring each distinct marginal ordering once (served from `cache` when
 /// provided) and integrating all queries of an ordering in one fused PMVN
-/// batch. Requires CrdStrategy::kSweep. Results are positionally matched to
-/// `queries`.
+/// batch. Results are positionally matched to `queries`. `opts.pmvn` is
+/// validated before anything is factored, so nonsense options throw without
+/// paying for (or caching) a Cholesky.
 [[nodiscard]] std::vector<CrdResult> detect_confidence_regions(
     rt::Runtime& rt, const la::MatrixGenerator& cov,
     std::span<const double> mean, const CrdOptions& opts,

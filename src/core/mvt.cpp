@@ -99,7 +99,7 @@ SovResult mvt_probability_chol(la::ConstMatrixView l, double nu,
   // bitwise identical to the scalar sample-major loop on the fallback
   // build (the batched Phi/Phi^-1 primitives' documented contract).
   const stats::PointSet pts(opts.sampler, n + 1, opts.samples_per_shift,
-                            opts.shifts, opts.seed, opts.antithetic);
+                            opts.shifts, opts.seed);
   // Chi scales for the whole budget up front: one quantile inversion per
   // sample, a ~1/n fraction of the sweep's transcendental work, so the
   // adaptive early-stop waste is negligible.

@@ -8,67 +8,42 @@
 
 namespace parmvn::core {
 
-engine::EngineOptions engine_options(const PmvnOptions& opts) {
-  engine::EngineOptions eo;
-  eo.samples_per_shift = opts.samples_per_shift;
-  eo.shifts = opts.shifts;
-  eo.sampler = opts.sampler;
-  eo.panel_bytes = opts.panel_bytes;
-  eo.adaptive = opts.adaptive;
-  eo.abs_tol = opts.abs_tol;
-  eo.min_shifts = opts.min_shifts;
-  eo.crn = opts.crn;
-  eo.crn_seed = opts.crn_seed;
-  eo.antithetic = opts.antithetic;
-  eo.tiered = opts.tiered;
-  eo.ep_margin = opts.ep_margin;
-  eo.deadline_ms = opts.deadline_ms;
-  // Reject nonsense (negative deadline, negative ep_margin, zero samples…)
-  // here at the translation point, so every PmvnOptions consumer fails
-  // typed at construction instead of as undefined downstream behavior.
-  eo.validate();
-  return eo;
-}
-
 namespace {
 
-PmvnResult run_single(rt::Runtime& rt, engine::CholeskyFactor factor,
-                      std::span<const double> a, std::span<const double> b,
-                      const PmvnOptions& opts) {
+engine::QueryResult run_single(rt::Runtime& rt, engine::CholeskyFactor factor,
+                               std::span<const double> a,
+                               std::span<const double> b,
+                               const PmvnOptions& opts) {
+  // The engine takes the EngineOptions base (and validates it); seed and
+  // prefix are per-query.
   const engine::PmvnEngine eng(
       rt, std::make_shared<const engine::CholeskyFactor>(std::move(factor)),
-      engine_options(opts));
-  engine::QueryResult qr = eng.evaluate_one({a, b, opts.seed, opts.prefix});
-  PmvnResult result;
-  result.prob = qr.prob;
-  result.error3sigma = qr.error3sigma;
-  result.seconds = qr.seconds;
-  result.prefix_prob = std::move(qr.prefix_prob);
-  result.samples_used = qr.samples_used;
-  result.shifts_used = qr.shifts_used;
-  result.converged = qr.converged;
-  result.method = qr.method;
-  return result;
+      opts);
+  return eng.evaluate_one({a, b, opts.seed, opts.prefix});
 }
 
 }  // namespace
 
-PmvnResult pmvn_dense(rt::Runtime& rt, const tile::TileMatrix& l,
-                      std::span<const double> a, std::span<const double> b,
-                      const PmvnOptions& opts) {
+engine::QueryResult pmvn_dense(rt::Runtime& rt, const tile::TileMatrix& l,
+                               std::span<const double> a,
+                               std::span<const double> b,
+                               const PmvnOptions& opts) {
   PARMVN_EXPECTS(l.layout() == tile::Layout::kLowerSymmetric);
   return run_single(rt, engine::CholeskyFactor::borrow_dense(l), a, b, opts);
 }
 
-PmvnResult pmvn_tlr(rt::Runtime& rt, const tlr::TlrMatrix& l,
-                    std::span<const double> a, std::span<const double> b,
-                    const PmvnOptions& opts) {
+engine::QueryResult pmvn_tlr(rt::Runtime& rt, const tlr::TlrMatrix& l,
+                             std::span<const double> a,
+                             std::span<const double> b,
+                             const PmvnOptions& opts) {
   return run_single(rt, engine::CholeskyFactor::borrow_tlr(l), a, b, opts);
 }
 
-PmvnResult pmvn_vecchia(rt::Runtime& rt, const vecchia::VecchiaFactor& l,
-                        std::span<const double> a, std::span<const double> b,
-                        const PmvnOptions& opts) {
+engine::QueryResult pmvn_vecchia(rt::Runtime& rt,
+                                 const vecchia::VecchiaFactor& l,
+                                 std::span<const double> a,
+                                 std::span<const double> b,
+                                 const PmvnOptions& opts) {
   return run_single(rt, engine::CholeskyFactor::borrow_vecchia(l), a, b,
                     opts);
 }

@@ -2,7 +2,7 @@
 //
 // Since the engine refactor these entry points are thin single-query
 // wrappers over engine::PmvnEngine: they borrow the caller's factored
-// matrix, evaluate a 1-element batch, and return the classic PmvnResult.
+// matrix, evaluate a 1-element batch, and return its engine::QueryResult.
 // Multi-query workloads (many limit sets against one factor) should use
 // engine/pmvn_engine.hpp directly — the batched graph packs all queries
 // into shared wide column panels so the factorization, the per-tile GEMM
@@ -24,82 +24,42 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "engine/pmvn_engine.hpp"
 #include "runtime/runtime.hpp"
-#include "stats/qmc.hpp"
 #include "tile/tile_matrix.hpp"
 #include "tlr/tlr_matrix.hpp"
 #include "vecchia/vecchia_factor.hpp"
 
 namespace parmvn::core {
 
-struct PmvnOptions {
-  i64 samples_per_shift = 1000;
-  int shifts = 10;
-  // The paper's Algorithm 2 fills R with i.i.d. U(0,1); Richtmyer QMC is
-  // what Genz recommends and converges faster (see the sampler ablation).
-  stats::SamplerKind sampler = stats::SamplerKind::kPseudoMC;
+/// The engine's integration parameters (samples, shifts, sampler, panel
+/// budget, adaptive/tiered/deadline knobs — see engine/pmvn_engine.hpp)
+/// plus the two per-query fields a single-query call needs.
+struct PmvnOptions : engine::EngineOptions {
   u64 seed = 42;
-  bool prefix = false;           // also return all prefix probabilities
-  i64 panel_bytes = i64{512} << 20;
-
-  // Error-budget-adaptive evaluation + variance reduction, forwarded
-  // verbatim to engine::EngineOptions (see engine/pmvn_engine.hpp for the
-  // contracts). `shifts` stays the hard budget cap in adaptive mode.
-  bool adaptive = false;
-  double abs_tol = 0.0;
-  int min_shifts = 2;
-  bool crn = false;
-  u64 crn_seed = 42;
-  bool antithetic = false;
-  bool tiered = false;
-  double ep_margin = 0.05;
-  /// Wall-clock deadline in milliseconds (0 = none): an expired query
-  /// retires with its best-so-far estimate, converged == false and
-  /// method == EvalMethod::kDeadline (see EngineOptions::deadline_ms).
-  i64 deadline_ms = 0;
-
-  [[nodiscard]] i64 total_samples() const noexcept {
-    return samples_per_shift * static_cast<i64>(shifts);
-  }
-};
-
-struct PmvnResult {
-  double prob = 0.0;
-  double error3sigma = 0.0;
-  double seconds = 0.0;
-  std::vector<double> prefix_prob;  // filled when opts.prefix
-  i64 samples_used = 0;             // samples actually evaluated
-  int shifts_used = 0;              // shift blocks actually evaluated
-  bool converged = false;           // adaptive stop criterion met (see engine)
-  /// kEp when the tiered EP screen decided the query without QMC samples.
-  engine::EvalMethod method = engine::EvalMethod::kQmc;
+  bool prefix = false;  // also return all prefix probabilities
 };
 
 /// PMVN with a dense tiled lower Cholesky factor (lower-symmetric layout).
-[[nodiscard]] PmvnResult pmvn_dense(rt::Runtime& rt, const tile::TileMatrix& l,
-                                    std::span<const double> a,
-                                    std::span<const double> b,
-                                    const PmvnOptions& opts = {});
+[[nodiscard]] engine::QueryResult pmvn_dense(rt::Runtime& rt,
+                                            const tile::TileMatrix& l,
+                                            std::span<const double> a,
+                                            std::span<const double> b,
+                                            const PmvnOptions& opts = {});
 
 /// PMVN with a TLR lower Cholesky factor (potrf_tlr output).
-[[nodiscard]] PmvnResult pmvn_tlr(rt::Runtime& rt, const tlr::TlrMatrix& l,
-                                  std::span<const double> a,
-                                  std::span<const double> b,
-                                  const PmvnOptions& opts = {});
+[[nodiscard]] engine::QueryResult pmvn_tlr(rt::Runtime& rt,
+                                          const tlr::TlrMatrix& l,
+                                          std::span<const double> a,
+                                          std::span<const double> b,
+                                          const PmvnOptions& opts = {});
 
 /// PMVN with a Vecchia sparse inverse-Cholesky factor (the Vecchia
 /// estimand — see the header note).
-[[nodiscard]] PmvnResult pmvn_vecchia(rt::Runtime& rt,
-                                      const vecchia::VecchiaFactor& l,
-                                      std::span<const double> a,
-                                      std::span<const double> b,
-                                      const PmvnOptions& opts = {});
-
-/// The engine-level view of `opts` (seed and prefix live per-LimitSet);
-/// the one translation point between the legacy options and the engine.
-[[nodiscard]] engine::EngineOptions engine_options(const PmvnOptions& opts);
+[[nodiscard]] engine::QueryResult pmvn_vecchia(
+    rt::Runtime& rt, const vecchia::VecchiaFactor& l,
+    std::span<const double> a, std::span<const double> b,
+    const PmvnOptions& opts = {});
 
 }  // namespace parmvn::core

@@ -75,12 +75,10 @@ SovResult sov_block_estimate(la::ConstMatrixView l, std::span<const double> a,
     for (i64 j = 0; j < pc; ++j)
       block_sums[static_cast<std::size_t>(pts.shift_of(s0 + j))] += p[j];
   };
-  // Block means over the first `done` shifts, pair-merged in antithetic
-  // mode (pair members are dependent — see stats/qmc.hpp).
+  // Block means over the first `done` shifts.
   const auto estimate = [&](int done) {
     std::vector<double> means(block_sums.begin(), block_sums.begin() + done);
     for (double& m : means) m /= static_cast<double>(sps);
-    if (opts.antithetic) means = stats::merge_antithetic_pairs(means);
     return stats::combine_block_means(means);
   };
 
@@ -98,22 +96,21 @@ SovResult sov_block_estimate(la::ConstMatrixView l, std::span<const double> a,
     return res;
   }
 
-  // Adaptive: one shift block (one antithetic pair) per round, stop as soon
-  // as the running estimate meets a criterion — 3-sigma spread under the
-  // abs_tol budget, or the decision threshold cleanly outside the 3-sigma
-  // band (the result's side of the threshold is then settled; more samples
-  // only sharpen a decided number). The estimate gates a decision, so at
+  // Adaptive: one shift block per round, stop as soon as the running
+  // estimate meets a criterion — 3-sigma spread under the abs_tol budget, or
+  // the decision threshold cleanly outside the 3-sigma band (the result's
+  // side of the threshold is then settled; more samples only sharpen a
+  // decided number). The estimate gates a decision, so at
   // least two (independent) blocks are required.
   PARMVN_EXPECTS(opts.shifts >= 2);
   PARMVN_EXPECTS(opts.min_shifts >= 2);
-  const int step = opts.antithetic ? 2 : 1;
   int done = 0;
   bool converged = false;
   stats::BlockEstimate est;
   while (done < opts.shifts) {
-    sov_panel_sweep(l, a, b, pts, dim0, static_cast<i64>(done) * sps,
-                    static_cast<i64>(step) * sps, scale, nullptr, consume);
-    done += step;
+    sov_panel_sweep(l, a, b, pts, dim0, static_cast<i64>(done) * sps, sps,
+                    scale, nullptr, consume);
+    ++done;
     est = estimate(done);
     if (done >= opts.min_shifts) {
       const bool tol_met = opts.abs_tol > 0.0 && est.error3sigma <= opts.abs_tol;
@@ -146,7 +143,7 @@ SovResult mvn_probability_chol(la::ConstMatrixView l, std::span<const double> a,
   PARMVN_EXPECTS(static_cast<i64>(b.size()) == n);
 
   const stats::PointSet pts(opts.sampler, n, opts.samples_per_shift,
-                            opts.shifts, opts.seed, opts.antithetic);
+                            opts.shifts, opts.seed);
   return detail::sov_block_estimate(l, a, b, pts, /*dim0=*/0, /*scale=*/{},
                                     opts);
 }
@@ -168,7 +165,7 @@ std::vector<double> mvn_prefix_probabilities_chol(la::ConstMatrixView l,
   PARMVN_EXPECTS(static_cast<i64>(b.size()) == n);
 
   const stats::PointSet pts(opts.sampler, n, opts.samples_per_shift,
-                            opts.shifts, opts.seed, opts.antithetic);
+                            opts.shifts, opts.seed);
   std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
   detail::sov_panel_sweep(l, a, b, pts, /*dim0=*/0, 0, pts.num_samples(),
                           /*scale=*/{}, acc.data(),

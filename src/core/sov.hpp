@@ -40,8 +40,6 @@ struct SovOptions {
   /// default) disables it; with abs_tol also 0 the classic fixed-budget
   /// sweep stays bitwise unchanged.
   double decision = std::numeric_limits<double>::quiet_NaN();
-  /// Antithetic shift pairs (see stats::PointSet); `shifts` must be even.
-  bool antithetic = false;
 
   [[nodiscard]] i64 total_samples() const noexcept {
     return samples_per_shift * static_cast<i64>(shifts);
@@ -114,7 +112,7 @@ void sov_panel_sweep(
 /// The shared block estimator over sov_panel_sweep: classic fixed budget
 /// when opts.abs_tol == 0 (bitwise identical to the pre-adaptive code),
 /// else shift-block-adaptive with early stop on the running 3-sigma
-/// estimate. Handles antithetic pair merging.
+/// estimate.
 [[nodiscard]] SovResult sov_block_estimate(la::ConstMatrixView l,
                                            std::span<const double> a,
                                            std::span<const double> b,

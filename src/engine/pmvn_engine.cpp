@@ -46,8 +46,6 @@ void EngineOptions::validate() const {
   if (shifts < 1) reject("shifts must be >= 1");
   if (panel_bytes < 1) reject("panel_bytes must be >= 1");
   if (deadline_ms < 0) reject("deadline_ms must be >= 0");
-  if (antithetic && shifts % 2 != 0)
-    reject("antithetic pairing requires an even shift count");
   if (!(abs_tol >= 0.0) || !std::isfinite(abs_tol))
     reject("abs_tol must be finite and >= 0");
   if (!(ep_margin >= 0.0) || !std::isfinite(ep_margin))
@@ -203,14 +201,11 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const i64 sps = opts_.samples_per_shift;
   const i64 num_samples = opts_.total_samples();
 
-  // One deterministic point set per query, keyed by the query's seed — or
-  // by the shared CRN seed, so nearby limit sets (bisection iterates) see
-  // common random numbers.
+  // One deterministic point set per query, keyed by the query's seed.
   std::vector<stats::PointSet> pts;
   pts.reserve(static_cast<std::size_t>(nq));
   for (const LimitSet& q : queries)
-    pts.emplace_back(opts_.sampler, n, sps, opts_.shifts,
-                     opts_.crn ? opts_.crn_seed : q.seed, opts_.antithetic);
+    pts.emplace_back(opts_.sampler, n, sps, opts_.shifts, q.seed);
 
   std::vector<std::vector<double>> p(static_cast<std::size_t>(nq));
   for (auto& pq : p) pq.assign(static_cast<std::size_t>(num_samples), 1.0);
@@ -485,8 +480,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     }
   };
 
-  // Block estimate over the first `done` shifts of query q, pair-merged in
-  // antithetic mode (pair members are dependent — see stats/qmc.hpp).
+  // Block estimate over the first `done` shifts of query q.
   const auto block_estimate = [&](i64 q, int done) {
     const std::vector<double>& pq = p[static_cast<std::size_t>(q)];
     std::vector<double> means(static_cast<std::size_t>(done), 0.0);
@@ -495,7 +489,6 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
           pts[static_cast<std::size_t>(q)].shift_of(s))] +=
           pq[static_cast<std::size_t>(s)];
     for (double& mean : means) mean /= static_cast<double>(sps);
-    if (opts_.antithetic) means = stats::merge_antithetic_pairs(means);
     return stats::combine_block_means(means);
   };
 
@@ -509,7 +502,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
 
   if (!opts_.adaptive && !deadline_on) {
     // Fixed budget: one sweep over the whole stream for every query — the
-    // pre-adaptive code path, bitwise preserved (antithetic off).
+    // pre-adaptive code path, bitwise preserved.
     std::vector<i64> all(static_cast<std::size_t>(nq));
     std::iota(all.begin(), all.end(), i64{0});
     for (i64 q = 0; q < nq; ++q)
@@ -539,18 +532,14 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     return results;
   }
 
-  // Round mode (adaptive and/or deadline-bounded): one shift block (one
-  // antithetic pair) per round across the still-active queries, retiring
-  // each query independently once its criterion is met — error3sigma <=
-  // abs_tol, or the decision threshold cleanly cleared (adaptive only) —
+  // Round mode (adaptive and/or deadline-bounded): one shift block per
+  // round across the still-active queries, retiring each query
+  // independently once its criterion is met — error3sigma <= abs_tol,
+  // or the decision threshold cleanly cleared (adaptive only) —
   // or en masse when the deadline expires. All stop decisions run here on
   // the host thread from deterministic block sums, so the adaptive round
   // schedule (and therefore every result bit) is identical across worker
   // counts; deadline stops are time-dependent and exempt (see ROADMAP).
-  const int step = opts_.antithetic ? 2 : 1;
-  // First stop check no earlier than min_shifts, rounded up to whole rounds.
-  const int first_check = ((opts_.min_shifts + step - 1) / step) * step;
-
   for (i64 q = 0; q < nq; ++q)
     if (queries[static_cast<std::size_t>(q)].prefix)
       prefix_store[static_cast<std::size_t>(q)].assign(
@@ -573,7 +562,6 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         means[static_cast<std::size_t>(s)] =
             store[static_cast<std::size_t>(static_cast<i64>(s) * n + i)] /
             static_cast<double>(sps);
-      if (opts_.antithetic) means = stats::merge_antithetic_pairs(means);
       const stats::BlockEstimate est = stats::combine_block_means(means);
       if (est.mean + est.error3sigma < decision) return true;
       const bool ok =
@@ -601,24 +589,22 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         deadline_hit[static_cast<std::size_t>(qi)] = 1;
       break;
     }
-    for (int k = 0; k < step; ++k) {
-      for (const i64 qi : active)
-        prefix_target[static_cast<std::size_t>(qi)] =
-            queries[static_cast<std::size_t>(qi)].prefix
-                ? prefix_store[static_cast<std::size_t>(qi)].data() +
-                      static_cast<i64>(s + k) * n
-                : nullptr;
-      sweep_range(active, static_cast<i64>(s + k) * sps,
-                  static_cast<i64>(s + k + 1) * sps);
-    }
+    for (const i64 qi : active)
+      prefix_target[static_cast<std::size_t>(qi)] =
+          queries[static_cast<std::size_t>(qi)].prefix
+              ? prefix_store[static_cast<std::size_t>(qi)].data() +
+                    static_cast<i64>(s) * n
+              : nullptr;
+    sweep_range(active, static_cast<i64>(s) * sps,
+                static_cast<i64>(s + 1) * sps);
     std::vector<i64> still;
     still.reserve(active.size());
     for (const i64 qi : active) {
-      shifts_done[static_cast<std::size_t>(qi)] += step;
+      ++shifts_done[static_cast<std::size_t>(qi)];
       const int done = shifts_done[static_cast<std::size_t>(qi)];
       // Early-stop checks belong to adaptive mode only: a deadline-bounded
       // fixed-budget run sweeps every block the clock allows.
-      if (opts_.adaptive && done >= first_check) {
+      if (opts_.adaptive && done >= opts_.min_shifts) {
         bool stop;
         if (queries[static_cast<std::size_t>(qi)].prefix) {
           stop = prefix_decided(qi, done);

@@ -26,8 +26,7 @@
 // round and retires queries as their error budget is met; each round reuses
 // the same fused wide-panel sweep over the still-active subset. All stop
 // decisions happen on the host thread from deterministic block sums, so
-// both contracts extend to the adaptive path (with CRN the stream is shared,
-// so batch transparency holds against a single-query run with the CRN seed).
+// both contracts extend to the adaptive path.
 #pragma once
 
 #include <limits>
@@ -44,6 +43,8 @@ namespace parmvn::engine {
 struct EngineOptions {
   i64 samples_per_shift = 1000;
   int shifts = 10;
+  /// The paper's Algorithm 2 fills R with i.i.d. U(0,1); Richtmyer QMC is
+  /// what Genz recommends and converges faster (see the sampler ablation).
   stats::SamplerKind sampler = stats::SamplerKind::kPseudoMC;
   /// Memory budget for the batch's A/B/Y panels, shared across all queries;
   /// floored at one tile-width of columns per query.
@@ -63,15 +64,6 @@ struct EngineOptions {
   /// Shift blocks evaluated before the first stop decision (>= 2: a lone
   /// block's error estimate is infinite and must never gate a decision).
   int min_shifts = 2;
-  /// Common random numbers: every query in the batch draws from one stream
-  /// seeded with `crn_seed` (ignoring LimitSet::seed), so estimates of
-  /// nearby limit sets — e.g. bisection iterates — are positively
-  /// correlated and their differences low-variance.
-  bool crn = false;
-  u64 crn_seed = 42;
-  /// Antithetic shift pairs (see stats::PointSet); `shifts` must be even,
-  /// and the estimator pair-merges block means before combining.
-  bool antithetic = false;
 
   /// Tiered evaluation: every query carrying a decision threshold is first
   /// screened by the deterministic EP estimator (src/ep/) on the host
@@ -87,6 +79,12 @@ struct EngineOptions {
   /// counts. Screens warm-start from the factor's site
   /// cache (CholeskyFactor::ep_cache()); an unconverged screen never
   /// retires anything.
+  bool tiered = false;
+  /// Conservative EP error band half-width (absolute probability). The
+  /// default is calibrated against dense QMC on smooth GP fields
+  /// (tests/test_ep.cpp holds |EP - QMC| well under it at n = 64..256).
+  double ep_margin = 0.05;
+
   /// Wall-clock deadline for the whole evaluate() call in milliseconds
   /// (0 = none). Checked on the host thread between shift-block rounds (and
   /// between tiered EP screens): when it expires, every still-active query
@@ -100,21 +98,14 @@ struct EngineOptions {
   /// contracted path bitwise unchanged.
   i64 deadline_ms = 0;
 
-  bool tiered = false;
-  /// Conservative EP error band half-width (absolute probability). The
-  /// default is calibrated against dense QMC on smooth GP fields
-  /// (tests/test_ep.cpp holds |EP - QMC| well under it at n = 64..256).
-  double ep_margin = 0.05;
-
   [[nodiscard]] i64 total_samples() const noexcept {
     return samples_per_shift * static_cast<i64>(shifts);
   }
 
   /// Range-check every knob and throw a typed parmvn::Error naming the
   /// offending one (negative deadline_ms, negative ep_margin, zero
-  /// samples, an odd antithetic shift count, …). PmvnEngine's constructor
-  /// and core::engine_options() both call this, so nonsense options fail
-  /// at construction instead of as undefined downstream behavior.
+  /// samples, …). PmvnEngine's constructor calls this, so nonsense options
+  /// fail at construction instead of as undefined downstream behavior.
   void validate() const;
 };
 

@@ -1,8 +1,8 @@
 // Warm-start store for EP site parameters, attached to a CholeskyFactor
 // (engine::CholeskyFactor::ep_cache()) so repeated screens against one
-// field reuse converged sites: a re-evaluated query (CRN bisection
-// iterates, serving traffic) certifies its cached fixed point in a single
-// damped sweep — half the cold screen cost.
+// field reuse converged sites: a re-evaluated query (serving traffic)
+// certifies its cached fixed point in a single damped sweep — half the
+// cold screen cost.
 //
 // Lookup returns the stored state whose limit vector is nearest (L-inf) to
 // the query's — a copy, so concurrent screens never share mutable state.

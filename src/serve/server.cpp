@@ -43,8 +43,6 @@ void ServeOptions::validate() const {
   if (degraded_shifts < 2)
     reject("degraded_shifts must be >= 2 (a lone shift block has no error "
            "estimate)");
-  if (engine.antithetic && degraded_shifts % 2 != 0)
-    reject("degraded_shifts must be even under antithetic pairing");
   engine.validate();
 }
 
@@ -255,8 +253,6 @@ void Server::process_batch(std::vector<Pending> batch,
   engine::EngineOptions eff = opts_.engine;
   if (rung >= DegradeRung::kTiered) eff.tiered = true;
   if (rung == DegradeRung::kShiftCap) {
-    // degraded_shifts is validated even under antithetic pairing, so the
-    // min of two even counts stays even.
     eff.shifts = std::min(eff.shifts, opts_.degraded_shifts);
     if (eff.adaptive) eff.min_shifts = std::min(eff.min_shifts, eff.shifts);
   }

@@ -41,13 +41,6 @@ namespace {
 
 inline double frac(double x) noexcept { return x - std::floor(x); }
 
-// Point reflection u -> 1 - u kept inside [0, 1): the (measure-zero) image
-// of u == 0 wraps to 0 so the half-open-interval invariant holds.
-inline double reflect(double u) noexcept {
-  const double r = 1.0 - u;
-  return r < 1.0 ? r : 0.0;
-}
-
 // Scrambled radical inverse of `index` in base `base` with a multiplicative
 // digit permutation derived from `seed` (Faure-style linear scrambling).
 double scrambled_radical_inverse(i64 index, i64 base, u64 seed) {
@@ -71,17 +64,15 @@ double scrambled_radical_inverse(i64 index, i64 base, u64 seed) {
 }  // namespace
 
 PointSet::PointSet(SamplerKind kind, i64 dim, i64 samples_per_shift,
-                   int num_shifts, u64 seed, bool antithetic)
+                   int num_shifts, u64 seed)
     : kind_(kind),
       dim_(dim),
       samples_per_shift_(samples_per_shift),
       num_shifts_(num_shifts),
-      seed_(seed),
-      antithetic_(antithetic) {
+      seed_(seed) {
   PARMVN_EXPECTS(dim >= 1);
   PARMVN_EXPECTS(samples_per_shift >= 1);
   PARMVN_EXPECTS(num_shifts >= 1);
-  PARMVN_EXPECTS(!antithetic || num_shifts % 2 == 0);
   if (kind_ == SamplerKind::kRichtmyer) {
     const std::vector<i64> primes = first_primes(dim_);
     alpha_.resize(static_cast<std::size_t>(dim_));
@@ -97,40 +88,30 @@ PointSet::PointSet(SamplerKind kind, i64 dim, i64 samples_per_shift,
 double PointSet::value(i64 dim_index, i64 sample_index) const {
   PARMVN_EXPECTS(dim_index >= 0 && dim_index < dim_);
   PARMVN_EXPECTS(sample_index >= 0 && sample_index < num_samples());
-  int shift = shift_of(sample_index);
+  const int shift = shift_of(sample_index);
   const i64 local = sample_index - static_cast<i64>(shift) * samples_per_shift_;
-  // Antithetic pairing: an odd block mirrors the preceding even block's
-  // point (same local index, same shift randomisation) through u -> 1 - u.
-  const bool mirror = antithetic_ && shift % 2 == 1;
-  if (mirror) {
-    --shift;
-    sample_index -= samples_per_shift_;
-  }
-  double v = 0.0;
   switch (kind_) {
     case SamplerKind::kPseudoMC:
-      v = counter_u01(seed_, dim_index,
-                      sample_index + 0x51ed2701);  // offset decorrelates
-                                                   // from other users of
-                                                   // the same seed
-      break;
+      return counter_u01(seed_, dim_index,
+                         sample_index + 0x51ed2701);  // offset decorrelates
+                                                      // from other users of
+                                                      // the same seed
     case SamplerKind::kRichtmyer: {
       const double shift_u = counter_u01(seed_ ^ 0x7ac3591bd1e8a2c4ULL,
                                          dim_index, shift);
       const double a = alpha_[static_cast<std::size_t>(dim_index)];
-      v = frac(static_cast<double>(local + 1) * a + shift_u);
-      break;
+      return frac(static_cast<double>(local + 1) * a + shift_u);
     }
     case SamplerKind::kHalton: {
       const double shift_u = counter_u01(seed_ ^ 0x2cb9ae11f53dc049ULL,
                                          dim_index, shift);
       const double h = scrambled_radical_inverse(
           local + 1, halton_base_[static_cast<std::size_t>(dim_index)], seed_);
-      v = frac(h + shift_u);
-      break;
+      return frac(h + shift_u);
     }
   }
-  return mirror ? reflect(v) : v;
+  PARMVN_ASSERT(false);
+  return 0.0;
 }
 
 void PointSet::fill_row(i64 dim_index, i64 sample0, i64 count,
@@ -140,42 +121,31 @@ void PointSet::fill_row(i64 dim_index, i64 sample0, i64 count,
   PARMVN_EXPECTS(sample0 >= 0 && sample0 + count <= num_samples());
   switch (kind_) {
     case SamplerKind::kPseudoMC:
-      for (i64 j = 0; j < count; ++j) {
-        i64 s = sample0 + j;
-        const bool mirror = antithetic_ && shift_of(s) % 2 == 1;
-        if (mirror) s -= samples_per_shift_;
-        const double v = counter_u01(seed_, dim_index, s + 0x51ed2701);
-        out[j] = mirror ? reflect(v) : v;
-      }
+      for (i64 j = 0; j < count; ++j)
+        out[j] = counter_u01(seed_, dim_index, sample0 + j + 0x51ed2701);
       return;
     case SamplerKind::kRichtmyer: {
       const double a = alpha_[static_cast<std::size_t>(dim_index)];
       for (i64 j = 0; j < count; ++j) {
-        int shift = shift_of(sample0 + j);
+        const int shift = shift_of(sample0 + j);
         const i64 local =
             sample0 + j - static_cast<i64>(shift) * samples_per_shift_;
-        const bool mirror = antithetic_ && shift % 2 == 1;
-        if (mirror) --shift;
         const double shift_u =
             counter_u01(seed_ ^ 0x7ac3591bd1e8a2c4ULL, dim_index, shift);
-        const double v = frac(static_cast<double>(local + 1) * a + shift_u);
-        out[j] = mirror ? reflect(v) : v;
+        out[j] = frac(static_cast<double>(local + 1) * a + shift_u);
       }
       return;
     }
     case SamplerKind::kHalton: {
       const i64 base = halton_base_[static_cast<std::size_t>(dim_index)];
       for (i64 j = 0; j < count; ++j) {
-        int shift = shift_of(sample0 + j);
+        const int shift = shift_of(sample0 + j);
         const i64 local =
             sample0 + j - static_cast<i64>(shift) * samples_per_shift_;
-        const bool mirror = antithetic_ && shift % 2 == 1;
-        if (mirror) --shift;
         const double shift_u =
             counter_u01(seed_ ^ 0x2cb9ae11f53dc049ULL, dim_index, shift);
         const double h = scrambled_radical_inverse(local + 1, base, seed_);
-        const double v = frac(h + shift_u);
-        out[j] = mirror ? reflect(v) : v;
+        out[j] = frac(h + shift_u);
       }
       return;
     }
@@ -204,16 +174,6 @@ BlockEstimate combine_block_means(const std::vector<double>& block_means) {
     est.error3sigma = std::numeric_limits<double>::infinity();
   }
   return est;
-}
-
-std::vector<double> merge_antithetic_pairs(
-    const std::vector<double>& block_means) {
-  PARMVN_EXPECTS(!block_means.empty());
-  PARMVN_EXPECTS(block_means.size() % 2 == 0);
-  std::vector<double> merged(block_means.size() / 2);
-  for (std::size_t k = 0; k < merged.size(); ++k)
-    merged[k] = 0.5 * (block_means[2 * k] + block_means[2 * k + 1]);
-  return merged;
 }
 
 }  // namespace parmvn::stats

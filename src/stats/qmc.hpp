@@ -10,13 +10,6 @@
 // Samples are organised in `shifts` blocks. Each block uses an independent
 // random shift (QMC) or an independent stream (MC); block means provide the
 // classic 3-sigma error estimate of randomized QMC.
-//
-// Antithetic mode pairs the blocks: every odd block is the point reflection
-// u -> 1 - u of the preceding even block (same lattice points, same random
-// shift), a classic variance-reduction device for integrands monotone in
-// each coordinate. Pair members are *dependent*, so the error estimate must
-// treat each pair as one block — merge_antithetic_pairs() averages the
-// per-shift means pairwise before combine_block_means().
 #pragma once
 
 #include <vector>
@@ -42,10 +35,8 @@ class PointSet {
   /// @param dim        dimensionality (rows of R in Algorithm 2)
   /// @param samples_per_shift  points per randomized block
   /// @param num_shifts independent randomized blocks (>=1)
-  /// @param antithetic pair the blocks: odd block s mirrors block s-1
-  ///        through u -> 1 - u (requires an even num_shifts)
   PointSet(SamplerKind kind, i64 dim, i64 samples_per_shift, int num_shifts,
-           u64 seed, bool antithetic = false);
+           u64 seed);
 
   /// Coordinate `dim_index` of global sample `sample_index`.
   [[nodiscard]] double value(i64 dim_index, i64 sample_index) const;
@@ -68,7 +59,6 @@ class PointSet {
     return static_cast<int>(sample_index / samples_per_shift_);
   }
   [[nodiscard]] SamplerKind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool antithetic() const noexcept { return antithetic_; }
 
  private:
   SamplerKind kind_;
@@ -76,7 +66,6 @@ class PointSet {
   i64 samples_per_shift_;
   int num_shifts_;
   u64 seed_;
-  bool antithetic_ = false;
   std::vector<double> alpha_;     // Richtmyer generators frac(sqrt(p_i))
   std::vector<i64> halton_base_;  // Halton bases (primes)
 };
@@ -93,12 +82,5 @@ struct BlockEstimate {
 /// error-budget-driven caller would read as exact convergence); callers that
 /// gate decisions on the estimate must use at least two blocks.
 BlockEstimate combine_block_means(const std::vector<double>& block_means);
-
-/// Average adjacent (even, odd) block-mean pairs: the valid per-block means
-/// for an antithetic PointSet, whose pair members are dependent and must not
-/// enter the error spread as independent blocks. Requires an even, non-zero
-/// count.
-std::vector<double> merge_antithetic_pairs(
-    const std::vector<double>& block_means);
 
 }  // namespace parmvn::stats

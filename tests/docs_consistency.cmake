@@ -1,0 +1,82 @@
+# Docs drift check, run as a ctest (`ctest -L docs`):
+#
+#   cmake -DREADME=<README.md> -DSRC_DIR=<src> -DSUITE_COUNT=<n> \
+#         -P docs_consistency.cmake
+#
+# Fails when README.md disagrees with the code on
+#  * the "N GTest suites" count (SUITE_COUNT = pairs in PARMVN_TEST_SUITES);
+#  * the fault-site table of the "Failure model & degradation ladder"
+#    section vs. the PARMVN_FAULT_POINT("...") literals in src/**/*.cpp.
+cmake_minimum_required(VERSION 3.20)
+
+foreach(_var README SRC_DIR SUITE_COUNT)
+  if(NOT DEFINED ${_var})
+    message(FATAL_ERROR "docs_consistency: -D${_var}=... is required")
+  endif()
+endforeach()
+
+file(READ "${README}" _readme)
+set(_errors "")
+
+# ---- suite count
+string(REGEX MATCH "([0-9]+) GTest suites" _m "${_readme}")
+if(NOT _m)
+  string(APPEND _errors "\n  README has no \"N GTest suites\" count")
+elseif(NOT CMAKE_MATCH_1 EQUAL SUITE_COUNT)
+  string(APPEND _errors
+         "\n  README says ${CMAKE_MATCH_1} GTest suites; "
+         "PARMVN_TEST_SUITES has ${SUITE_COUNT}")
+endif()
+
+# ---- fault-site table: rows "| `site` | ..." of the failure-model section
+set(_heading "## Failure model & degradation ladder")
+string(FIND "${_readme}" "${_heading}" _begin)
+if(_begin EQUAL -1)
+  string(APPEND _errors "\n  README has no \"${_heading}\" section")
+  set(_section "")
+else()
+  string(SUBSTRING "${_readme}" ${_begin} -1 _section)
+  string(LENGTH "${_heading}" _skip)
+  string(SUBSTRING "${_section}" ${_skip} -1 _rest)
+  string(FIND "${_rest}" "\n## " _end)
+  if(NOT _end EQUAL -1)
+    string(SUBSTRING "${_rest}" 0 ${_end} _rest)
+  endif()
+  set(_section "${_rest}")
+endif()
+string(REGEX MATCHALL "\n\\| `[^`]+` \\|" _rows "${_section}")
+set(_documented "")
+foreach(_row IN LISTS _rows)
+  string(REGEX REPLACE "\n\\| `([^`]+)` \\|" "\\1" _site "${_row}")
+  list(APPEND _documented "${_site}")
+endforeach()
+
+file(GLOB_RECURSE _sources "${SRC_DIR}/*.cpp")
+set(_coded "")
+foreach(_file IN LISTS _sources)
+  file(READ "${_file}" _text)
+  string(REGEX MATCHALL "PARMVN_FAULT_POINT\\(\"[^\"]+\"\\)" _hits "${_text}")
+  foreach(_hit IN LISTS _hits)
+    string(REGEX REPLACE "PARMVN_FAULT_POINT\\(\"([^\"]+)\"\\)" "\\1" _site
+                         "${_hit}")
+    list(APPEND _coded "${_site}")
+  endforeach()
+endforeach()
+list(REMOVE_DUPLICATES _coded)
+
+foreach(_site IN LISTS _coded)
+  if(NOT _site IN_LIST _documented)
+    string(APPEND _errors "\n  fault site `${_site}` is missing from the README table")
+  endif()
+endforeach()
+foreach(_site IN LISTS _documented)
+  if(NOT _site IN_LIST _coded)
+    string(APPEND _errors "\n  README lists fault site `${_site}`, which no src/*.cpp defines")
+  endif()
+endforeach()
+
+if(_errors)
+  message(FATAL_ERROR "README.md disagrees with the code:${_errors}")
+endif()
+list(LENGTH _coded _nsites)
+message(STATUS "docs_consistency: ${SUITE_COUNT} GTest suites, ${_nsites} fault sites")

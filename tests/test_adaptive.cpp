@@ -59,7 +59,7 @@ struct Problem {
         b(static_cast<std::size_t>(side * side), kInf) {}
 };
 
-engine::EngineOptions adaptive_opts(bool antithetic) {
+engine::EngineOptions adaptive_opts() {
   engine::EngineOptions opts;
   opts.samples_per_shift = 200;
   opts.shifts = 8;
@@ -67,7 +67,6 @@ engine::EngineOptions adaptive_opts(bool antithetic) {
   opts.adaptive = true;
   opts.abs_tol = 5e-3;
   opts.min_shifts = 2;
-  opts.antithetic = antithetic;
   return opts;
 }
 
@@ -85,13 +84,11 @@ std::shared_ptr<const engine::CholeskyFactor> dense_factor(
 // one carrying a decision threshold, one a prefix sweep. Every per-query
 // number (probability, error, samples_used, shifts_used, converged flag,
 // prefix sweep) goes into the flattened comparison vector.
-std::vector<double> run_adaptive(int workers, const Problem& pb,
-                                 bool antithetic) {
+std::vector<double> run_adaptive(int workers, const Problem& pb) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
   rt::Runtime rt(workers);
   const i64 n = gen.rows();
-  const engine::PmvnEngine eng(rt, dense_factor(rt, gen),
-                               adaptive_opts(antithetic));
+  const engine::PmvnEngine eng(rt, dense_factor(rt, gen), adaptive_opts());
 
   const std::vector<double> lo1(static_cast<std::size_t>(n), -0.6);
   const std::vector<double> lo2(static_cast<std::size_t>(n), -0.1);
@@ -117,16 +114,13 @@ std::vector<double> run_adaptive(int workers, const Problem& pb,
 
 TEST(Adaptive, BitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
-  for (const bool antithetic : {false, true}) {
-    const std::vector<double> reference = run_adaptive(1, pb, antithetic);
-    for (const int workers : kWorkerMatrix) {
-      const std::vector<double> got = run_adaptive(workers, pb, antithetic);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_DOUBLE_EQ(got[i], reference[i])
-            << "adaptive drifted, workers=" << workers << " value=" << i
-            << " antithetic=" << antithetic;
-    }
+  const std::vector<double> reference = run_adaptive(1, pb);
+  for (const int workers : kWorkerMatrix) {
+    const std::vector<double> got = run_adaptive(workers, pb);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_DOUBLE_EQ(got[i], reference[i])
+          << "adaptive drifted, workers=" << workers << " value=" << i;
   }
 }
 
@@ -136,11 +130,11 @@ TEST(Adaptive, ConvergedEstimateAgreesWithFixedBudgetReference) {
   rt::Runtime rt(4);
   const auto factor = dense_factor(rt, gen);
 
-  engine::EngineOptions fixed = adaptive_opts(false);
+  engine::EngineOptions fixed = adaptive_opts();
   fixed.adaptive = false;
   fixed.abs_tol = 0.0;
   const engine::PmvnEngine ref_eng(rt, factor, fixed);
-  const engine::PmvnEngine ada_eng(rt, factor, adaptive_opts(false));
+  const engine::PmvnEngine ada_eng(rt, factor, adaptive_opts());
 
   const engine::LimitSet q{pb.a, pb.b, 20240517, false};
   const engine::QueryResult ref = ref_eng.evaluate_one(q);
@@ -160,7 +154,7 @@ TEST(Adaptive, ConvergedEstimateAgreesWithFixedBudgetReference) {
 
   // Exhausting the cap reproduces the fixed-budget estimate bitwise: the
   // same shift blocks, accumulated in the same order.
-  engine::EngineOptions strict = adaptive_opts(false);
+  engine::EngineOptions strict = adaptive_opts();
   strict.abs_tol = 1e-300;
   const engine::PmvnEngine strict_eng(rt, factor, strict);
   const engine::QueryResult capped = strict_eng.evaluate_one(q);
@@ -168,27 +162,6 @@ TEST(Adaptive, ConvergedEstimateAgreesWithFixedBudgetReference) {
   EXPECT_FALSE(capped.converged);
   EXPECT_DOUBLE_EQ(capped.prob, ref.prob);
   EXPECT_DOUBLE_EQ(capped.error3sigma, ref.error3sigma);
-}
-
-TEST(Adaptive, CommonRandomNumbersShareOneStream) {
-  // With CRN on, per-query seeds are ignored in favour of the batch-wide
-  // stream: identical limit sets must produce identical estimates no matter
-  // their seeds — the property that makes bisection iterates comparable.
-  const Problem pb(8);
-  const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  rt::Runtime rt(2);
-  engine::EngineOptions opts = adaptive_opts(false);
-  opts.crn = true;
-  opts.crn_seed = 99;
-  const engine::PmvnEngine eng(rt, dense_factor(rt, gen), opts);
-
-  std::vector<engine::LimitSet> batch;
-  batch.push_back({pb.a, pb.b, 1, false});
-  batch.push_back({pb.a, pb.b, 2, false});
-  const std::vector<engine::QueryResult> results = eng.evaluate(batch);
-  EXPECT_DOUBLE_EQ(results[0].prob, results[1].prob);
-  EXPECT_DOUBLE_EQ(results[0].error3sigma, results[1].error3sigma);
-  EXPECT_EQ(results[0].samples_used, results[1].samples_used);
 }
 
 // Confidence-region detection with decision-aware early stop: the adaptive

@@ -1,13 +1,16 @@
 // Tests for confidence-region detection (Algorithm 1) and MC validation:
-// sweep vs naive strategy, set-theoretic properties, dense vs TLR, and the
+// sweep vs the literal Algorithm 1 loop, set-theoretic properties, option
+// validation, dense vs TLR, and the
 // p_hat(alpha) ~ 1-alpha calibration check of Section V-C.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/excursion.hpp"
 #include "core/mc_validation.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/field.hpp"
 #include "geo/geometry.hpp"
@@ -21,7 +24,8 @@ using namespace parmvn;
 using core::CrdMode;
 using core::CrdOptions;
 using core::CrdResult;
-using core::CrdStrategy;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct TestField {
   geo::LocationSet locs;
@@ -82,21 +86,60 @@ TEST(Crd, MarginalsAndOrderingAreCorrect) {
 
 TEST(Crd, SweepEqualsNaiveStrategy) {
   // The single-sweep prefix probabilities must equal the literal
-  // Algorithm 1 loop (same sampler/seed -> bitwise-equal chains).
+  // Algorithm 1 loop — one PMVN per prefix on a dense factor of the sweep's
+  // ordering (same sampler/seed -> bitwise-equal chains).
   const TestField f = make_field(5, 5, 0.2, 2);
   rt::Runtime rt(2);
-  CrdOptions sweep = base_opts();
-  sweep.pmvn.samples_per_shift = 150;
-  sweep.pmvn.shifts = 4;
-  CrdOptions naive = sweep;
-  naive.strategy = CrdStrategy::kNaivePerPrefix;
+  CrdOptions opts = base_opts();
+  opts.pmvn.samples_per_shift = 150;
+  opts.pmvn.shifts = 4;
+  const CrdResult rs = core::detect_confidence_region(rt, *f.cov, f.mean, opts);
 
-  const CrdResult rs = core::detect_confidence_region(rt, *f.cov, f.mean, sweep);
-  const CrdResult rn = core::detect_confidence_region(rt, *f.cov, f.mean, naive);
-  ASSERT_EQ(rs.prefix_prob.size(), rn.prefix_prob.size());
-  for (std::size_t i = 0; i < rs.prefix_prob.size(); ++i)
-    EXPECT_NEAR(rs.prefix_prob[i], rn.prefix_prob[i], 1e-12) << "i=" << i;
-  EXPECT_EQ(rs.region_size, rn.region_size);
+  const i64 n = static_cast<i64>(f.mean.size());
+  const engine::FactorSpec spec{engine::FactorKind::kDense, opts.tile, 0.0,
+                                -1};
+  const engine::PmvnEngine eng(
+      rt,
+      std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::factor_ordered(rt, *f.cov, rs.order, spec)),
+      opts.pmvn);
+  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
+  ASSERT_EQ(static_cast<i64>(rs.prefix_prob.size()), n);
+  std::vector<double> naive(static_cast<std::size_t>(n));
+  for (i64 k = 0; k < n; ++k) {
+    // Prefix k keeps the first k+1 ordered limits; the rest are (-inf, inf)
+    // and contribute an exact factor 1.
+    std::vector<double> a(static_cast<std::size_t>(n), -kInf);
+    for (i64 i = 0; i <= k; ++i) {
+      const i64 src = rs.order[static_cast<std::size_t>(i)];
+      a[static_cast<std::size_t>(i)] =
+          (opts.threshold - f.mean[static_cast<std::size_t>(src)]) /
+          std::sqrt(f.cov->entry(src, src));
+    }
+    naive[static_cast<std::size_t>(k)] =
+        eng.evaluate_one({a, b, opts.pmvn.seed, false}).prob;
+    EXPECT_NEAR(rs.prefix_prob[static_cast<std::size_t>(k)],
+                naive[static_cast<std::size_t>(k)], 1e-12)
+        << "k=" << k;
+  }
+  EXPECT_EQ(rs.region_size, core::region_size_at_level(naive, 1.0 - opts.alpha));
+}
+
+TEST(Crd, BadOptionsRejectedBeforeFactoring) {
+  // Nonsense integration options must throw typed before any Cholesky is
+  // paid for — and before one lands in the cache.
+  const TestField f = make_field(5, 5, 0.2, 10);
+  rt::Runtime rt(2);
+  CrdOptions opts = base_opts();
+  opts.pmvn.deadline_ms = -1;
+  engine::FactorCache cache(2);
+  const core::CrdQuery query{opts.threshold, opts.alpha, opts.direction,
+                             std::nullopt};
+  EXPECT_THROW((void)core::detect_confidence_regions(rt, *f.cov, f.mean, opts,
+                                                     {&query, 1}, &cache),
+               Error);
+  EXPECT_EQ(cache.stats().misses, 0);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(Crd, RegionShrinksWithConfidence) {

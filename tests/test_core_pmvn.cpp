@@ -23,7 +23,7 @@ namespace {
 
 using namespace parmvn;
 using core::PmvnOptions;
-using core::PmvnResult;
+using engine::QueryResult;
 using la::Matrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -70,7 +70,7 @@ TEST(PmvnDense, MatchesSequentialOracleExactly) {
   opts.shifts = 8;
   opts.sampler = stats::SamplerKind::kRichtmyer;
   opts.seed = 11;
-  const PmvnResult got = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult got = core::pmvn_dense(rt, l, a, b, opts);
 
   EXPECT_NEAR(got.prob / expect.prob, 1.0, 1e-8);
   EXPECT_NEAR(got.error3sigma, expect.error3sigma,
@@ -90,7 +90,7 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
   for (int threads : {0, 1, 2, 8}) {
     rt::Runtime rt(threads);
     const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-    const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
     if (threads == 0) {
       reference = r.prob;
     } else {
@@ -113,7 +113,7 @@ TEST(PmvnDense, TileSizeOnlyPerturbsRounding) {
   for (i64 nb : {8, 24, 36, 72}) {
     rt::Runtime rt(4);
     const tile::TileMatrix l = tiled_chol(rt, sigma, nb);
-    const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
     if (first < 0) {
       first = r.prob;
     } else {
@@ -134,7 +134,7 @@ TEST(PmvnDense, ExchangeableHalfCorrelationOrthantHighDim) {
   opts.samples_per_shift = 2500;
   opts.shifts = 20;
   opts.sampler = stats::SamplerKind::kRichtmyer;
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
   const double expect = 1.0 / 65.0;
   EXPECT_NEAR(r.prob / expect, 1.0, 0.05);
   EXPECT_LT(std::fabs(r.prob - expect), 3.0 * r.error3sigma + 0.002 * expect);
@@ -153,7 +153,7 @@ TEST(PmvnDense, IndependenceProductExact) {
   }
   rt::Runtime rt(2);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, {});
+  const QueryResult r = core::pmvn_dense(rt, l, a, b, {});
   EXPECT_NEAR(r.prob / expect, 1.0, 1e-10)
       << "independent case is exact for every sample";
 }
@@ -169,7 +169,7 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
   opts.samples_per_shift = 300;
   opts.shifts = 4;
   opts.prefix = true;
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), n);
   // Monotone non-increasing; last equals the total probability.
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
@@ -185,7 +185,7 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
     for (i64 i = 0; i < k; ++i) a_partial[static_cast<std::size_t>(i)] = -0.3;
     PmvnOptions full = opts;
     full.prefix = false;
-    const PmvnResult sub = core::pmvn_dense(rt, l, a_partial, b, full);
+    const QueryResult sub = core::pmvn_dense(rt, l, a_partial, b, full);
     EXPECT_NEAR(sub.prob, r.prefix_prob[static_cast<std::size_t>(k - 1)], 1e-12)
         << "k=" << k;
   }
@@ -255,7 +255,7 @@ TEST(PmvnTlr, PrefixSweepWorksInTlrMode) {
   opts.samples_per_shift = 250;
   opts.shifts = 4;
   opts.prefix = true;
-  const PmvnResult r = core::pmvn_tlr(rt, l, a, b, opts);
+  const QueryResult r = core::pmvn_tlr(rt, l, a, b, opts);
   ASSERT_EQ(r.prefix_prob.size(), 100u);
   for (std::size_t i = 1; i < 100; ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-12);
@@ -268,6 +268,17 @@ TEST(Pmvn, RejectsShapeMismatch) {
   const tile::TileMatrix l = tiled_chol(rt, sigma, 4);
   std::vector<double> short_a(4, 0.0), b(8, kInf);
   EXPECT_THROW((void)core::pmvn_dense(rt, l, short_a, b, {}), Error);
+}
+
+TEST(Pmvn, RejectsBadOptionsTyped) {
+  // The wrapper hands its EngineOptions base to the engine, whose
+  // constructor validates it: nonsense fails typed, before any sampling.
+  rt::Runtime rt(1);
+  const tile::TileMatrix l = tiled_chol(rt, equicorrelated(8, 0.2), 4);
+  std::vector<double> a(8, 0.0), b(8, kInf);
+  PmvnOptions bad;
+  bad.ep_margin = -0.2;
+  EXPECT_THROW((void)core::pmvn_dense(rt, l, a, b, bad), Error);
 }
 
 TEST(Pmvn, GeneralLayoutFactorRejected) {

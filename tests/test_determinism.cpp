@@ -42,7 +42,6 @@ namespace {
 
 using namespace parmvn;
 using core::PmvnOptions;
-using core::PmvnResult;
 using la::Matrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -194,7 +194,7 @@ TEST(PmvnEngine, AgreesWithLegacySingleQueryWrappers) {
   legacy.shifts = 4;
   legacy.sampler = stats::SamplerKind::kRichtmyer;
   legacy.seed = 21;
-  const core::PmvnResult via_wrapper = core::pmvn_dense(rt, l, a, b, legacy);
+  const engine::QueryResult via_wrapper = core::pmvn_dense(rt, l, a, b, legacy);
 
   auto factor = std::make_shared<const engine::CholeskyFactor>(
       engine::CholeskyFactor::borrow_dense(l));
@@ -257,9 +257,8 @@ TEST(PmvnEngine, EmptyBatchAndShapeChecks) {
 }
 
 TEST(EngineOptions, ValidateRejectsEveryBadKnobTyped) {
-  // Nonsense options must fail typed at construction (PmvnEngine's ctor and
-  // core::engine_options both call validate()), never as undefined
-  // downstream behaviour.
+  // Nonsense options must fail typed at construction (PmvnEngine's ctor
+  // calls validate()), never as undefined downstream behaviour.
   const auto expect_throws = [](auto mutate) {
     engine::EngineOptions o;
     mutate(o);
@@ -274,10 +273,6 @@ TEST(EngineOptions, ValidateRejectsEveryBadKnobTyped) {
   expect_throws([](auto& o) { o.ep_margin = -0.05; });
   expect_throws([](auto& o) { o.ep_margin = std::nan(""); });
   expect_throws([](auto& o) { o.abs_tol = -1.0; });
-  expect_throws([](auto& o) {
-    o.antithetic = true;
-    o.shifts = 5;
-  });
   expect_throws([](auto& o) {
     o.adaptive = true;
     o.min_shifts = 1;
@@ -299,12 +294,6 @@ TEST(EngineOptions, PmvnEngineConstructorValidates) {
   engine::EngineOptions bad = small_opts();
   bad.deadline_ms = -1;
   EXPECT_THROW(engine::PmvnEngine(rt, factor, bad), Error);
-}
-
-TEST(EngineOptions, PmvnOptionsTranslationValidates) {
-  core::PmvnOptions bad;
-  bad.ep_margin = -0.2;
-  EXPECT_THROW((void)core::engine_options(bad), Error);
 }
 
 TEST(FactorCache, HitsMissesAndLru) {

@@ -97,11 +97,6 @@ TEST(ServeOptions, ValidateRejectsEveryBadKnobTyped) {
     o.degrade_shift_cap_at = 0.5;
   });
   expect_throws([](auto& o) { o.degraded_shifts = 1; });
-  expect_throws([](auto& o) {
-    o.engine.antithetic = true;
-    o.engine.shifts = 4;
-    o.degraded_shifts = 3;
-  });
   // Engine knobs are validated through the same entry point.
   expect_throws([](auto& o) { o.engine.deadline_ms = -1; });
   expect_throws([](auto& o) { o.engine.ep_margin = -0.1; });

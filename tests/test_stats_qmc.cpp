@@ -158,47 +158,4 @@ TEST(CombineBlockMeans, EmptyThrows) {
   EXPECT_THROW(combine_block_means({}), parmvn::Error);
 }
 
-TEST(AntitheticPairs, MergeAveragesAdjacentPairs) {
-  const std::vector<double> merged =
-      stats::merge_antithetic_pairs({0.2, 0.4, 1.0, 3.0});
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_DOUBLE_EQ(merged[0], 0.3);
-  EXPECT_DOUBLE_EQ(merged[1], 2.0);
-  EXPECT_THROW(stats::merge_antithetic_pairs({}), parmvn::Error);
-  EXPECT_THROW(stats::merge_antithetic_pairs({0.5}), parmvn::Error);
-}
-
-TEST(AntitheticPairs, OddShiftMirrorsEvenShift) {
-  for (SamplerKind kind : {SamplerKind::kPseudoMC, SamplerKind::kRichtmyer,
-                           SamplerKind::kHalton}) {
-    const i64 sps = 32;
-    PointSet ps(kind, 5, sps, 4, 2026, /*antithetic=*/true);
-    PointSet plain(kind, 5, sps, 4, 2026, /*antithetic=*/false);
-    for (i64 d = 0; d < 5; ++d) {
-      for (i64 s = 0; s < sps; ++s) {
-        // Even blocks are untouched by the pairing.
-        EXPECT_DOUBLE_EQ(ps.value(d, s), plain.value(d, s));
-        // Odd block = reflection of its even partner; values stay in [0,1).
-        const double mirrored = ps.value(d, s + sps);
-        const double expect = 1.0 - ps.value(d, s);
-        EXPECT_DOUBLE_EQ(mirrored, expect < 1.0 ? expect : 0.0)
-            << "kind=" << static_cast<int>(kind) << " d=" << d << " s=" << s;
-        ASSERT_GE(mirrored, 0.0);
-        ASSERT_LT(mirrored, 1.0);
-      }
-    }
-    // fill_row stays bitwise identical to value() in antithetic mode too,
-    // including across the even/odd block boundary.
-    std::vector<double> row(static_cast<std::size_t>(ps.num_samples()));
-    ps.fill_row(2, sps - 7, 20, row.data());
-    for (i64 j = 0; j < 20; ++j)
-      EXPECT_EQ(row[static_cast<std::size_t>(j)], ps.value(2, sps - 7 + j));
-  }
-}
-
-TEST(AntitheticPairs, RequiresEvenShiftCount) {
-  EXPECT_THROW(PointSet(SamplerKind::kRichtmyer, 3, 16, 3, 1, true),
-               parmvn::Error);
-}
-
 }  // namespace

@@ -208,7 +208,7 @@ double dense_prob(rt::Runtime& rt, const VecchiaProblem& pb,
                      tile::Layout::kLowerSymmetric);
   l.from_dense(sigma.view());
   tile::potrf_tiled(rt, l);
-  const core::PmvnResult r = core::pmvn_dense(rt, l, pb.a, pb.b, opts);
+  const engine::QueryResult r = core::pmvn_dense(rt, l, pb.a, pb.b, opts);
   if (err != nullptr) *err = r.error3sigma;
   return r.prob;
 }
@@ -258,7 +258,7 @@ TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
   const double pd = dense_prob(rt, pb, opts, &err_d);
   const vecchia::VecchiaFactor f =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/32, /*m=*/16);
-  const core::PmvnResult rv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const engine::QueryResult rv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
   ASSERT_GT(pd, 0.0);
   ASSERT_GT(rv.prob, 0.0);
   EXPECT_NEAR(std::log(rv.prob), std::log(pd), 0.1)
@@ -273,7 +273,7 @@ TEST(VecchiaPmvn, PrefixProbabilitiesAreMonotoneAndConsistent) {
   opts.prefix = true;
   const vecchia::VecchiaFactor f =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/9, /*m=*/8);
-  const core::PmvnResult r = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const engine::QueryResult r = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), pb.cov->rows());
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-15) << i;
