@@ -1,6 +1,7 @@
 #include "core/qmc_kernel.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/aligned.hpp"
 #include "common/contracts.hpp"
@@ -12,6 +13,7 @@ namespace parmvn::core {
 namespace {
 
 constexpr double kUEps = 1e-16;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Per-thread row scratch: s (triangular products), a'/b' (standardised
 // limits), phi/d (batched CDF outputs), u/w (quantile argument, sample
@@ -57,8 +59,10 @@ void qmc_tile_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
   const i64 m = l.rows;
   const i64 mc = a.rows;
   PARMVN_EXPECTS(l.cols == m);
-  PARMVN_EXPECTS(a.cols == m && b.cols == m && y.cols == m);
-  PARMVN_EXPECTS(b.rows == mc && y.rows == mc);
+  // An empty b (data == nullptr) is an all-+inf upper panel.
+  const bool upper = b.data != nullptr;
+  PARMVN_EXPECTS(a.cols == m && y.cols == m && y.rows == mc);
+  PARMVN_EXPECTS(!upper || (b.cols == m && b.rows == mc));
 
   RowScratch& rs = scratch();
   rs.ensure(mc);
@@ -75,9 +79,14 @@ void qmc_tile_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
 
     const double lii = l(i, i);
     const double* __restrict acol = a.col(i);
-    const double* __restrict bcol = b.col(i);
     for (i64 j = 0; j < mc; ++j) rs.av[j] = (acol[j] - rs.s[j]) / lii;
-    for (i64 j = 0; j < mc; ++j) rs.bv[j] = (bcol[j] - rs.s[j]) / lii;
+    if (upper) {
+      const double* __restrict bcol = b.col(i);
+      for (i64 j = 0; j < mc; ++j) rs.bv[j] = (bcol[j] - rs.s[j]) / lii;
+    } else {
+      // (+inf - s) / l_ii with s finite and l_ii > 0: the same bits.
+      std::fill_n(rs.bv, mc, kInf);
+    }
 
     // Batched transcendentals: Phi(a') and Phi(b') - Phi(a') fused (two
     // erfc evaluations per entry), then the whole row's quantiles.

@@ -33,7 +33,12 @@ namespace parmvn::core {
 /// @param col0  global sample offset of this tile column
 /// @param a,b   mc x m sample-contiguous tiles of transformed lower/upper
 ///              limits (already reduced by the GEMM propagation of earlier
-///              tile rows): a(j, i) is sample j's limit for dimension i
+///              tile rows): a(j, i) is sample j's limit for dimension i.
+///              An empty b (data == nullptr) means b = +inf on the whole
+///              tile: the kernel sets b' = +inf directly, bitwise what
+///              (+inf - s) / l_ii gives for a B panel filled with +inf
+///              (s is finite and l_ii > 0), so one-sided sweeps need no B
+///              panel and no B propagation.
 /// @param y     mc x m output tile of conditioning values, same layout
 /// @param p     mc running per-sample probability products (updated)
 /// @param prefix_acc optional array of length m: prefix_acc[i] accumulates

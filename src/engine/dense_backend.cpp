@@ -10,10 +10,11 @@ void DenseBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
   // (possibly wide, multi-query) panel. Each output element's reduction
   // order in the microkernel depends only on the k extent, so per-sample
   // rows stay bitwise independent of the panel width (the batched==single
-  // contract).
+  // contract). An empty b is all +inf and stays so: no B update.
   la::ConstMatrixView lir = l_->tile(i, r);
   la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, a);
-  la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, b);
+  if (b.data != nullptr)
+    la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, b);
 }
 
 double DenseBackend::ep_row(

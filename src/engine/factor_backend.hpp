@@ -17,7 +17,12 @@
 //    panels carry the *transformed integration limits*, initialised to the
 //    query limits and reduced in place by apply_update()'s wide GEMMs
 //    (A -= Y L_ir^T). Every (i, r) tile pair carries an off-diagonal block,
-//    named by off_handle() for dependency tracking.
+//    named by off_handle() for dependency tracking. Infinite limits cost
+//    nothing: a tile row on which every active query has b = +inf gets no
+//    B panel (an empty view, which apply_update and the QMC kernel read as
+//    b = +inf), and the sweep stops at the constrained extent — the tile
+//    row holding the last row where some query has a > -inf or b < +inf —
+//    since later rows multiply every sample's probability by exactly 1.
 //
 //  * Mean form (Vecchia — mean_panel_form() == true): conditioning sets are
 //    sparse, so per-pair GEMM tasks would drown in task/handle overhead.
@@ -76,7 +81,9 @@ class FactorBackend {
   }
 
   /// A -= Y * L_ir^T, B -= Y * L_ir^T over (possibly wide, multi-query)
-  /// sample-contiguous panels (rows = samples, columns = dimensions).
+  /// sample-contiguous panels (rows = samples, columns = dimensions). An
+  /// empty `b` (data == nullptr) means b = +inf on tile row i, which the
+  /// update leaves unchanged: only A is updated.
   virtual void apply_update(i64 i, i64 r, la::ConstMatrixView y,
                             la::MatrixView a, la::MatrixView b) const {
     (void)i;

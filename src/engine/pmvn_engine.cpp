@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -34,6 +36,24 @@ struct ColTile {
 // "no decision" falls out without a separate flag.
 bool clears_decision(double mean, double err, double decision) {
   return mean - err > decision || mean + err < decision;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Shape and NaN check for every query of a batch, before any screen or
+// sweep: Phi(b) - Phi(a) is 0 for a NaN limit, so without it a NaN would
+// come back as a confident probability 0.
+void check_limits(std::span<const LimitSet> queries, i64 n) {
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const LimitSet& ls = queries[q];
+    PARMVN_EXPECTS(static_cast<i64>(ls.a.size()) == n);
+    PARMVN_EXPECTS(static_cast<i64>(ls.b.size()) == n);
+    for (i64 i = 0; i < n; ++i)
+      if (std::isnan(ls.a[static_cast<std::size_t>(i)]) ||
+          std::isnan(ls.b[static_cast<std::size_t>(i)]))
+        throw Error("PmvnEngine: query " + std::to_string(q) +
+                    " has a NaN limit at row " + std::to_string(i));
+  }
 }
 
 }  // namespace
@@ -79,6 +99,7 @@ std::vector<QueryResult> PmvnEngine::evaluate(
   // exclusive epoch, so host threads sharing `rt_` can evaluate
   // concurrently without racing submit() against wait_all().
   const auto epoch = rt_.exclusive_epoch();
+  check_limits(queries, factor_->dim());
   if (!opts_.tiered) return evaluate_qmc(queries);
   const i64 nq = static_cast<i64>(queries.size());
   if (nq == 0) return {};
@@ -194,9 +215,23 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const i64 mt = f.row_tiles();
   const i64 nq = static_cast<i64>(queries.size());
   if (nq == 0) return {};
-  for (const LimitSet& q : queries) {
-    PARMVN_EXPECTS(static_cast<i64>(q.a.size()) == n);
-    PARMVN_EXPECTS(static_cast<i64>(q.b.size()) == n);
+
+  // Where each query's limits constrain anything: extent[q] is 1 + the last
+  // row with a > -inf or b < +inf (0 if none), and upper[q * mt + r] flags
+  // tile row r as holding some b < +inf. Unconstrained rows multiply every
+  // sample's probability by exactly Phi(+inf) - Phi(-inf) == 1.0, and
+  // b = +inf stays +inf under propagation, so the reduced-limit sweep skips
+  // both (see sweep_range).
+  std::vector<i64> extent(static_cast<std::size_t>(nq), 0);
+  std::vector<char> upper(static_cast<std::size_t>(nq * mt), 0);
+  for (i64 q = 0; q < nq; ++q) {
+    const LimitSet& ls = queries[static_cast<std::size_t>(q)];
+    for (i64 i = 0; i < n; ++i) {
+      const double a = ls.a[static_cast<std::size_t>(i)];
+      const double b = ls.b[static_cast<std::size_t>(i)];
+      if (b != kInf) upper[static_cast<std::size_t>(q * mt + i / m)] = 1;
+      if (a != -kInf || b != kInf) extent[static_cast<std::size_t>(q)] = i + 1;
+    }
   }
   const i64 sps = opts_.samples_per_shift;
   const i64 num_samples = opts_.total_samples();
@@ -233,8 +268,32 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     // only dependency, so no per-pair panel handles or update tasks exist.
     // See engine/factor_backend.hpp.
     const bool meanp = f.mean_panel_form();
-    // Per-query panel width: the sweep shares the panel budget (3 matrices
-    // of n rows, 8 bytes each), floored at one tile width per query and
+    // Reduced-limit sweeps stop at the batch's constrained extent: tile
+    // rows [0, mts) are swept, and the n_swept rows they hold cover every
+    // active query's last finite limit (at least one tile row is always
+    // swept). Rows past it stay untouched — their factors are exactly 1,
+    // so they change no probability and no prefix sum (the prefix fold
+    // below fills them from the last swept row). need_b[r] flags the swept
+    // tile rows on which some active b is finite: only those get a B panel;
+    // everywhere else the empty B view means b = +inf. The mean-panel
+    // protocol sweeps every row and never uses B.
+    i64 mts = mt;
+    std::vector<char> need_b(static_cast<std::size_t>(mt), 0);
+    if (!meanp) {
+      i64 ext = 0;
+      for (const i64 q : active) {
+        ext = std::max(ext, extent[static_cast<std::size_t>(q)]);
+        for (i64 r = 0; r < mt; ++r)
+          need_b[static_cast<std::size_t>(r)] |=
+              upper[static_cast<std::size_t>(q * mt + r)];
+      }
+      mts = std::max<i64>(1, (ext + m - 1) / m);
+    }
+    const i64 n_swept = std::min(n, mts * m);
+    // Per-query panel width: the sweep shares the panel budget, counted as
+    // 3 matrices (A, B, Y) of n rows, 8 bytes each — an upper bound now
+    // that B panels and rows past the extent may be skipped, so panelling
+    // and peak memory only shrink. Floored at one tile width per query and
     // rounded to a tile multiple. For a 1-element batch this reproduces the
     // single-query decomposition exactly; panelling is exact regardless
     // (sample columns are independent chains, and column-tile boundaries
@@ -266,16 +325,26 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       // share one panel format (rows = samples of the whole batch, columns =
       // the tile row's dimensions). A/B/Y of one (row, column-tile) are
       // always touched together, so they share a single dependency handle.
+      // Only the swept tile rows get panels; B[r] stays empty (0 x 0)
+      // unless need_b[r].
       std::vector<la::Matrix> A, B, Y;
-      A.reserve(static_cast<std::size_t>(mt));
-      B.reserve(static_cast<std::size_t>(mt));
-      Y.reserve(static_cast<std::size_t>(mt));
-      for (i64 r = 0; r < mt; ++r) {
+      A.reserve(static_cast<std::size_t>(mts));
+      B.resize(static_cast<std::size_t>(mts));
+      Y.reserve(static_cast<std::size_t>(mts));
+      for (i64 r = 0; r < mts; ++r) {
         const i64 mr = f.tile_rows(r);
         A.emplace_back(width, mr);
-        if (!meanp) B.emplace_back(width, mr);
+        if (need_b[static_cast<std::size_t>(r)] != 0)
+          B[static_cast<std::size_t>(r)] = la::Matrix(width, mr);
         Y.emplace_back(width, mr);
       }
+      // Column slice of tile row r's B panel; empty (b = +inf) when the
+      // row has none.
+      const auto b_slice = [&](i64 r, i64 col0, i64 w) {
+        la::Matrix& br = B[static_cast<std::size_t>(r)];
+        return br.empty() ? la::MatrixView{}
+                          : br.sub(col0, 0, w, f.tile_rows(r));
+      };
       std::vector<std::vector<double>> prefix_acc(
           static_cast<std::size_t>(nct));
       for (i64 t = 0; t < nct; ++t)
@@ -290,7 +359,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       // The vectors are reserved up front, so push_back never throws and
       // every registered handle is recorded.
       std::vector<rt::DataHandle> panel_handles;
-      panel_handles.reserve(static_cast<std::size_t>(mt * nct));
+      panel_handles.reserve(static_cast<std::size_t>(mts * nct));
       const auto handle = [&](i64 r, i64 t) {
         return panel_handles[static_cast<std::size_t>(r * nct + t)];
       };
@@ -312,25 +381,24 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       };
       try {
         if (!meanp)
-          for (i64 k = 0; k < mt * nct; ++k) {
+          for (i64 k = 0; k < mts * nct; ++k) {
             PARMVN_FAULT_POINT("engine.register");
             panel_handles.push_back(rt_.register_data());
           }
         for (i64 t = 0; t < nct; ++t) p_handles.push_back(rt_.register_data());
         // Initialise A/B with the replicated per-query limit vectors (lines
-        // 2-3 of Algorithm 2), one task per (tile row, column tile).
+        // 2-3 of Algorithm 2), one task per (swept tile row, column tile).
         // Mean-panel backends skip this: their A panel starts at zero (the
         // allocation already zero-fills on the host thread) and the limits
         // reach the kernel as per-dimension spans instead.
-        for (i64 r = 0; !meanp && r < mt; ++r) {
+        for (i64 r = 0; !meanp && r < mts; ++r) {
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
             la::MatrixView at = A[static_cast<std::size_t>(r)].sub(
                 ct.col0, 0, ct.width, mr);
-            la::MatrixView bt = B[static_cast<std::size_t>(r)].sub(
-                ct.col0, 0, ct.width, mr);
+            la::MatrixView bt = b_slice(r, ct.col0, ct.width);
             const LimitSet& q = queries[static_cast<std::size_t>(ct.query)];
             const std::span<const double> qa = q.a;
             const std::span<const double> qb = q.b;
@@ -340,16 +408,10 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                          // Sample-contiguous panels: replicate each limit
                          // down its dimension's (contiguous) column.
                          for (i64 i = 0; i < at.cols; ++i) {
-                           const double va =
-                               qa[static_cast<std::size_t>(row0 + i)];
-                           const double vb =
-                               qb[static_cast<std::size_t>(row0 + i)];
-                           double* __restrict ac = at.col(i);
-                           double* __restrict bc = bt.col(i);
-                           for (i64 j = 0; j < at.rows; ++j) {
-                             ac[j] = va;
-                             bc[j] = vb;
-                           }
+                           const auto k = static_cast<std::size_t>(row0 + i);
+                           std::fill_n(at.col(i), at.rows, qa[k]);
+                           if (bt.data != nullptr)
+                             std::fill_n(bt.col(i), bt.rows, qb[k]);
                          }
                        });
           }
@@ -357,7 +419,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
 
         // The sweep: QMC on tile row r per column tile, then one wide
         // propagation GEMM per (i, r) pair spanning the whole batch.
-        for (i64 r = 0; r < mt; ++r) {
+        for (i64 r = 0; r < mts; ++r) {
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
           la::ConstMatrixView lrr = f.diag_view(r);
@@ -407,8 +469,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                          rt::kPrioSweep);
               continue;
             }
-            la::ConstMatrixView bt = B[static_cast<std::size_t>(r)].sub(
-                ct.col0, 0, ct.width, mr);
+            la::ConstMatrixView bt = b_slice(r, ct.col0, ct.width);
             la::ConstMatrixView atc = at;
             rt_.submit("qmc",
                        {{f.diag_handle(r), rt::Access::kRead},
@@ -422,14 +483,13 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                        },
                        rt::kPrioSweep);
           }
-          for (i64 i = r + 1; !meanp && i < mt; ++i) {
+          for (i64 i = r + 1; !meanp && i < mts; ++i) {
             const i64 mi = f.tile_rows(i);
             la::ConstMatrixView yw = Y[static_cast<std::size_t>(r)].sub(
                 0, 0, width, mr);
             la::MatrixView aw = A[static_cast<std::size_t>(i)].sub(0, 0, width,
                                                                    mi);
-            la::MatrixView bw = B[static_cast<std::size_t>(i)].sub(0, 0, width,
-                                                                   mi);
+            la::MatrixView bw = b_slice(i, 0, width);
             wide_accesses.clear();
             wide_accesses.push_back({f.off_handle(i, r), rt::Access::kRead});
             for (i64 t = 0; t < nct; ++t) {
@@ -466,11 +526,14 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
 
       // Fold this round's prefix sums into the per-query targets, in
       // ascending column-tile (== ascending sample) order so the
-      // accumulation order is independent of the panelling.
+      // accumulation order is independent of the panelling. Rows past the
+      // swept extent hold the same running products as the last swept row,
+      // so their per-tile sums are that row's sum, bit for bit.
       for (i64 t = 0; t < nct; ++t) {
-        const std::vector<double>& acc =
-            prefix_acc[static_cast<std::size_t>(t)];
+        std::vector<double>& acc = prefix_acc[static_cast<std::size_t>(t)];
         if (acc.empty()) continue;
+        std::fill(acc.begin() + n_swept, acc.end(),
+                  acc[static_cast<std::size_t>(n_swept - 1)]);
         double* total = prefix_target[static_cast<std::size_t>(
             tiles[static_cast<std::size_t>(t)].query)];
         for (i64 i = 0; i < n; ++i)

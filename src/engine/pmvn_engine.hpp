@@ -152,7 +152,8 @@ class PmvnEngine {
              EngineOptions opts = {});
 
   /// Evaluate every query in one fused task graph. Results are positionally
-  /// matched to `queries`.
+  /// matched to `queries`. A NaN limit throws a typed parmvn::Error naming
+  /// the query index before any work starts.
   [[nodiscard]] std::vector<QueryResult> evaluate(
       std::span<const LimitSet> queries) const;
 

@@ -8,15 +8,16 @@ namespace parmvn::engine {
 void TlrBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
                               la::MatrixView a, la::MatrixView b) const {
   // L_ir = U V^T, so A -= (Y V) U^T with the skinny inner product shared
-  // by both targets.
+  // by both targets. An empty b is all +inf and stays so: no B update.
   const tlr::LowRankTile& t = l_->lr(i, r);
   la::Matrix tmp(y.rows, t.rank());
   la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, y, t.v.view(), 0.0,
            tmp.view());
   la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, tmp.view(), t.u.view(), 1.0,
            a);
-  la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, tmp.view(), t.u.view(), 1.0,
-           b);
+  if (b.data != nullptr)
+    la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, tmp.view(), t.u.view(),
+             1.0, b);
 }
 
 double TlrBackend::ep_row(i64 k,

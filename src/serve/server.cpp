@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -118,6 +119,13 @@ std::future<Response> Server::submit(Request req) {
       (!req.b.empty() && req.b.size() != req.a.size()) || req.deadline_ms < 0) {
     reject(Status::invalid_argument(
                "serve: malformed request (limit lengths or deadline)"),
+           &ServerStats::rejected_invalid);
+    return fut;
+  }
+  const auto is_nan = [](double v) { return std::isnan(v); };
+  if (std::any_of(req.a.begin(), req.a.end(), is_nan) ||
+      std::any_of(req.b.begin(), req.b.end(), is_nan)) {
+    reject(Status::invalid_argument("serve: NaN integration limit"),
            &ServerStats::rejected_invalid);
     return fut;
   }

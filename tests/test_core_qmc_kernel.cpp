@@ -168,6 +168,41 @@ TEST(QmcKernel, InfiniteLimitsContributeFactorOne) {
   }
 }
 
+TEST(QmcKernel, EmptyUpperPanelEqualsExplicitInfinity) {
+  // An empty b view is the engine's "b = +inf on this tile row": it must
+  // reproduce a B panel filled with +inf bit for bit — y, p and the prefix
+  // sums — with a ragged SIMD tail and one unconstrained row thrown in.
+  const i64 m = 20;
+  const i64 mc = 13;
+  const Matrix l = lower_factor(m, 23);
+  const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m, 16, 1, 8);
+  Matrix a(mc, m), b(mc, m), y_full(mc, m), y_empty(mc, m);
+  for (i64 j = 0; j < mc; ++j)
+    for (i64 i = 0; i < m; ++i) {
+      a(j, i) = i == 5 ? -kInf : -0.9 + 0.07 * static_cast<double>((i + j) % 6);
+      b(j, i) = kInf;
+    }
+  std::vector<double> p_full(static_cast<std::size_t>(mc), 1.0);
+  std::vector<double> p_empty = p_full;
+  std::vector<double> acc_full(static_cast<std::size_t>(m), 0.0);
+  std::vector<double> acc_empty = acc_full;
+  core::qmc_tile_kernel(l.view(), pts, m, 3, a.view(), b.view(),
+                        y_full.view(), p_full.data(), acc_full.data());
+  core::qmc_tile_kernel(l.view(), pts, m, 3, a.view(), la::ConstMatrixView{},
+                        y_empty.view(), p_empty.data(), acc_empty.data());
+  for (i64 j = 0; j < mc; ++j) {
+    EXPECT_EQ(p_empty[static_cast<std::size_t>(j)],
+              p_full[static_cast<std::size_t>(j)])
+        << j;
+    for (i64 i = 0; i < m; ++i)
+      EXPECT_EQ(y_empty(j, i), y_full(j, i)) << j << "," << i;
+  }
+  for (i64 i = 0; i < m; ++i)
+    EXPECT_EQ(acc_empty[static_cast<std::size_t>(i)],
+              acc_full[static_cast<std::size_t>(i)])
+        << i;
+}
+
 TEST(QmcKernel, DeadChainZeroesProbabilityAndStaysFinite) {
   const i64 m = 6;
   const Matrix l = lower_factor(m, 7);

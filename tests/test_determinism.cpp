@@ -20,6 +20,7 @@
 // global sample offsets regardless of batch size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -236,15 +237,34 @@ TEST(Determinism, BatchedEqualsSingleQueryEvaluationAcrossWorkers) {
     std::vector<engine::LimitSet> batch;
     batch.push_back({lo1, hi, 20240517, true});
     batch.push_back({lo2, hi, 42, true});
-    const std::vector<engine::QueryResult> fused = eng.evaluate(batch);
-    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-      const engine::QueryResult alone = eng.evaluate_one(batch[qi]);
-      EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
-          << "workers=" << workers << " query=" << qi;
-      ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size());
-      for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
-        EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
-            << "workers=" << workers << " query=" << qi << " prefix=" << i;
+
+    // Mixed batch: extents k = 3, 17, n (a = -inf past row k) and one
+    // query with b finite on tile row 1 only, whose B panel the others
+    // share at b = +inf.
+    std::vector<std::vector<double>> lo, up;
+    for (const i64 k : {i64{3}, i64{17}, n}) {
+      lo.emplace_back(static_cast<std::size_t>(n), -kInf);
+      std::fill_n(lo.back().begin(), k, -0.4);
+      up.push_back(hi);
+    }
+    lo.push_back(lo1);
+    up.push_back(hi);
+    std::fill_n(up.back().begin() + 25, 25, 1.3);
+    std::vector<engine::LimitSet> mixed;
+    for (std::size_t q = 0; q < lo.size(); ++q)
+      mixed.push_back({lo[q], up[q], 7 + q, q != 0});
+
+    for (const std::vector<engine::LimitSet>& qs : {batch, mixed}) {
+      const std::vector<engine::QueryResult> fused = eng.evaluate(qs);
+      for (std::size_t qi = 0; qi < qs.size(); ++qi) {
+        const engine::QueryResult alone = eng.evaluate_one(qs[qi]);
+        EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
+            << "workers=" << workers << " query=" << qi;
+        ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size());
+        for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
+          EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
+              << "workers=" << workers << " query=" << qi << " prefix=" << i;
+      }
     }
   }
 }

@@ -1,27 +1,37 @@
 // Tests for the factor-once / evaluate-many engine layer: CholeskyFactor
 // construction and borrowing, the batched PmvnEngine's batch-transparency
 // contract (batched results bitwise-identical to single-query evaluation),
-// and FactorCache LRU/keying semantics.
+// the skipped infinite-limit work checked bitwise against a full-sweep
+// oracle, and FactorCache LRU/keying semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pmvn.hpp"
+#include "core/qmc_kernel.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
 #include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
+#include "linalg/blas.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
+#include "stats/qmc.hpp"
 #include "tile/tile_matrix.hpp"
 #include "tile/tiled_potrf.hpp"
+#include "tlr/lr_tile.hpp"
+#include "tlr/tlr_matrix.hpp"
 
 namespace {
 
@@ -51,6 +61,34 @@ engine::EngineOptions small_opts() {
   opts.sampler = stats::SamplerKind::kRichtmyer;
   return opts;
 }
+
+std::vector<i64> identity_order(i64 n) {
+  std::vector<i64> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), i64{0});
+  return order;
+}
+
+// A batch whose queries constrain different extents (k = 3, 17, n: a is
+// finite on rows < k, -inf past them, b = +inf) plus one query whose b is
+// finite on tile row 2 only, so the batch carries a B panel the other
+// queries share at b = +inf. The vectors own what the LimitSets point into.
+struct MixedBatch {
+  std::vector<std::vector<double>> a, b;
+  std::vector<engine::LimitSet> queries;
+
+  MixedBatch(i64 n, i64 tile) {
+    for (const i64 k : {i64{3}, i64{17}, n}) {
+      a.emplace_back(static_cast<std::size_t>(n), -kInf);
+      std::fill_n(a.back().begin(), k, -0.3);
+      b.emplace_back(static_cast<std::size_t>(n), kInf);
+    }
+    a.emplace_back(static_cast<std::size_t>(n), -0.6);
+    b.emplace_back(static_cast<std::size_t>(n), kInf);
+    std::fill_n(b.back().begin() + 2 * tile, tile, 1.4);
+    for (std::size_t q = 0; q < a.size(); ++q)
+      queries.push_back({a[q], b[q], 11 + q, q != 1});
+  }
+};
 
 TEST(CholeskyFactor, FactorOrderedRecordsMetadata) {
   const SpatialProblem pb(6);
@@ -126,18 +164,224 @@ TEST(PmvnEngine, BatchedMatchesSingleQueryBitwise) {
     batch.push_back({lows[0], b, 7, true});
     batch.push_back({lows[1], b, 7, false});   // same seed, different limits
     batch.push_back({lows[2], b, 123, true});  // different seed
-    const std::vector<engine::QueryResult> fused = eng.evaluate(batch);
-    ASSERT_EQ(fused.size(), batch.size());
+    // Mixed extents and one B panel shared at +inf: a query's swept extent
+    // and B panels differ between the batch and its single run.
+    const MixedBatch mixed(n, 16);
+    for (const std::vector<engine::LimitSet>& qs : {batch, mixed.queries}) {
+      const std::vector<engine::QueryResult> fused = eng.evaluate(qs);
+      ASSERT_EQ(fused.size(), qs.size());
 
-    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-      const engine::QueryResult alone = eng.evaluate_one(batch[qi]);
-      EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
-          << "kind=" << static_cast<int>(kind) << " query=" << qi;
-      EXPECT_DOUBLE_EQ(fused[qi].error3sigma, alone.error3sigma) << qi;
-      ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size()) << qi;
-      for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
-        EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
-            << "query=" << qi << " prefix=" << i;
+      for (std::size_t qi = 0; qi < qs.size(); ++qi) {
+        const engine::QueryResult alone = eng.evaluate_one(qs[qi]);
+        EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
+            << "kind=" << static_cast<int>(kind) << " query=" << qi;
+        EXPECT_DOUBLE_EQ(fused[qi].error3sigma, alone.error3sigma) << qi;
+        ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size())
+            << qi;
+        for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
+          EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
+              << "query=" << qi << " prefix=" << i;
+      }
+    }
+  }
+}
+
+// The reduced-limit sweep with nothing skipped, spelled out for one query
+// on the dense or TLR arm: explicit A and B panels holding the limits on
+// all n rows, core::qmc_tile_kernel per (tile row, tile-wide column tile of
+// samples), and both propagation GEMMs per tile pair. The engine skips B
+// panels where b = +inf and tile rows past the last finite limit; every
+// result bit must still match this. `shifts` blocks are evaluated; with
+// `per_shift` the stream is cut into one range per shift block, as the
+// round loop sweeps it, else it is one range, as the fixed-budget path
+// sweeps it. Column tiles start at each range's first sample.
+engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
+                                 const engine::LimitSet& q,
+                                 const engine::EngineOptions& opts, int shifts,
+                                 bool per_shift) {
+  const i64 n = f.dim();
+  const i64 m = f.tile_size();
+  const i64 mt = f.row_tiles();
+  const i64 sps = opts.samples_per_shift;
+  const i64 total = sps * shifts;
+  const stats::PointSet pts(opts.sampler, n, sps, opts.shifts, q.seed);
+  const auto update = [&](i64 i, i64 r, la::ConstMatrixView y,
+                          la::MatrixView a, la::MatrixView b) {
+    constexpr la::Trans kNo = la::Trans::kNo;
+    constexpr la::Trans kYes = la::Trans::kYes;
+    if (f.kind() == engine::FactorKind::kDense) {
+      const la::ConstMatrixView lir = f.dense().tile(i, r);
+      la::gemm(kNo, kYes, -1.0, y, lir, 1.0, a);
+      la::gemm(kNo, kYes, -1.0, y, lir, 1.0, b);
+    } else {
+      const tlr::LowRankTile& t = f.tlr().lr(i, r);
+      la::Matrix yv(y.rows, t.rank());
+      la::gemm(kNo, kNo, 1.0, y, t.v.view(), 0.0, yv.view());
+      la::gemm(kNo, kYes, -1.0, yv.view(), t.u.view(), 1.0, a);
+      la::gemm(kNo, kYes, -1.0, yv.view(), t.u.view(), 1.0, b);
+    }
+  };
+
+  std::vector<double> p(static_cast<std::size_t>(total), 1.0);
+  std::vector<double> prefix(static_cast<std::size_t>(n), 0.0);
+  const i64 range = per_shift ? sps : total;
+  for (i64 s0 = 0; s0 < total; s0 += range) {
+    std::vector<double> range_sum(static_cast<std::size_t>(n), 0.0);
+    for (i64 c0 = s0; c0 < s0 + range; c0 += m) {
+      const i64 w = std::min(m, s0 + range - c0);
+      std::vector<la::Matrix> A, B, Y;
+      for (i64 r = 0; r < mt; ++r) {
+        const i64 mr = f.tile_rows(r);
+        A.emplace_back(w, mr);
+        B.emplace_back(w, mr);
+        Y.emplace_back(w, mr);
+        for (i64 i = 0; i < mr; ++i)
+          for (i64 j = 0; j < w; ++j) {
+            A.back()(j, i) = q.a[static_cast<std::size_t>(r * m + i)];
+            B.back()(j, i) = q.b[static_cast<std::size_t>(r * m + i)];
+          }
+      }
+      std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
+      for (i64 r = 0; r < mt; ++r) {
+        const auto ru = static_cast<std::size_t>(r);
+        core::qmc_tile_kernel(f.diag_view(r), pts, r * m, c0, A[ru].view(),
+                              B[ru].view(), Y[ru].view(), p.data() + c0,
+                              q.prefix ? acc.data() + r * m : nullptr);
+        for (i64 i = r + 1; i < mt; ++i)
+          update(i, r, Y[ru].view(), A[static_cast<std::size_t>(i)].view(),
+                 B[static_cast<std::size_t>(i)].view());
+      }
+      for (std::size_t i = 0; i < acc.size(); ++i) range_sum[i] += acc[i];
+    }
+    for (std::size_t i = 0; i < prefix.size(); ++i) prefix[i] += range_sum[i];
+  }
+
+  std::vector<double> means(static_cast<std::size_t>(shifts), 0.0);
+  for (i64 s = 0; s < total; ++s)
+    means[static_cast<std::size_t>(pts.shift_of(s))] +=
+        p[static_cast<std::size_t>(s)];
+  for (double& mean : means) mean /= static_cast<double>(sps);
+  const stats::BlockEstimate est = stats::combine_block_means(means);
+  engine::QueryResult res;
+  res.prob = est.mean;
+  res.error3sigma = est.error3sigma;
+  if (q.prefix) {
+    res.prefix_prob = std::move(prefix);
+    const double inv = 1.0 / static_cast<double>(total);
+    for (double& v : res.prefix_prob) v *= inv;
+  }
+  return res;
+}
+
+TEST(PmvnEngine, MatchesFullSweepOracleBitwise) {
+  // Skipping infinite limits must not move a bit: every query shape, on
+  // both reduced-limit arms, fixed and adaptive, equals the full sweep.
+  const SpatialProblem pb(8);  // n = 64: four tile rows of 16
+  rt::Runtime rt(4);
+  const i64 n = pb.n();
+  const auto nz = static_cast<std::size_t>(n);
+  const std::vector<double> inf_b(nz, kInf);
+  const std::vector<double> one_sided(nz, -0.4);
+  // Served top-k shape: the k = 21 sites exceed u, a = -inf past them
+  // (k ends mid tile row 1).
+  std::vector<double> topk(nz, -kInf);
+  std::fill_n(topk.begin(), 21, 0.3);
+  const std::vector<double> box_a(nz, -0.8);
+  const std::vector<double> box_b(nz, 1.2);
+  // b finite on tile row 1 only; a = -inf past row 40 (extent 40).
+  std::vector<double> band_a(nz, -kInf);
+  std::fill_n(band_a.begin(), 40, -0.5);
+  std::vector<double> band_b(nz, kInf);
+  std::fill_n(band_b.begin() + 16, 16, 1.1);
+  const std::vector<engine::LimitSet> shapes = {
+      {one_sided, inf_b, 5, true}, {topk, inf_b, 6, true},
+      {topk, inf_b, 7, false},     {box_a, box_b, 8, false},
+      {band_a, band_b, 9, true}};
+
+  for (const engine::FactorKind kind :
+       {engine::FactorKind::kDense, engine::FactorKind::kTlr}) {
+    const engine::FactorSpec spec{kind, 16, 1e-7, -1};
+    auto factor = std::make_shared<const engine::CholeskyFactor>(
+        engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
+                                               spec));
+    for (const bool adaptive : {false, true}) {
+      engine::EngineOptions opts = small_opts();
+      opts.adaptive = adaptive;
+      opts.abs_tol = adaptive ? 0.02 : 0.0;
+      const engine::PmvnEngine eng(rt, factor, opts);
+      for (std::size_t qi = 0; qi < shapes.size(); ++qi) {
+        const engine::QueryResult got = eng.evaluate_one(shapes[qi]);
+        const engine::QueryResult want = oracle_sweep(
+            *factor, shapes[qi], opts, got.shifts_used, adaptive);
+        const std::string where = "kind=" +
+                                  std::to_string(static_cast<int>(kind)) +
+                                  " adaptive=" + std::to_string(adaptive) +
+                                  " query=" + std::to_string(qi);
+        EXPECT_EQ(got.prob, want.prob) << where;
+        EXPECT_EQ(got.error3sigma, want.error3sigma) << where;
+        ASSERT_EQ(got.prefix_prob.size(), want.prefix_prob.size()) << where;
+        for (std::size_t i = 0; i < want.prefix_prob.size(); ++i)
+          EXPECT_EQ(got.prefix_prob[i], want.prefix_prob[i])
+              << where << " prefix=" << i;
+      }
+    }
+  }
+}
+
+TEST(PmvnEngine, UnconstrainedQueryIsExactlyOne) {
+  const SpatialProblem pb(6);
+  rt::Runtime rt(2);
+  const i64 n = pb.n();
+  const std::vector<double> a(static_cast<std::size_t>(n), -kInf);
+  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
+  for (const engine::FactorKind kind :
+       {engine::FactorKind::kDense, engine::FactorKind::kTlr,
+        engine::FactorKind::kVecchia}) {
+    const engine::FactorSpec spec{kind, 8, 1e-7, -1};
+    auto factor = std::make_shared<const engine::CholeskyFactor>(
+        engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
+                                               spec));
+    const engine::PmvnEngine eng(rt, factor, small_opts());
+    const engine::QueryResult res = eng.evaluate_one({a, b, 3, true});
+    EXPECT_EQ(res.prob, 1.0) << static_cast<int>(kind);
+    ASSERT_EQ(static_cast<i64>(res.prefix_prob.size()), n);
+    for (const double v : res.prefix_prob) EXPECT_EQ(v, 1.0);
+  }
+}
+
+TEST(PmvnEngine, NanLimitThrowsTypedNamingTheQuery) {
+  // Phi(b) - Phi(a) is 0 for a NaN limit: without the check a NaN would
+  // come back as a confident probability 0. The tiered path must refuse it
+  // before the EP screen, too.
+  const SpatialProblem pb(4);
+  rt::Runtime rt(1);
+  const i64 n = pb.n();
+  const engine::FactorSpec spec{engine::FactorKind::kDense, 8, 0.0, -1};
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
+                                             spec));
+  const std::vector<double> a(static_cast<std::size_t>(n), -0.5);
+  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
+  std::vector<double> a_nan = a;
+  a_nan[5] = std::nan("");
+  std::vector<double> b_nan = b;
+  b_nan[9] = std::nan("");
+  using Limits = std::pair<std::span<const double>, std::span<const double>>;
+  const std::vector<Limits> bad = {{a_nan, b}, {a, b_nan}};
+  for (const bool tiered : {false, true}) {
+    engine::EngineOptions opts = small_opts();
+    opts.tiered = tiered;
+    const engine::PmvnEngine eng(rt, factor, opts);
+    for (const auto& [qa, qb] : bad) {
+      std::vector<engine::LimitSet> batch(3, {a, b, 1, false, 0.5});
+      batch[2] = {qa, qb, 2, false, 0.5};
+      try {
+        (void)eng.evaluate(batch);
+        ADD_FAILURE() << "NaN limit accepted, tiered=" << tiered;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("query 2"), std::string::npos)
+            << e.what();
+      }
     }
   }
 }

@@ -143,8 +143,20 @@ TEST(Server, MalformedRequestsRejectTypedBeforeAdmission) {
   EXPECT_EQ(server.evaluate(std::move(bad_deadline)).status.code,
             StatusCode::kInvalidArgument);
 
+  // A NaN limit would otherwise come back as a confident probability 0.
+  serve::Request nan_a = level_request(pb, 0.0);
+  nan_a.a[3] = std::nan("");
+  EXPECT_EQ(server.evaluate(std::move(nan_a)).status.code,
+            StatusCode::kInvalidArgument);
+
+  serve::Request nan_b = level_request(pb, 0.0);
+  nan_b.b.assign(nan_b.a.size(), 2.0);
+  nan_b.b[7] = std::nan("");
+  EXPECT_EQ(server.evaluate(std::move(nan_b)).status.code,
+            StatusCode::kInvalidArgument);
+
   const serve::ServerStats s = server.stats();
-  EXPECT_EQ(s.rejected_invalid, 4);
+  EXPECT_EQ(s.rejected_invalid, 6);
   EXPECT_EQ(s.admitted, 0);
 }
 
