@@ -2,8 +2,10 @@
 // evaluate-many engine.
 //
 // The PMVN sweep (Algorithm 2) only ever touches a factor through the
-// FactorBackend vocabulary (engine/factor_backend.hpp): tile geometry, a
-// readable diagonal tile, dependency handles, and a propagation rule.
+// FactorBackend vocabulary (engine/factor_backend.hpp): tile geometry plus
+// one panel protocol — diagonal tiles, dependency handles and a
+// propagation rule for dense/TLR, a mean-panel fold and chain step for
+// Vecchia.
 // CholeskyFactor owns one backend — dense tiled, TLR, or Vecchia — behind
 // that vocabulary, so it can outlive the stack frame that produced it (a
 // prerequisite for caching), and carries the ordering/standardisation
@@ -17,7 +19,8 @@
 // the runtime uid and never serves cross-runtime hits).
 //
 // Handle lifetime: a factor's tile handles are *leased* from the runtime
-// (rt::HandleLease inside TileMatrix / TlrMatrix / VecchiaFactor). When the
+// (rt::HandleLease inside TileMatrix / TlrMatrix; a VecchiaFactor is plain
+// CSR and holds none). When the
 // last shared owner of the factor dies, the lease returns every tile handle
 // to the owning runtime's table — resolved through the uid registry behind
 // Runtime::uid_alive(), so a factor that outlives its runtime (a dead cache
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "engine/factor_backend.hpp"
-#include "ep/site_cache.hpp"
 #include "linalg/generator.hpp"
 #include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
@@ -164,14 +166,6 @@ class CholeskyFactor {
   [[nodiscard]] const tlr::TlrMatrix& tlr() const;
   [[nodiscard]] const vecchia::VecchiaFactor& vecchia() const;
 
-  /// EP warm-start store riding along with the factor (internally
-  /// synchronised, so usable through shared_ptr<const CholeskyFactor>):
-  /// tiered evaluation seeds each screen from the nearest previously
-  /// converged site state for this factor — bisection neighbours are 1-2
-  /// refine sweeps apart. Cached factors keep their sites across serving
-  /// calls for free, since the store lives inside the cached object.
-  [[nodiscard]] ep::SiteCache& ep_cache() const noexcept { return *ep_cache_; }
-
  private:
   CholeskyFactor() = default;
 
@@ -180,7 +174,6 @@ class CholeskyFactor {
   std::vector<double> sd_;
   double factor_seconds_ = 0.0;
   bool degraded_ = false;
-  std::shared_ptr<ep::SiteCache> ep_cache_ = std::make_shared<ep::SiteCache>();
 };
 
 }  // namespace parmvn::engine

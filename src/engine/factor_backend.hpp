@@ -2,10 +2,9 @@
 // "evaluate many".
 //
 // The PMVN sweep consumes a factor through a small, fixed vocabulary:
-// tile geometry, a readable diagonal tile, runtime handles for dependency
-// tracking, and a propagation rule that folds tile row r's conditioning
-// values into the panels of a later tile row i. FactorBackend names that
-// vocabulary so CholeskyFactor (the owning facade the caching/serving
+// tile geometry, plus one of two per-protocol rule sets for folding tile
+// row r's conditioning values into a later tile row i. FactorBackend names
+// that vocabulary so CholeskyFactor (the owning facade the caching/serving
 // layers hold) and PmvnEngine (the task-graph builder) never branch on a
 // concrete format. Dense-tiled and TLR factors are thin adapters
 // (dense_backend.hpp / tlr_backend.hpp); the Vecchia sparse
@@ -16,8 +15,9 @@
 //  * Reduced-limit form (dense, TLR — mean_panel_form() == false): the A/B
 //    panels carry the *transformed integration limits*, initialised to the
 //    query limits and reduced in place by apply_update()'s wide GEMMs
-//    (A -= Y L_ir^T). Every (i, r) tile pair carries an off-diagonal block,
-//    named by off_handle() for dependency tracking. Infinite limits cost
+//    (A -= Y L_ir^T). The QMC kernel reads the diagonal tile (diag_view()),
+//    and every (i, r) tile pair carries an off-diagonal block, named by
+//    off_handle() for dependency tracking. Infinite limits cost
 //    nothing: a tile row on which every active query has b = +inf gets no
 //    B panel (an empty view, which apply_update and the QMC kernel read as
 //    b = +inf), and the sweep stops at the constrained extent — the tile
@@ -28,13 +28,14 @@
 //    sparse, so per-pair GEMM tasks would drown in task/handle overhead.
 //    Instead the A panel accumulates the *external conditional mean*
 //    (initialised to zero by allocation) and the kernel standardises the
-//    original query limits against it row by row. All external
-//    contributions into tile row r are applied by accumulate_external()
-//    at the head of row r's integrand task — a deterministic sequence of
-//    unit-stride axpys — so the per-column-tile chain (already serialised
-//    by the engine's probability-product handle) is the only dependency
-//    needed and no per-pair handles or tasks exist at all. The B panel is
-//    unused and never allocated.
+//    original query limits against it row by row. Row r's integrand task
+//    makes two calls: accumulate_external() folds in every contribution
+//    from earlier tile rows — a deterministic sequence of unit-stride
+//    axpys — and chain_step() runs the row's QMC chain step, adding the
+//    in-tile neighbours itself. The per-column-tile chain (already
+//    serialised by the engine's probability-product handle) is the only
+//    dependency needed, so no per-pair or per-tile handles or tasks exist
+//    at all. The B panel is unused and never allocated.
 //
 // Both protocols keep the determinism contracts: every per-sample row of a
 // panel is computed by arithmetic whose reduction order depends only on the
@@ -51,6 +52,10 @@
 #include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
 
+namespace parmvn::stats {
+class PointSet;
+}
+
 namespace parmvn::engine {
 
 enum class FactorKind { kDense, kTlr, kVecchia };
@@ -65,17 +70,25 @@ class FactorBackend {
   [[nodiscard]] virtual i64 row_tiles() const noexcept = 0;
   [[nodiscard]] virtual i64 tile_rows(i64 r) const noexcept = 0;
 
-  /// Lower-triangular diagonal tile of tile row r. Reduced-limit backends
-  /// return the Cholesky diagonal tile L_rr; mean-form backends return the
-  /// local conditioning tile D_rr (unit structure: D(i,i) = conditional sd,
-  /// D(i,k) = regression weight on in-tile neighbour k < i).
-  [[nodiscard]] virtual la::ConstMatrixView diag_view(i64 r) const = 0;
-  [[nodiscard]] virtual rt::DataHandle diag_handle(i64 r) const = 0;
-
   // ---- reduced-limit protocol (mean_panel_form() == false) ----
+
+  /// Lower-triangular Cholesky diagonal tile L_rr of tile row r, and the
+  /// handle naming it.
+  [[nodiscard]] virtual la::ConstMatrixView diag_view(i64 r) const {
+    (void)r;
+    PARMVN_ASSERT(!"diag_view: backend has no diagonal tiles");
+    return {};
+  }
+  [[nodiscard]] virtual rt::DataHandle diag_handle(i64 r) const {
+    (void)r;
+    PARMVN_ASSERT(!"diag_handle: backend has no diagonal tiles");
+    return rt::DataHandle{};
+  }
 
   /// Handle naming the (i, r) off-diagonal block, i > r.
   [[nodiscard]] virtual rt::DataHandle off_handle(i64 i, i64 r) const {
+    (void)i;
+    (void)r;
     PARMVN_ASSERT(!"off_handle: backend has no off-diagonal blocks");
     return rt::DataHandle{};
   }
@@ -99,13 +112,14 @@ class FactorBackend {
   [[nodiscard]] virtual bool mean_panel_form() const noexcept { return false; }
 
   /// Fold every external (earlier-tile) regression contribution into tile
-  /// row r's mean panel: mean(:, c) += w * Y[src_tile](:, src_col) for each
-  /// sparse weight, over panel rows [row_off, row_off + nrows). Applied in
-  /// a fixed order (ascending target column, then ascending global
-  /// neighbour), so the arithmetic is deterministic and — being a
-  /// per-sample-row independent axpy sequence — width-independent.
-  /// `y_panels` is the engine's per-tile-row conditioning panel array; only
-  /// rows r' < r are read, which the caller's task chain has completed.
+  /// row r's mean panel: mean(:, c) += w * Y[k / tile](:, k % tile) for each
+  /// cross-tile neighbour k of row c, over panel rows
+  /// [row_off, row_off + nrows). Applied in a fixed order (ascending target
+  /// column, then ascending global neighbour), so the arithmetic is
+  /// deterministic and — being a per-sample-row independent axpy sequence —
+  /// width-independent. `y_panels` is the engine's per-tile-row
+  /// conditioning panel array; only rows r' < r are read, which the
+  /// caller's task chain has completed.
   virtual void accumulate_external(i64 r, std::span<const la::Matrix> y_panels,
                                    i64 row_off, i64 nrows,
                                    la::MatrixView mean_tile) const {
@@ -115,6 +129,27 @@ class FactorBackend {
     (void)nrows;
     (void)mean_tile;
     PARMVN_ASSERT(!"accumulate_external: backend uses reduced-limit panels");
+  }
+
+  /// Tile row r's QMC chain step over one column tile, after
+  /// accumulate_external() (vecchia/vecchia_kernel.hpp): `mean` is the
+  /// column tile's mean panel, `a`/`b` the row's query limits, `y` receives
+  /// the realized values, `p` the running per-sample products (updated),
+  /// `prefix_acc` (optional) the per-row running-product sums.
+  virtual void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                          std::span<const double> a, std::span<const double> b,
+                          la::ConstMatrixView mean, la::MatrixView y, double* p,
+                          double* prefix_acc) const {
+    (void)r;
+    (void)pts;
+    (void)col0;
+    (void)a;
+    (void)b;
+    (void)mean;
+    (void)y;
+    (void)p;
+    (void)prefix_acc;
+    PARMVN_ASSERT(!"chain_step: backend uses reduced-limit panels");
   }
 
   // ---- EP screening-row protocol (ep/ep_screen.hpp) ----

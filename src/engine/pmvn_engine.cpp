@@ -15,7 +15,6 @@
 #include "core/qmc_kernel.hpp"
 #include "linalg/matrix.hpp"
 #include "runtime/priority.hpp"
-#include "vecchia/vecchia_kernel.hpp"
 
 namespace parmvn::engine {
 
@@ -94,10 +93,10 @@ QueryResult PmvnEngine::evaluate_one(const LimitSet& query) const {
 
 std::vector<QueryResult> PmvnEngine::evaluate(
     std::span<const LimitSet> queries) const {
-  // The whole evaluation (EP screens included — they share the factor's
-  // SiteCache and precede the sweep's submit…wait_all rounds) runs as one
-  // exclusive epoch, so host threads sharing `rt_` can evaluate
-  // concurrently without racing submit() against wait_all().
+  // The whole evaluation (EP screens included — they precede the sweep's
+  // submit…wait_all rounds) runs as one exclusive epoch, so host threads
+  // sharing `rt_` can evaluate concurrently without racing submit() against
+  // wait_all().
   const auto epoch = rt_.exclusive_epoch();
   check_limits(queries, factor_->dim());
   if (!opts_.tiered) return evaluate_qmc(queries);
@@ -109,7 +108,6 @@ std::vector<QueryResult> PmvnEngine::evaluate(
   std::vector<QueryResult> results(static_cast<std::size_t>(nq));
   std::vector<char> retired(static_cast<std::size_t>(nq), 0);
   const double margin = opts_.ep_margin;
-  ep::SiteCache& cache = factor_->ep_cache();
   // One screener for the whole batch: the O(nnz) factor-row flatten is
   // query-independent and dominates a single screen's cost at engine sizes.
   std::optional<ep::EpScreener> screener;
@@ -127,22 +125,13 @@ std::vector<QueryResult> PmvnEngine::evaluate(
     ep::EpResult er;
     try {
       if (!screener.has_value()) screener.emplace(factor_->backend());
-      ep::EpState state;
-      // Warm-start on exact limit repeats only (max_distance 0): a repeat
-      // certifies its cached fixed point in one damped sweep, while a merely
-      // nearby seed fails the certify and pays the direct solve on top.
-      if (std::optional<ep::EpState> hit =
-              cache.lookup(query.a, query.b, /*max_distance=*/0.0))
-        state = std::move(*hit);
-      er = screener->screen(query.a, query.b, {}, &state);
-      if (er.converged) cache.store(query.a, query.b, std::move(state));
+      er = screener->screen(query.a, query.b);
     } catch (const std::exception&) {
       // A failed screen demotes the query to the authoritative QMC tier —
       // the screen only ever *skips* work, so its failure never aborts the
       // batch or the sibling screens.
       continue;
     }
-    if (!er.converged) continue;
     // A non-finite EP estimate cannot be trusted to clear anything: demote
     // to QMC rather than retire on garbage (the prefix walk below likewise
     // refuses non-finite rows, since NaN fails both clearance comparisons).
@@ -422,7 +411,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         for (i64 r = 0; r < mts; ++r) {
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
-          la::ConstMatrixView lrr = f.diag_view(r);
+          const la::ConstMatrixView lrr =
+              meanp ? la::ConstMatrixView{} : f.diag_view(r);
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
             la::MatrixView at = A[static_cast<std::size_t>(r)].sub(
@@ -442,7 +432,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
               // Mean-panel integrand: fold the cross-tile regression
               // contributions into this row's mean tile (reading earlier Y
               // tiles of the same column tile, completed by this chain),
-              // then run the Vecchia chain step. The probability-product
+              // then run the backend's chain step. The probability-product
               // handle serialises the whole per-column-tile chain.
               const LimitSet& q = queries[static_cast<std::size_t>(ct.query)];
               const std::span<const double> qa =
@@ -456,15 +446,13 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
               const i64 col0 = ct.col0;
               const i64 cw = ct.width;
               rt_.submit("vecchia_qmc",
-                         {{f.diag_handle(r), rt::Access::kRead},
-                          {p_handles[static_cast<std::size_t>(t)],
+                         {{p_handles[static_cast<std::size_t>(t)],
                            rt::Access::kReadWrite}},
-                         [fb, r, lrr, ps, row0, sample0, qa, qb, at, yt, pk,
-                          acc, yall, col0, cw] {
+                         [fb, r, ps, sample0, qa, qb, at, yt, pk, acc, yall,
+                          col0, cw] {
                            fb->accumulate_external(r, *yall, col0, cw, at);
-                           vecchia::vecchia_tile_kernel(lrr, *ps, row0,
-                                                        sample0, qa, qb, at,
-                                                        yt, pk, acc);
+                           fb->chain_step(r, *ps, sample0, qa, qb, at, yt, pk,
+                                          acc);
                          },
                          rt::kPrioSweep);
               continue;

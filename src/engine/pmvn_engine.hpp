@@ -76,9 +76,9 @@ struct EngineOptions {
   /// untiered run (batch transparency), and `tiered` off reproduces the
   /// QMC-only path bitwise. EP itself is a pure host-thread function of the
   /// factor bits, so the tiered path stays deterministic across worker
-  /// counts. Screens warm-start from the factor's site
-  /// cache (CholeskyFactor::ep_cache()); an unconverged screen never
-  /// retires anything.
+  /// counts. A screen is one deterministic pass (no state carries from one
+  /// query to the next); a failed or non-finite screen never retires
+  /// anything.
   bool tiered = false;
   /// Conservative EP error band half-width (absolute probability). The
   /// default is calibrated against dense QMC on smooth GP fields

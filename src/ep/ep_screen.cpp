@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/fault.hpp"
@@ -20,7 +21,7 @@ namespace detail {
 
 // The EP screen over one factor: generative rows flattened to CSR once
 // (ep_row is a virtual per-row materialisation — TLR rows cost
-// O(cols * rank) to form), then swept in place per query by the passes
+// O(cols * rank) to form), then swept in place per query by the pass
 // below. The flatten is query-independent, which is what EpScreener
 // amortises across a batch.
 class Screen {
@@ -42,122 +43,58 @@ class Screen {
     }
     m_.assign(static_cast<std::size_t>(n_), 0.0);
     v_.assign(static_cast<std::size_t>(n_), 1.0);
-    tau_.assign(static_cast<std::size_t>(n_), 0.0);
-    nu_.assign(static_cast<std::size_t>(n_), 0.0);
-    prefix_logz_.assign(static_cast<std::size_t>(n_), 0.0);
   }
 
-  // One full screen of the box [a, b]: warm-start-or-direct-solve driver
-  // over the sweep below. The spans must stay valid for the duration of the
-  // call only; site/belief buffers are reused across calls.
+  // One screen of the box [a, b]. The spans must stay valid for the
+  // duration of the call only; belief buffers are reused across calls.
   [[nodiscard]] EpResult run(std::span<const double> a,
-                             std::span<const double> b, const EpOptions& opts,
-                             EpState* state) {
+                             std::span<const double> b) {
     const WallTimer timer;
     PARMVN_EXPECTS(static_cast<i64>(a.size()) == n_ &&
                    static_cast<i64>(b.size()) == n_);
-    PARMVN_EXPECTS(opts.max_sweeps >= 0);
-    PARMVN_EXPECTS(opts.damping > 0.0 && opts.damping <= 1.0);
     a_ = a;
     b_ = b;
-
     EpResult res;
-    // Warm start: one damped sweep from the cached neighbour sites. A
-    // nearby seed certifies right here (delta = damping * |match - seed|
-    // under the tolerance) and the screen is done in a single pass — half
-    // the cold cost. A far seed is not worth relaxing toward the fixed
-    // point at a linear rate; fall through to the direct solve instead.
-    bool seeded = false;
-    if (state != nullptr && state->valid_for(n_)) {
-      tau_ = state->site_tau;
-      nu_ = state->site_nu;
-      seeded = true;
-      const double delta = sweep(opts.damping);
-      ++res.sweeps;
-      res.converged = delta <= opts.tol;
-    }
-    if (!res.converged) {
-      if (!seeded) {
-        std::fill(tau_.begin(), tau_.end(), 0.0);
-        std::fill(nu_.begin(), nu_.end(), 0.0);
-      }
-      // One full-damping sweep solves the sequential fixed point directly
-      // (see sweep()); the loop certifies it — the first certify sweep
-      // reproduces the solve pass exactly, so it exits with delta == 0.
-      (void)sweep(1.0);
-      for (int it = 0; it < opts.max_sweeps; ++it) {
-        const double delta = sweep(opts.damping);
-        ++res.sweeps;
-        if (delta <= opts.tol) {
-          res.converged = true;
-          break;
-        }
-      }
-    }
-    res.prefix_logz = prefix_logz_;
+    res.prefix_logz.resize(static_cast<std::size_t>(n_));
+    sweep(res.prefix_logz);
+    res.sweeps = 1;
     res.logz = res.prefix_logz.empty() ? 0.0 : res.prefix_logz.back();
-    if (state != nullptr) {
-      state->site_tau = tau_;
-      state->site_nu = nu_;
-    }
     res.seconds = timer.seconds();
     return res;
   }
 
  private:
 
-  // One sequential EP sweep: walk the rows in factor order, rebuilding the
-  // slot beliefs from the prior as we go. At row k the forward predictive
+  // The sequential pass: walk the rows in factor order, building the slot
+  // beliefs from the prior as we go. At row k the forward predictive
   // (mu_f, v_f) of the row functional is computed from slots conditioned on
   // rows < k only — it excludes row k's own site by construction, so it IS
   // the cavity, with no precision subtraction (and therefore no negative-
   // cavity pathologies) needed. The truncation is moment-matched against
-  // it, the site takes a damped step toward the matched natural parameters,
-  // and the *updated* site conditions the slots for the rows downstream
-  // (Gauss-Seidel scheduling).
-  //
-  // The readout factor of row k is the exact truncated mass of the
-  // predictive — a true conditional probability of the Gaussian
-  // approximation, so each factor is <= 1, the prefix curve is monotone
+  // it, the site is set to the matched natural parameters, and the site
+  // conditions the slots for the rows downstream (Gauss-Seidel
+  // scheduling). Row k's readout factor is the exact truncated mass of the
+  // predictive, so each factor is <= 1, the prefix curve is monotone
   // non-increasing by construction, and row 0 (prior predictive) is exact.
-  //
-  // With damping = 1 the sweep is classic assumed-density filtering, and
-  // one further sweep reproduces itself exactly (the same predictives beget
-  // the same matches): the cold-start path solves the sequential fixed
-  // point directly and the next sweep certifies delta == 0. A warm start
-  // relaxes cached neighbour sites toward the same (seed-independent) fixed
-  // point, skipping the full-damping solve pass. Returns the largest
-  // scaled site natural-parameter change.
-  double sweep(double damping) {
+  void sweep(std::vector<double>& prefix_logz) {
     PARMVN_FAULT_POINT("ep.sweep");
     reset_slots();
-    double delta = 0.0;
     double cum = 0.0;
     for (i64 k = 0; k < n_; ++k) {
-      const std::size_t uk = static_cast<std::size_t>(k);
       const auto [mu_f, v_f] = forward_moments(k);
       const TruncatedMoments tm = match(k, mu_f, v_f);
       cum += tm.logz;
-      prefix_logz_[uk] = cum;
+      prefix_logz[static_cast<std::size_t>(k)] = cum;
       const double v_t = std::max(v_f * tm.var, kVMin);
       const double mu_t = mu_f + std::sqrt(v_f) * tm.mean;
-      const double tau_star = std::max(1.0 / v_t - 1.0 / v_f, 0.0);
-      const double nu_star = mu_t / v_t - mu_f / v_f;
-      const double tau_new = tau_[uk] + damping * (tau_star - tau_[uk]);
-      const double nu_new = nu_[uk] + damping * (nu_star - nu_[uk]);
-      delta = std::max(delta, std::fabs(tau_new - tau_[uk]) /
-                                  (1.0 + std::fabs(tau_[uk])));
-      delta = std::max(delta, std::fabs(nu_new - nu_[uk]) /
-                                  (1.0 + std::fabs(nu_[uk])));
-      tau_[uk] = tau_new;
-      nu_[uk] = nu_new;
-      // Row posterior under the damped site (== the tilted moments at
-      // damping 1), projected back onto the parent slots.
-      const double v_p = 1.0 / (1.0 / v_f + tau_new);
-      const double mu_p = (mu_f / v_f + nu_new) * v_p;
+      const double tau = std::max(1.0 / v_t - 1.0 / v_f, 0.0);
+      const double nu = mu_t / v_t - mu_f / v_f;
+      // Row posterior under the site (the tilted moments), projected back
+      // onto the parent slots.
+      const double v_p = 1.0 / (1.0 / v_f + tau);
+      const double mu_p = (mu_f / v_f + nu) * v_p;
       project(k, mu_f, v_f, mu_p, std::max(v_p, kVMin));
     }
-    return delta;
   }
 
   void reset_slots() {
@@ -231,8 +168,6 @@ class Screen {
   std::vector<double> coefs_;    // parent coefficient per entry
   std::vector<double> d_;        // innovation sd per row
   std::vector<double> m_, v_;    // factorised slot beliefs
-  std::vector<double> tau_, nu_;  // sites (natural parameters)
-  std::vector<double> prefix_logz_;
 };
 
 }  // namespace detail
@@ -244,16 +179,14 @@ EpScreener::EpScreener(EpScreener&&) noexcept = default;
 EpScreener& EpScreener::operator=(EpScreener&&) noexcept = default;
 
 EpResult EpScreener::screen(std::span<const double> a,
-                            std::span<const double> b, const EpOptions& opts,
-                            EpState* state) {
-  return impl_->run(a, b, opts, state);
+                            std::span<const double> b) {
+  return impl_->run(a, b);
 }
 
 EpResult ep_screen(const engine::FactorBackend& f, std::span<const double> a,
-                   std::span<const double> b, const EpOptions& opts,
-                   EpState* state) {
+                   std::span<const double> b) {
   EpScreener s(f);
-  return s.screen(a, b, opts, state);
+  return s.screen(a, b);
 }
 
 }  // namespace parmvn::ep

@@ -15,14 +15,14 @@
 // unnormalised Gaussian site in natural parameters (nu, tau):
 // t~_k(s) = exp(nu s - tau s^2 / 2).
 //
-// One EP iteration is one *sequential* sweep over the rows (Gauss-Seidel
-// scheduling): rebuild the slot beliefs forward from the prior, and at each
+// The screen is one *sequential* pass over the rows (Gauss-Seidel
+// scheduling): build the slot beliefs forward from the prior, and at each
 // row moment-match the truncation (ep/truncated.hpp) against the forward
 // predictive — which excludes the row's own site by construction, so it is
-// the cavity with no precision subtraction needed — take a damped site step
-// toward the matched natural parameters, and condition the slots through
-// the updated site (rank-one moment projection against the factorised
-// belief) for the rows downstream.
+// the cavity with no precision subtraction needed — set the row's site to
+// the matched natural parameters, and condition the slots through it
+// (rank-one moment projection against the factorised belief) for the rows
+// downstream.
 //
 // The readout rides the same pass: row k's factor is the exact truncated
 // mass of its predictive — a true conditional probability of the Gaussian
@@ -34,21 +34,18 @@
 // readouts (measured at up to 0.16 absolute on 256-dim GP fields, versus
 // under 0.01 for the sequential fixed point).
 //
-// At damping 1 the sweep is classic assumed-density filtering and is
-// self-reproducing, so a cold start solves the fixed point in one
-// full-damping sweep and certifies it with a second (delta == 0 exactly).
-// A warm start from cached neighbour sites tries one damped sweep first: a
-// nearby seed certifies immediately and the screen costs a single pass —
-// half the cold cost, the payoff for repeat queries and tight bisection
-// ladders. A far seed falls back to the direct solve rather than relaxing
-// toward the (seed-independent) fixed point at a linear rate.
+// This pass is classic assumed-density filtering, and it *is* the
+// sequential EP fixed point: a further damped EP sweep from its sites sees
+// the same predictives row by row (by induction from row 0), matches the
+// same sites and changes nothing, bit for bit. So one pass is the whole
+// solve; there is nothing to iterate, certify or warm-start.
 //
 // Cost: O(nnz(rows)) per pass — n^2/2 for dense/TLR, n*m for Vecchia —
 // i.e. hundreds of microseconds to low milliseconds where a QMC sweep
 // spends seconds. Everything runs on the calling (host) thread from
 // deterministic factor data, so the result is a pure function of
-// (factor bits, limits, options, warm-start state): bitwise identical
-// across worker counts by construction.
+// (factor bits, limits): bitwise identical across worker counts by
+// construction.
 #pragma once
 
 #include <memory>
@@ -63,41 +60,12 @@ class FactorBackend;
 
 namespace parmvn::ep {
 
-struct EpOptions {
-  /// Cap on certify sweeps after the direct solve pass (a safety bound:
-  /// the first certify sweep reproduces the solve pass exactly, so this is
-  /// not normally reached).
-  int max_sweeps = 20;
-  /// Site-update damping factor in (0, 1]: new = (1-d)*old + d*matched.
-  /// Below 1 so a warm start's first sweep keeps seed influence (its delta
-  /// is then d * |match - seed|, small for a nearby seed — the one-sweep
-  /// certify); the fixed point itself is damping-independent.
-  double damping = 0.5;
-  /// Fixed-point tolerance on the largest (relative) site natural-parameter
-  /// change per sweep.
-  double tol = 1e-6;
-};
-
-/// Converged EP site/belief state — the warm-start payload cached alongside
-/// the factor (engine::CholeskyFactor::ep_cache()). A state is only
-/// meaningful against the factor (and row count) it was produced from.
-struct EpState {
-  std::vector<double> site_tau;  // site precision  (>= 0)
-  std::vector<double> site_nu;   // site precision-mean
-
-  [[nodiscard]] bool valid_for(i64 n) const noexcept {
-    return static_cast<i64>(site_tau.size()) == n &&
-           static_cast<i64>(site_nu.size()) == n;
-  }
-};
-
 struct EpResult {
   double logz = 0.0;  // log estimate of P(a <= X <= b)
   /// prefix_logz[k] = log estimate of the joint probability of rows 0..k;
   /// monotone non-increasing. Always length n.
   std::vector<double> prefix_logz;
-  int sweeps = 0;        // counted sweeps (excluding the cold solve pass)
-  bool converged = false;
+  int sweeps = 0;        // passes run (always 1)
   double seconds = 0.0;  // host wall time of this screen
 };
 
@@ -119,12 +87,8 @@ class EpScreener {
   EpScreener& operator=(EpScreener&&) noexcept;
 
   /// Screen the box [a, b] (entries may be infinite) against the factor.
-  /// When `state` is non-null and valid for the factor's dimension it seeds
-  /// the sites (warm start) and receives the final state back.
   [[nodiscard]] EpResult screen(std::span<const double> a,
-                                std::span<const double> b,
-                                const EpOptions& opts = {},
-                                EpState* state = nullptr);
+                                std::span<const double> b);
 
  private:
   std::unique_ptr<detail::Screen> impl_;
@@ -133,8 +97,6 @@ class EpScreener {
 /// One-shot convenience over EpScreener (flattens the factor per call).
 [[nodiscard]] EpResult ep_screen(const engine::FactorBackend& f,
                                  std::span<const double> a,
-                                 std::span<const double> b,
-                                 const EpOptions& opts = {},
-                                 EpState* state = nullptr);
+                                 std::span<const double> b);
 
 }  // namespace parmvn::ep

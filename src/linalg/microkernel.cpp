@@ -318,6 +318,20 @@ void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,
   }
 }
 
+void gemv_notrans_gather_simd(ConstMatrixView a, std::span<const i64> cols,
+                              i64 col_base, const double* w, double* y) {
+  const i64 m = a.rows;
+  for (std::size_t q = 0; q < cols.size(); ++q) {
+    const double axj = w[q];
+    const v8df vax = splat(axj);
+    const double* __restrict aj = a.col(cols[q] - col_base);
+    i64 i = 0;
+    for (; i + 8 <= m; i += 8)
+      store8(y + i, load8(y + i) + vax * load8(aj + i));
+    for (; i < m; ++i) y[i] += axj * aj[i];
+  }
+}
+
 #else  // scalar fallbacks, same reduction orders
 
 double dot_simd(i64 n, const double* x, const double* y) noexcept {
@@ -344,6 +358,16 @@ void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,
   for (i64 j = 0; j < a.cols; ++j) {
     const double axj = alpha * x[j * incx];
     const double* __restrict aj = a.col(j);
+    for (i64 i = 0; i < m; ++i) y[i] += axj * aj[i];
+  }
+}
+
+void gemv_notrans_gather_simd(ConstMatrixView a, std::span<const i64> cols,
+                              i64 col_base, const double* w, double* y) {
+  const i64 m = a.rows;
+  for (std::size_t q = 0; q < cols.size(); ++q) {
+    const double axj = w[q];
+    const double* __restrict aj = a.col(cols[q] - col_base);
     for (i64 i = 0; i < m; ++i) y[i] += axj * aj[i];
   }
 }

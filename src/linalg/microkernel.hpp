@@ -29,6 +29,8 @@
 //    BLAS, and identically in every column position.
 #pragma once
 
+#include <span>
+
 #include "common/types.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
@@ -94,5 +96,16 @@ void gemv_notrans_simd(double alpha, ConstMatrixView a, const double* x,
 /// per-element reduction order is ascending k, independent of panel width.
 void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,
                                const double* x, i64 incx, double* y);
+
+/// The same column sweep over listed columns only, alpha = 1:
+/// y += sum_q w[q] * A(:, cols[q] - col_base), q ascending. Each column
+/// update is the per-lane expression of gemv_notrans_strided_simd, so a
+/// sparse row (the Vecchia chain step's in-tile weights) gives bitwise what
+/// the strided sweep gives over a dense row holding zeros elsewhere, as
+/// long as A is finite (a zero weight then adds exactly nothing). It lives
+/// in this TU for that reason: the native build FMA-contracts it here, as
+/// it does the strided sweep.
+void gemv_notrans_gather_simd(ConstMatrixView a, std::span<const i64> cols,
+                              i64 col_base, const double* w, double* y);
 
 }  // namespace parmvn::la::detail

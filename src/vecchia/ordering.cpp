@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -33,6 +33,15 @@ BBox bounding_box(std::span<const double> xy) {
     b.ymax = std::max(b.ymax, y);
   }
   return b;
+}
+
+// A non-finite coordinate has no cell and no distance order; reject it
+// before any index arithmetic touches it.
+void check_finite(std::span<const double> xy, const char* who) {
+  for (std::size_t k = 0; k < xy.size(); ++k)
+    if (!std::isfinite(xy[k]))
+      throw Error(std::string("vecchia::") + who + ": site " +
+                  std::to_string(k / 2) + " has a non-finite coordinate");
 }
 
 double dist2(std::span<const double> xy, i64 i, i64 j) {
@@ -166,107 +175,140 @@ std::vector<i64> maxmin_grid_levels(std::span<const double> xy) {
 
 std::vector<i64> maxmin_order(std::span<const double> xy) {
   PARMVN_EXPECTS(xy.size() % 2 == 0);
+  check_finite(xy, "maxmin_order");
   const i64 n = static_cast<i64>(xy.size()) / 2;
   if (n == 0) return {};
   if (n <= kExactMaxminCutoff) return maxmin_exact(xy);
   return maxmin_grid_levels(xy);
 }
 
-ConditioningSets nearest_predecessors(std::span<const double> xy, i64 m) {
+PredecessorIndex::PredecessorIndex(std::span<const double> xy) : xy_(xy) {
   PARMVN_EXPECTS(xy.size() % 2 == 0);
-  PARMVN_EXPECTS(m >= 1);
+  check_finite(xy, "nearest_predecessors");
   const i64 n = static_cast<i64>(xy.size()) / 2;
-
-  ConditioningSets sets;
-  sets.offsets.assign(static_cast<std::size_t>(n + 1), 0);
-  if (n == 0) return sets;
-  sets.neighbors.reserve(static_cast<std::size_t>(
-      std::min(n * m, n * (n - 1) / 2 + 1)));
-
+  if (n == 0) return;
   const BBox b = bounding_box(xy);
-  const double wx = std::max(b.xmax - b.xmin, 1e-300);
-  const double wy = std::max(b.ymax - b.ymin, 1e-300);
-  // ~2 points per cell when full; rings stay shallow once the index fills.
-  const i64 side =
+  xmin_ = b.xmin;
+  ymin_ = b.ymin;
+  wx_ = std::max(b.xmax - b.xmin, 1e-300);
+  wy_ = std::max(b.ymax - b.ymin, 1e-300);
+  // ~2 points per cell; rings stay shallow.
+  side_ =
       std::max<i64>(1, static_cast<i64>(std::sqrt(static_cast<double>(n) / 2.0)));
   // Conservative per-ring distance bound: the smaller cell extent (the
   // bbox may be anisotropic), so early termination never misses a closer
   // point in an unscanned ring.
-  const double cw = std::min(wx, wy) / static_cast<double>(side);
-  std::vector<std::vector<i64>> cells(static_cast<std::size_t>(side * side));
-  const auto cell_of = [&](i64 i) {
-    i64 cxi = static_cast<i64>((xy[static_cast<std::size_t>(2 * i)] - b.xmin) /
-                               wx * static_cast<double>(side));
-    i64 cyi = static_cast<i64>(
-        (xy[static_cast<std::size_t>(2 * i + 1)] - b.ymin) / wy *
-        static_cast<double>(side));
-    cxi = std::clamp(cxi, i64{0}, side - 1);
-    cyi = std::clamp(cyi, i64{0}, side - 1);
-    return std::pair<i64, i64>{cxi, cyi};
-  };
+  cw_ = std::min(wx_, wy_) / static_cast<double>(side_);
 
-  // Worse = farther, ties toward the larger index; the heap top is the
-  // worst kept candidate, so the final sets prefer near-then-small-index.
-  using Cand = std::pair<double, i64>;  // (dist2, site)
-  const auto worse = [](const Cand& a, const Cand& b2) {
-    return a.first < b2.first ||
-           (a.first == b2.first && a.second < b2.second);
-  };
-  std::priority_queue<Cand, std::vector<Cand>, decltype(worse)> heap(worse);
-  std::vector<i64> nb;
-  nb.reserve(static_cast<std::size_t>(m));
-
+  // Counting sort of the sites by cell; the ascending site loop leaves each
+  // cell's list in ascending index.
+  std::vector<i64> cell(static_cast<std::size_t>(n));
+  cell_start_.assign(static_cast<std::size_t>(side_ * side_ + 1), 0);
   for (i64 i = 0; i < n; ++i) {
-    const auto [ci, cj] = cell_of(i);
-    while (!heap.empty()) heap.pop();
-    for (i64 ring = 0; ring < side; ++ring) {
-      // Stop once the heap is full and even the nearest point of this ring
-      // (>= (ring - 1) * cell width away) cannot beat the worst kept one.
-      if (static_cast<i64>(heap.size()) == m && ring >= 2) {
-        const double reach = static_cast<double>(ring - 1) * cw;
-        if (reach * reach > heap.top().first) break;
-      }
-      const i64 x0 = ci - ring;
-      const i64 x1 = ci + ring;
-      const i64 y0 = cj - ring;
-      const i64 y1 = cj + ring;
-      // Ring cells in fixed row-major order (top row, bottom row, then the
-      // two side columns) for determinism.
-      const auto scan_cell = [&](i64 cx, i64 cy) {
-        if (cx < 0 || cy < 0 || cx >= side || cy >= side) return;
-        for (const i64 j : cells[static_cast<std::size_t>(cy * side + cx)]) {
-          const Cand c{dist2(xy, i, j), j};
-          if (static_cast<i64>(heap.size()) < m) {
-            heap.push(c);
-          } else if (worse(c, heap.top())) {
-            heap.pop();
-            heap.push(c);
-          }
-        }
-      };
-      if (ring == 0) {
-        scan_cell(ci, cj);
-      } else {
-        for (i64 cx = x0; cx <= x1; ++cx) scan_cell(cx, y0);
-        for (i64 cx = x0; cx <= x1; ++cx) scan_cell(cx, y1);
-        for (i64 cy = y0 + 1; cy <= y1 - 1; ++cy) {
-          scan_cell(x0, cy);
-          scan_cell(x1, cy);
-        }
-      }
-    }
-    nb.clear();
-    while (!heap.empty()) {
-      nb.push_back(heap.top().second);
-      heap.pop();
-    }
-    std::sort(nb.begin(), nb.end());
-    sets.neighbors.insert(sets.neighbors.end(), nb.begin(), nb.end());
-    sets.offsets[static_cast<std::size_t>(i + 1)] =
-        static_cast<i64>(sets.neighbors.size());
-
-    cells[static_cast<std::size_t>(cj * side + ci)].push_back(i);
+    const auto [cx, cy] = cell_of(i);
+    cell[static_cast<std::size_t>(i)] = cy * side_ + cx;
+    ++cell_start_[static_cast<std::size_t>(cy * side_ + cx + 1)];
   }
+  for (std::size_t c = 1; c < cell_start_.size(); ++c)
+    cell_start_[c] += cell_start_[c - 1];
+  cell_sites_.resize(static_cast<std::size_t>(n));
+  std::vector<i64> fill(cell_start_.begin(), cell_start_.end() - 1);
+  for (i64 i = 0; i < n; ++i) {
+    i64& next = fill[static_cast<std::size_t>(cell[static_cast<std::size_t>(i)])];
+    cell_sites_[static_cast<std::size_t>(next++)] = i;
+  }
+}
+
+std::pair<i64, i64> PredecessorIndex::cell_of(i64 i) const {
+  i64 cxi = static_cast<i64>((xy_[static_cast<std::size_t>(2 * i)] - xmin_) /
+                             wx_ * static_cast<double>(side_));
+  i64 cyi = static_cast<i64>((xy_[static_cast<std::size_t>(2 * i + 1)] - ymin_) /
+                             wy_ * static_cast<double>(side_));
+  cxi = std::clamp(cxi, i64{0}, side_ - 1);
+  cyi = std::clamp(cyi, i64{0}, side_ - 1);
+  return {cxi, cyi};
+}
+
+void PredecessorIndex::nearest(i64 i, i64 m, i64* out) const {
+  PARMVN_EXPECTS(m >= 1);
+  // Worse = farther, ties toward the larger index; the heap top is the
+  // worst kept candidate, so the sets prefer near-then-small-index.
+  using Cand = std::pair<double, i64>;  // (dist2, site)
+  const auto worse = [](const Cand& a, const Cand& b) {
+    return a.first < b.first || (a.first == b.first && a.second < b.second);
+  };
+  thread_local std::vector<Cand> heap;
+  heap.clear();
+
+  const auto [ci, cj] = cell_of(i);
+  for (i64 ring = 0; ring < side_; ++ring) {
+    // Stop once the heap is full and even the nearest point of this ring
+    // (>= (ring - 1) * cell width away) cannot beat the worst kept one.
+    if (static_cast<i64>(heap.size()) == m && ring >= 2) {
+      const double reach = static_cast<double>(ring - 1) * cw_;
+      if (reach * reach > heap.front().first) break;
+    }
+    const i64 x0 = ci - ring;
+    const i64 x1 = ci + ring;
+    const i64 y0 = cj - ring;
+    const i64 y1 = cj + ring;
+    // Ring cells in fixed row-major order (top row, bottom row, then the
+    // two side columns) for determinism. A cell's predecessors of i are the
+    // head of its ascending site list.
+    const auto scan_cell = [&](i64 cx, i64 cy) {
+      if (cx < 0 || cy < 0 || cx >= side_ || cy >= side_) return;
+      const std::size_t c = static_cast<std::size_t>(cy * side_ + cx);
+      for (i64 e = cell_start_[c]; e < cell_start_[c + 1]; ++e) {
+        const i64 j = cell_sites_[static_cast<std::size_t>(e)];
+        if (j >= i) break;
+        const Cand cand{dist2(xy_, i, j), j};
+        if (static_cast<i64>(heap.size()) < m) {
+          heap.push_back(cand);
+          std::push_heap(heap.begin(), heap.end(), worse);
+        } else if (worse(cand, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), worse);
+          heap.back() = cand;
+          std::push_heap(heap.begin(), heap.end(), worse);
+        }
+      }
+    };
+    if (ring == 0) {
+      scan_cell(ci, cj);
+    } else {
+      for (i64 cx = x0; cx <= x1; ++cx) scan_cell(cx, y0);
+      for (i64 cx = x0; cx <= x1; ++cx) scan_cell(cx, y1);
+      for (i64 cy = y0 + 1; cy <= y1 - 1; ++cy) {
+        scan_cell(x0, cy);
+        scan_cell(x1, cy);
+      }
+    }
+  }
+  // The ring scan covers the whole grid before the heap can fill, so the
+  // set holds exactly min(i, m) sites.
+  PARMVN_ASSERT(static_cast<i64>(heap.size()) == std::min(i, m));
+  for (std::size_t k = 0; k < heap.size(); ++k) out[k] = heap[k].second;
+  std::sort(out, out + heap.size());
+}
+
+std::vector<i64> predecessor_offsets(i64 n, i64 m) {
+  PARMVN_EXPECTS(n >= 0 && m >= 1);
+  std::vector<i64> offsets(static_cast<std::size_t>(n + 1), 0);
+  for (i64 i = 0; i < n; ++i)
+    offsets[static_cast<std::size_t>(i + 1)] =
+        offsets[static_cast<std::size_t>(i)] + std::min(i, m);
+  return offsets;
+}
+
+ConditioningSets nearest_predecessors(std::span<const double> xy, i64 m) {
+  PARMVN_EXPECTS(m >= 1);
+  const PredecessorIndex index(xy);
+  const i64 n = static_cast<i64>(xy.size()) / 2;
+  ConditioningSets sets;
+  sets.offsets = predecessor_offsets(n, m);
+  sets.neighbors.resize(static_cast<std::size_t>(sets.offsets.back()));
+  for (i64 i = 0; i < n; ++i)
+    index.nearest(i, m,
+                  sets.neighbors.data() + sets.offsets[static_cast<std::size_t>(i)]);
   return sets;
 }
 

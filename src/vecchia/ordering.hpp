@@ -16,13 +16,19 @@
 //
 //  * nearest_predecessors(): for each site i (in whatever order the
 //    coordinates arrive, i.e. after any permutation has been applied), the
-//    up-to-m nearest earlier sites, found through an incremental uniform
-//    grid index in O(n * m) expected time. Deterministic: candidate cells
-//    are scanned in a fixed ring order and ties in distance break toward
-//    the smaller site index, so the sets are a pure function of the input.
+//    up-to-m nearest earlier sites, found through a uniform grid index in
+//    O(n * m) expected time. Deterministic: candidate cells are scanned in
+//    a fixed ring order and ties in distance break toward the smaller site
+//    index, so the sets are a pure function of the input.
+//    PredecessorIndex is the same search one site at a time, so disjoint
+//    site ranges can be filled concurrently (VecchiaFactor::build does).
+//
+// Every coordinate must be finite: both entry points throw parmvn::Error
+// naming the first site that is not.
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -48,6 +54,32 @@ struct ConditioningSets {
             static_cast<std::size_t>(count(i))};
   }
 };
+
+/// Grid index over every site, built once in O(n). Each cell lists its
+/// sites in ascending index and a query for site i stops at the first entry
+/// >= i, so it sees exactly the predecessors of i. Queries are const and
+/// independent. Keeps a view of `xy`, which must outlive the index.
+class PredecessorIndex {
+ public:
+  explicit PredecessorIndex(std::span<const double> xy);
+
+  /// Write the min(i, m) nearest predecessors of site i to out[0..),
+  /// ascending.
+  void nearest(i64 i, i64 m, i64* out) const;
+
+ private:
+  [[nodiscard]] std::pair<i64, i64> cell_of(i64 i) const;
+
+  std::span<const double> xy_;
+  double xmin_ = 0.0, ymin_ = 0.0, wx_ = 1.0, wy_ = 1.0, cw_ = 1.0;
+  i64 side_ = 1;
+  std::vector<i64> cell_start_;  // CSR over cells, side_ * side_ + 1
+  std::vector<i64> cell_sites_;  // sites by cell, ascending within a cell
+};
+
+/// CSR row pointers of the nearest-predecessor sets: site i holds exactly
+/// min(i, m) sites, so offsets[i] = sum_{k<i} min(k, m).
+[[nodiscard]] std::vector<i64> predecessor_offsets(i64 n, i64 m);
 
 /// Up-to-m nearest predecessors per site under Euclidean distance.
 [[nodiscard]] ConditioningSets nearest_predecessors(std::span<const double> xy,

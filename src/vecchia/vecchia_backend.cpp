@@ -1,6 +1,7 @@
 #include "vecchia/vecchia_backend.hpp"
 
 #include "linalg/blas.hpp"
+#include "vecchia/vecchia_kernel.hpp"
 
 namespace parmvn::vecchia {
 
@@ -8,16 +9,35 @@ void VecchiaBackend::accumulate_external(i64 r,
                                          std::span<const la::Matrix> y_panels,
                                          i64 row_off, i64 nrows,
                                          la::MatrixView mean_tile) const {
-  // mean(:, dst) += w * Y[src_tile](:, src_col) over the column tile's
-  // sample rows: one unit-stride axpy per cross-tile weight, in the fixed
-  // (dst_col, global source) order the factor stored them in. Per-sample
-  // independence keeps fused batches bitwise equal to single-query runs.
-  for (const OffEntry& e : v_->off_entries(r)) {
-    const la::ConstMatrixView src =
-        y_panels[static_cast<std::size_t>(e.src_tile)].view();
-    la::axpy(nrows, e.w, src.col(e.src_col) + row_off,
-             mean_tile.col(e.dst_col));
+  // mean(:, li) += w * Y[k / tile](:, k % tile) over the column tile's
+  // sample rows for each cross-tile neighbour k of row li: the ascending
+  // set's prefix below the tile, one unit-stride axpy per weight, rows in
+  // ascending order. Per-sample independence keeps fused batches bitwise
+  // equal to single-query runs.
+  const VecchiaFactor& f = *v_;
+  const i64 tile = f.tile_size();
+  const i64 row0 = r * tile;
+  const ConditioningSets& sets = f.sets();
+  for (i64 li = 0; li < f.tile_rows(r); ++li) {
+    const i64 i = row0 + li;
+    const std::span<const i64> nb = sets.of(i);
+    const double* w =
+        f.weights().data() + sets.offsets[static_cast<std::size_t>(i)];
+    for (std::size_t q = 0; q < nb.size() && nb[q] < row0; ++q) {
+      const la::ConstMatrixView src =
+          y_panels[static_cast<std::size_t>(nb[q] / tile)].view();
+      la::axpy(nrows, w[q], src.col(nb[q] % tile) + row_off,
+               mean_tile.col(li));
+    }
   }
+}
+
+void VecchiaBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                                std::span<const double> a,
+                                std::span<const double> b,
+                                la::ConstMatrixView mean, la::MatrixView y,
+                                double* p, double* prefix_acc) const {
+  vecchia_tile_kernel(*v_, r, pts, col0, a, b, mean, y, p, prefix_acc);
 }
 
 double VecchiaBackend::ep_row(

@@ -30,18 +30,15 @@ class VecchiaBackend final : public engine::FactorBackend {
     return v_->tile_rows(r);
   }
 
-  [[nodiscard]] la::ConstMatrixView diag_view(i64 r) const override {
-    return v_->diag(r);
-  }
-  [[nodiscard]] rt::DataHandle diag_handle(i64 r) const override {
-    return v_->diag_handle(r);
-  }
-
   [[nodiscard]] bool mean_panel_form() const noexcept override { return true; }
 
   void accumulate_external(i64 r, std::span<const la::Matrix> y_panels,
                            i64 row_off, i64 nrows,
                            la::MatrixView mean_tile) const override;
+  void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                  std::span<const double> a, std::span<const double> b,
+                  la::ConstMatrixView mean, la::MatrixView y, double* p,
+                  double* prefix_acc) const override;
 
   [[nodiscard]] bool ep_latent_slots() const noexcept override {
     return false;  // slots are earlier coordinates, not latent innovations

@@ -8,13 +8,15 @@
 #include "common/contracts.hpp"
 #include "common/fault.hpp"
 #include "common/timer.hpp"
+#include "linalg/matrix.hpp"
 
 namespace parmvn::vecchia {
 
 namespace {
 
-// Sites per fitting task: each solve is O(m^3) on an (<= m)-dim local
-// system, so a chunk amortises task overhead without starving parallelism.
+// Sites per fitting task: each site is a grid-ring neighbour search plus an
+// O(m^3) solve on an (<= m)-dim local system, so a chunk amortises task
+// overhead without starving parallelism.
 constexpr i64 kFitChunk = 512;
 
 // Regression weights and conditional sd of site i given its conditioning
@@ -87,66 +89,39 @@ VecchiaFactor VecchiaFactor::build(rt::Runtime& rt,
   f.tile_ = tile;
   f.mt_ = (n + tile - 1) / tile;
   f.m_ = m;
-  f.sets_ = nearest_predecessors(xy, m);
+  const PredecessorIndex index(xy);
+  f.sets_.offsets = predecessor_offsets(n, m);
+  f.sets_.neighbors.resize(static_cast<std::size_t>(f.sets_.offsets.back()));
   f.w_.assign(f.sets_.neighbors.size(), 0.0);
   f.d_.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Per-site local solves, chunked into independent tasks (each writes its
-  // own CSR slots, so no declared accesses are needed).
-  const ConditioningSets* sets = &f.sets_;
+  // Per-site neighbour search and local solve, chunked into independent
+  // tasks (each writes its own CSR slots, so no declared accesses are
+  // needed).
+  const PredecessorIndex* idx = &index;
+  const i64* offsets = f.sets_.offsets.data();
+  i64* neighbors = f.sets_.neighbors.data();
   const la::MatrixGenerator* g = &gen;
   double* weights = f.w_.data();
   double* sds = f.d_.data();
   for (i64 lo = 0; lo < n; lo += kFitChunk) {
     const i64 hi = std::min(n, lo + kFitChunk);
-    rt.submit("vecchia_fit", {}, [g, sets, weights, sds, lo, hi, m] {
-      PARMVN_FAULT_POINT("vecchia.fit");
-      la::Matrix c(m, m);
-      std::vector<double> z(static_cast<std::size_t>(m), 0.0);
-      for (i64 i = lo; i < hi; ++i) {
-        const std::span<const i64> nb = sets->of(i);
-        fit_site(*g, i, nb, c.view(), z.data(),
-                 weights + sets->offsets[static_cast<std::size_t>(i)],
-                 sds + i);
-      }
-    });
+    rt.submit("vecchia_fit", {},
+              [idx, offsets, neighbors, g, weights, sds, lo, hi, m] {
+                PARMVN_FAULT_POINT("vecchia.fit");
+                la::Matrix c(m, m);
+                std::vector<double> z(static_cast<std::size_t>(m), 0.0);
+                for (i64 i = lo; i < hi; ++i) {
+                  const i64 off = offsets[i];
+                  i64* nb = neighbors + off;
+                  idx->nearest(i, m, nb);
+                  fit_site(*g, i,
+                           {nb, static_cast<std::size_t>(offsets[i + 1] - off)},
+                           c.view(), z.data(), weights + off, sds + i);
+                }
+              });
   }
   rt.wait_all();
-
-  // Materialise the tiled form: dense lower-triangular local tiles plus
-  // sorted cross-tile entry lists (ascending target column, then ascending
-  // global source — the order the CSR walk below produces).
-  f.diag_.reserve(static_cast<std::size_t>(f.mt_));
-  f.off_.resize(static_cast<std::size_t>(f.mt_));
-  for (i64 r = 0; r < f.mt_; ++r) {
-    const i64 mr = f.tile_rows(r);
-    const i64 row0 = r * tile;
-    la::Matrix d(mr, mr);
-    for (i64 li = 0; li < mr; ++li) {
-      const i64 i = row0 + li;
-      d(li, li) = f.d_[static_cast<std::size_t>(i)];
-      const std::span<const i64> nb = f.sets_.of(i);
-      const double* wi =
-          f.w_.data() + f.sets_.offsets[static_cast<std::size_t>(i)];
-      for (std::size_t p = 0; p < nb.size(); ++p) {
-        const i64 k = nb[p];
-        if (k >= row0) {
-          d(li, k - row0) = wi[p];
-        } else {
-          f.off_[static_cast<std::size_t>(r)].push_back(
-              {static_cast<i32>(k / tile), static_cast<i32>(k % tile),
-               static_cast<i32>(li), wi[p]});
-        }
-      }
-    }
-    f.diag_.push_back(std::move(d));
-  }
-
-  f.lease_ = rt::HandleLease(rt);
-  f.diag_handles_.reserve(static_cast<std::size_t>(f.mt_));
-  for (i64 r = 0; r < f.mt_; ++r)
-    f.diag_handles_.push_back(
-        f.lease_.acquire(rt, "V" + std::to_string(r) + "," + std::to_string(r)));
 
   f.build_seconds_ = timer.seconds();
   return f;

@@ -16,41 +16,35 @@
 // prefix estimand the confidence-region sweep needs — so the arm slots
 // into the same engine sweep.
 //
-// Storage is tiled to match the engine's panel sweep: per tile row r a
-// dense lower-triangular local tile D_r (diagonal = d_i, sub-diagonal =
-// weights on in-tile neighbours, consumed by the same strided-SIMD row
-// sweep as a Cholesky diagonal tile) plus a flat list of cross-tile weight
-// entries applied as unit-stride axpys. Handles are leased from the
-// runtime (rt::HandleLease) exactly like TileMatrix tiles, so cached
-// factors return their slots when evicted.
+// The factor is its CSR: conditioning sets, weights aligned with them and
+// the conditional sd per site, O(n m) memory. Tiles exist only as geometry
+// matching the engine's panel sweep: a site's set, sorted ascending, splits
+// into a cross-tile prefix (applied by VecchiaBackend::accumulate_external
+// as unit-stride axpys) and an in-tile suffix (gathered by the chain step,
+// vecchia_kernel.hpp).
+//
+// The build runs on the runtime: one host-side O(n) grid index, then
+// chunked `vecchia_fit` tasks that each search and fit their own sites
+// into disjoint CSR slices (set sizes, and so the offsets, are known up
+// front).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "linalg/generator.hpp"
-#include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
 #include "vecchia/ordering.hpp"
 
 namespace parmvn::vecchia {
 
-/// One cross-tile regression weight into tile row r: mean-panel column
-/// dst_col accumulates w * Y[src_tile](:, src_col). Entries are stored
-/// sorted by (dst_col, global source index), fixing the accumulation order.
-struct OffEntry {
-  i32 src_tile = 0;
-  i32 src_col = 0;
-  i32 dst_col = 0;
-  double w = 0.0;
-};
-
 class VecchiaFactor {
  public:
   /// Build over `gen` (an SPD covariance/correlation generator, already in
   /// integration order) with site coordinates `xy` (flat x,y pairs, also in
-  /// integration order — la::MatrixGenerator::coords_xy()). Per-site solves
-  /// run as parallel runtime tasks; blocks until done.
+  /// integration order — la::MatrixGenerator::coords_xy()). Neighbour
+  /// searches and per-site solves run as parallel runtime tasks; blocks
+  /// until done.
   [[nodiscard]] static VecchiaFactor build(rt::Runtime& rt,
                                            const la::MatrixGenerator& gen,
                                            std::span<const double> xy,
@@ -64,20 +58,8 @@ class VecchiaFactor {
   }
   [[nodiscard]] i64 cond_m() const noexcept { return m_; }
 
-  /// Lower-triangular local conditioning tile D_r: D(i,i) = d_{r*tile+i},
-  /// D(i,k) = weight of in-tile neighbour k < i (0 when not a neighbour).
-  [[nodiscard]] la::ConstMatrixView diag(i64 r) const {
-    return diag_[static_cast<std::size_t>(r)].view();
-  }
-  [[nodiscard]] rt::DataHandle diag_handle(i64 r) const {
-    return diag_handles_[static_cast<std::size_t>(r)];
-  }
-  /// Cross-tile weights into tile row r, in application order.
-  [[nodiscard]] std::span<const OffEntry> off_entries(i64 r) const {
-    return off_[static_cast<std::size_t>(r)];
-  }
-
-  // Introspection for tests / validation.
+  /// Conditioning sets (ascending per site), the weights aligned with them,
+  /// and the conditional sd per site.
   [[nodiscard]] const ConditioningSets& sets() const noexcept { return sets_; }
   [[nodiscard]] std::span<const double> weights() const noexcept { return w_; }
   [[nodiscard]] std::span<const double> cond_sd() const noexcept { return d_; }
@@ -97,10 +79,6 @@ class VecchiaFactor {
   ConditioningSets sets_;
   std::vector<double> w_;  // CSR weights aligned with sets_.neighbors
   std::vector<double> d_;  // conditional sd per site
-  std::vector<la::Matrix> diag_;
-  std::vector<rt::DataHandle> diag_handles_;
-  std::vector<std::vector<OffEntry>> off_;
-  rt::HandleLease lease_;
   double build_seconds_ = 0.0;
 };
 

@@ -49,13 +49,14 @@ RowScratch& scratch() {
 
 }  // namespace
 
-void vecchia_tile_kernel(la::ConstMatrixView d, const stats::PointSet& pts,
-                         i64 row0, i64 col0, std::span<const double> a,
-                         std::span<const double> b, la::ConstMatrixView mean,
-                         la::MatrixView y, double* p, double* prefix_acc) {
-  const i64 m = d.rows;
+void vecchia_tile_kernel(const VecchiaFactor& f, i64 r,
+                         const stats::PointSet& pts, i64 col0,
+                         std::span<const double> a, std::span<const double> b,
+                         la::ConstMatrixView mean, la::MatrixView y, double* p,
+                         double* prefix_acc) {
+  const i64 m = f.tile_rows(r);
+  const i64 row0 = r * f.tile_size();
   const i64 mc = mean.rows;
-  PARMVN_EXPECTS(d.cols == m);
   PARMVN_EXPECTS(static_cast<i64>(a.size()) == m &&
                  static_cast<i64>(b.size()) == m);
   PARMVN_EXPECTS(mean.cols == m && y.cols == m);
@@ -64,26 +65,33 @@ void vecchia_tile_kernel(la::ConstMatrixView d, const stats::PointSet& pts,
   RowScratch& rs = scratch();
   rs.ensure(mc);
 
+  const ConditioningSets& sets = f.sets();
   const la::ConstMatrixView yc = y;  // read view of the growing panel
   for (i64 i = 0; i < m; ++i) {
-    // mu = mean(:, i) + Y(:, 0:i) * D(i, 0:i)^T: the in-tile regression
-    // contribution via the same unit-stride strided-SIMD sweep the dense
-    // kernel uses (reduction order a function of i only), then the external
+    // mu = Y(:, in-tile set of i) * w + mean(:, i): the in-tile regression
+    // contribution as a gather over the set's in-tile suffix (ascending,
+    // reduction order a function of i only), then the external
     // contribution already accumulated in the mean panel.
+    const i64 gi = row0 + i;
+    const std::span<const i64> nb = sets.of(gi);
+    const auto in_tile = std::lower_bound(nb.begin(), nb.end(), row0);
+    const std::size_t q0 = static_cast<std::size_t>(in_tile - nb.begin());
     std::fill_n(rs.mu, mc, 0.0);
-    la::detail::gemv_notrans_strided_simd(1.0, yc.sub(0, 0, mc, i),
-                                          d.data + i, d.ld, rs.mu);
+    la::detail::gemv_notrans_gather_simd(
+        yc.sub(0, 0, mc, i), nb.subspan(q0), row0,
+        f.weights().data() + sets.offsets[static_cast<std::size_t>(gi)] + q0,
+        rs.mu);
     const double* __restrict mcol = mean.col(i);
     for (i64 j = 0; j < mc; ++j) rs.mu[j] += mcol[j];
 
-    const double di = d(i, i);
+    const double di = f.cond_sd()[static_cast<std::size_t>(gi)];
     const double ai = a[static_cast<std::size_t>(i)];
     const double bi = b[static_cast<std::size_t>(i)];
     for (i64 j = 0; j < mc; ++j) rs.av[j] = (ai - rs.mu[j]) / di;
     for (i64 j = 0; j < mc; ++j) rs.bv[j] = (bi - rs.mu[j]) / di;
 
     stats::norm_cdf_and_diff_batch(mc, rs.av, rs.bv, rs.phi, rs.dv);
-    pts.fill_row(row0 + i, col0, mc, rs.w);
+    pts.fill_row(gi, col0, mc, rs.w);
     for (i64 j = 0; j < mc; ++j)
       rs.u[j] = std::clamp(rs.phi[j] + rs.w[j] * rs.dv[j], kUEps, 1.0 - kUEps);
     stats::norm_quantile_batch(mc, rs.u, y.col(i));

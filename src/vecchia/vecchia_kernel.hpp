@@ -6,16 +6,18 @@
 // differs because a Vecchia factor propagates *realized field values*, not
 // standardised innovations:
 //
-//   mu_j   = mean(j, i) + sum_{k<i in tile} D(i,k) y(j,k)   (strided gemv)
-//   a'_j   = (a_i - mu_j) / D(i,i),  b'_j = (b_i - mu_j) / D(i,i)
+//   mu_j   = sum_{k in c(i), k in tile} w_ik y(j,k) + mean(j, i)   (gather)
+//   a'_j   = (a_i - mu_j) / d_i,  b'_j = (b_i - mu_j) / d_i
 //   u_j    = clamp(Phi(a') + w * (Phi(b') - Phi(a')), eps)
-//   y(j,i) = mu_j + D(i,i) * Phi^-1(u_j)
+//   y(j,i) = mu_j + d_i * Phi^-1(u_j)
 //
-// `mean` carries the accumulated external conditional mean (zero plus every
-// cross-tile weight applied by VecchiaFactor's off entries); `a`/`b` are
-// the per-dimension query limits in the factor's ordered, standardised
-// space — constant down each column, so they are passed as spans instead
-// of replicated panels. The per-sample arithmetic depends only on the
+// The in-tile weights are the suffix of site i's ascending CSR set that
+// lies in the tile, at most m FMAs per entry. `mean` carries the
+// accumulated external conditional mean (zero plus every cross-tile
+// weight, VecchiaBackend::accumulate_external); `a`/`b` are the
+// per-dimension query limits in the factor's ordered, standardised space —
+// constant down each column, so they are passed as spans instead of
+// replicated panels. The per-sample arithmetic depends only on the
 // dimension index, preserving the batched==single and worker-count
 // determinism contracts.
 #pragma once
@@ -24,16 +26,16 @@
 
 #include "linalg/matrix.hpp"
 #include "stats/qmc.hpp"
+#include "vecchia/vecchia_factor.hpp"
 
 namespace parmvn::vecchia {
 
 /// Process one (tile-row, tile-column) block.
 ///
-/// @param d     m x m lower-triangular local conditioning tile
-///              (VecchiaFactor::diag)
-/// @param pts   sample set; dimension index = row0 + local column,
-///              sample index = col0 + local row
-/// @param row0  global row (dimension) offset of this tile
+/// @param f     the factor; tile row r spans rows [r * tile, + tile_rows(r))
+/// @param r     tile row (the dimension index of local column i is
+///              r * tile + i)
+/// @param pts   sample set; sample index = col0 + local row
 /// @param col0  global sample offset of this tile column
 /// @param a,b   m-length spans of this tile's lower/upper limits
 /// @param mean  mc x m external conditional mean tile (read-only)
@@ -41,8 +43,9 @@ namespace parmvn::vecchia {
 /// @param p     mc running per-sample probability products (updated)
 /// @param prefix_acc optional array of length m accumulating the per-row
 ///              running-product sums (see core::qmc_tile_kernel)
-void vecchia_tile_kernel(la::ConstMatrixView d, const stats::PointSet& pts,
-                         i64 row0, i64 col0, std::span<const double> a,
+void vecchia_tile_kernel(const VecchiaFactor& f, i64 r,
+                         const stats::PointSet& pts, i64 col0,
+                         std::span<const double> a,
                          std::span<const double> b, la::ConstMatrixView mean,
                          la::MatrixView y, double* p, double* prefix_acc);
 

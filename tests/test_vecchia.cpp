@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/excursion.hpp"
@@ -20,8 +23,12 @@
 #include "engine/cholesky_factor.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/microkernel.hpp"
 #include "stats/covariance.hpp"
+#include "stats/normal.hpp"
+#include "stats/qmc.hpp"
 #include "tile/tile_matrix.hpp"
 #include "tile/tiled_potrf.hpp"
 #include "vecchia/ordering.hpp"
@@ -139,6 +146,124 @@ TEST(VecchiaOrdering, NearestPredecessorsMatchBruteForce) {
   }
 }
 
+TEST(VecchiaOrdering, NonFiniteCoordinatesRejectedTyped) {
+  // A NaN or infinite coordinate has no grid cell and no distance order:
+  // every entry point must throw a typed error naming the site, before
+  // any index arithmetic (maxmin used to write out of bounds on NaN).
+  const geo::LocationSet locs = geo::regular_grid(4, 4);
+  const auto kernel = std::make_shared<stats::ExponentialKernel>(1.0, 0.3);
+  const geo::KernelCovGenerator gen(locs, kernel, 1e-6);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf}) {
+    for (const std::size_t slot : {std::size_t{6}, std::size_t{7}}) {
+      std::vector<double> xy = grid_xy(locs);
+      xy[slot] = bad;  // site 3, x or y
+      const auto names_site = [](const std::function<void()>& call) {
+        try {
+          call();
+        } catch (const Error& e) {
+          return std::string(e.what()).find("site 3") != std::string::npos;
+        }
+        return false;
+      };
+      EXPECT_TRUE(names_site([&] { (void)vecchia::maxmin_order(xy); }))
+          << bad << " slot " << slot;
+      EXPECT_TRUE(
+          names_site([&] { (void)vecchia::nearest_predecessors(xy, 3); }))
+          << bad << " slot " << slot;
+      rt::Runtime rt(2);
+      EXPECT_TRUE(names_site([&] {
+        (void)vecchia::VecchiaFactor::build(rt, gen, xy, /*tile=*/4, /*m=*/3);
+      })) << bad << " slot " << slot;
+    }
+  }
+  // The grid-level maxmin path (above the exact cutoff) checks too.
+  std::vector<double> big = scatter_xy(5000, 5);
+  big[2 * 4321 + 1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)vecchia::maxmin_order(big), Error);
+}
+
+// Serial reference for one site's regression: the local Cholesky solve
+// VecchiaFactor::build runs per site, spelled out.
+void serial_fit(const la::MatrixGenerator& gen, i64 i, std::span<const i64> nb,
+                double* w_out, double* d_out) {
+  const i64 k = static_cast<i64>(nb.size());
+  const double kii = gen.entry(i, i);
+  if (k == 0) {
+    *d_out = std::sqrt(kii);
+    return;
+  }
+  la::Matrix c(k, k);
+  std::vector<double> z(static_cast<std::size_t>(k), 0.0);
+  for (i64 q = 0; q < k; ++q)
+    for (i64 p = q; p < k; ++p)
+      c(p, q) = gen.entry(nb[static_cast<std::size_t>(p)],
+                          nb[static_cast<std::size_t>(q)]);
+  for (i64 q = 0; q < k; ++q) {
+    double diag = c(q, q);
+    for (i64 t = 0; t < q; ++t) diag -= c(q, t) * c(q, t);
+    const double l = std::sqrt(diag);
+    c(q, q) = l;
+    for (i64 p = q + 1; p < k; ++p) {
+      double s = c(p, q);
+      for (i64 t = 0; t < q; ++t) s -= c(p, t) * c(q, t);
+      c(p, q) = s / l;
+    }
+  }
+  for (i64 p = 0; p < k; ++p) {
+    double s = gen.entry(nb[static_cast<std::size_t>(p)], i);
+    for (i64 t = 0; t < p; ++t) s -= c(p, t) * z[static_cast<std::size_t>(t)];
+    z[static_cast<std::size_t>(p)] = s / c(p, p);
+  }
+  double d2 = kii;
+  for (i64 p = 0; p < k; ++p)
+    d2 -= z[static_cast<std::size_t>(p)] * z[static_cast<std::size_t>(p)];
+  *d_out = std::sqrt(d2);
+  for (i64 p = k - 1; p >= 0; --p) {
+    double s = z[static_cast<std::size_t>(p)];
+    for (i64 t = p + 1; t < k; ++t) s -= c(t, p) * w_out[t];
+    w_out[p] = s / c(p, p);
+  }
+}
+
+TEST(VecchiaFactor, TaskBuiltCsrMatchesSerialBitwise) {
+  // The build searches and fits inside chunked runtime tasks. Its CSR must
+  // be bitwise the serial search (nearest_predecessors) plus a serial fit,
+  // whatever the tile (it only shapes the sweep) and the worker count.
+  const i64 n = 1100;  // three fit chunks, the last one ragged
+  const i64 m = 8;
+  const std::vector<double> xy = scatter_xy(n, 17);
+  geo::LocationSet locs(static_cast<std::size_t>(n));
+  for (i64 i = 0; i < n; ++i)
+    locs[static_cast<std::size_t>(i)] = {xy[static_cast<std::size_t>(2 * i)],
+                                         xy[static_cast<std::size_t>(2 * i + 1)]};
+  const auto kernel = std::make_shared<stats::ExponentialKernel>(1.0, 0.1);
+  const geo::KernelCovGenerator gen(locs, kernel, 1e-6);
+
+  const vecchia::ConditioningSets sets = vecchia::nearest_predecessors(xy, m);
+  std::vector<double> w(sets.neighbors.size(), 0.0);
+  std::vector<double> d(static_cast<std::size_t>(n), 0.0);
+  for (i64 i = 0; i < n; ++i)
+    serial_fit(gen, i, sets.of(i),
+               w.data() + sets.offsets[static_cast<std::size_t>(i)],
+               d.data() + i);
+
+  for (const int workers : {1, 2, 8}) {
+    rt::Runtime rt(workers);
+    for (const i64 tile : {i64{7}, i64{64}, i64{100}, i64{512}, n + 900}) {
+      const vecchia::VecchiaFactor f =
+          vecchia::VecchiaFactor::build(rt, gen, xy, tile, m);
+      EXPECT_EQ(f.sets().offsets, sets.offsets) << workers << " " << tile;
+      EXPECT_EQ(f.sets().neighbors, sets.neighbors) << workers << " " << tile;
+      ASSERT_EQ(f.weights().size(), w.size());
+      for (std::size_t e = 0; e < w.size(); ++e)
+        ASSERT_EQ(f.weights()[e], w[e]) << workers << " " << tile << " " << e;
+      for (std::size_t i = 0; i < d.size(); ++i)
+        ASSERT_EQ(f.cond_sd()[i], d[i]) << workers << " " << tile << " " << i;
+    }
+  }
+}
+
 TEST(VecchiaFactor, SolvesMatchNormalEquations) {
   // w_i = K_cc^{-1} k_ci and d_i^2 = k_ii - k_ci^T w_i, verified through
   // the residual of the normal equations entry by entry.
@@ -244,6 +369,184 @@ TEST(VecchiaPmvn, CrossTileConditioningIsTileSizeRobust) {
   const double p_one = core::pmvn_vecchia(rt, f_one, pb.a, pb.b, opts).prob;
   const double p_tiled = core::pmvn_vecchia(rt, f_tiled, pb.a, pb.b, opts).prob;
   EXPECT_NEAR(p_tiled, p_one, 1e-9 * std::max(1.0, std::abs(p_one)));
+}
+
+// The dense-tile chain step the CSR one replaced: D_r filled from the
+// factor's CSR (d_i on the diagonal, in-tile weights below it, zeros
+// elsewhere) and the in-tile regression taken by the strided gemv over all
+// of row i of D_r. The rest of the step is spelled out as the kernel does
+// it.
+void dense_tile_chain_step(const vecchia::VecchiaFactor& f, i64 r,
+                           const stats::PointSet& pts, i64 col0,
+                           std::span<const double> a, std::span<const double> b,
+                           la::ConstMatrixView mean, la::MatrixView y,
+                           double* p, double* prefix_acc) {
+  const i64 m = f.tile_rows(r);
+  const i64 row0 = r * f.tile_size();
+  const i64 mc = mean.rows;
+  la::Matrix d(m, m);
+  for (i64 li = 0; li < m; ++li) {
+    const i64 i = row0 + li;
+    d(li, li) = f.cond_sd()[static_cast<std::size_t>(i)];
+    const std::span<const i64> nb = f.sets().of(i);
+    const double* wi =
+        f.weights().data() + f.sets().offsets[static_cast<std::size_t>(i)];
+    for (std::size_t q = 0; q < nb.size(); ++q)
+      if (nb[q] >= row0) d(li, nb[q] - row0) = wi[q];
+  }
+  const auto col = [](i64 len) {
+    return std::vector<double>(static_cast<std::size_t>(len), 0.0);
+  };
+  std::vector<double> mu = col(mc), av = col(mc), bv = col(mc), phi = col(mc),
+                      dv = col(mc), u = col(mc), w = col(mc);
+  const la::ConstMatrixView yc = y;
+  for (i64 i = 0; i < m; ++i) {
+    std::fill(mu.begin(), mu.end(), 0.0);
+    la::detail::gemv_notrans_strided_simd(1.0, yc.sub(0, 0, mc, i),
+                                          d.view().data + i, d.view().ld,
+                                          mu.data());
+    for (i64 j = 0; j < mc; ++j) mu[j] += mean.col(i)[j];
+    const double di = d(i, i);
+    for (i64 j = 0; j < mc; ++j) av[j] = (a[i] - mu[j]) / di;
+    for (i64 j = 0; j < mc; ++j) bv[j] = (b[i] - mu[j]) / di;
+    stats::norm_cdf_and_diff_batch(mc, av.data(), bv.data(), phi.data(),
+                                   dv.data());
+    pts.fill_row(row0 + i, col0, mc, w.data());
+    for (i64 j = 0; j < mc; ++j)
+      u[j] = std::clamp(phi[j] + w[j] * dv[j], 1e-16, 1.0 - 1e-16);
+    stats::norm_quantile_batch(mc, u.data(), y.col(i));
+    for (i64 j = 0; j < mc; ++j) y.col(i)[j] = mu[j] + di * y.col(i)[j];
+    for (i64 j = 0; j < mc; ++j) p[j] *= dv[j];
+    if (prefix_acc != nullptr) {
+      double t = prefix_acc[i];
+      for (i64 j = 0; j < mc; ++j) t += p[j];
+      prefix_acc[i] = t;
+    }
+  }
+}
+
+// The whole Vecchia sweep for one query on dense-tile chain steps: per
+// tile-wide column tile of samples, every tile row's cross-tile axpys (the
+// ascending CSR prefix below the tile) then the dense-tile step. `shifts`
+// blocks are evaluated; with `per_shift` the stream is cut into one range
+// per shift block, as the round loop sweeps it, else it is one range, as
+// the fixed-budget path sweeps it.
+engine::QueryResult dense_tile_sweep(const vecchia::VecchiaFactor& f,
+                                     const engine::LimitSet& q,
+                                     const engine::EngineOptions& opts,
+                                     int shifts, bool per_shift) {
+  const i64 n = f.dim();
+  const i64 m = f.tile_size();
+  const i64 mt = f.row_tiles();
+  const i64 sps = opts.samples_per_shift;
+  const i64 total = sps * shifts;
+  const stats::PointSet pts(opts.sampler, n, sps, opts.shifts, q.seed);
+  std::vector<double> p(static_cast<std::size_t>(total), 1.0);
+  std::vector<double> prefix(static_cast<std::size_t>(n), 0.0);
+  const i64 range = per_shift ? sps : total;
+  for (i64 s0 = 0; s0 < total; s0 += range) {
+    std::vector<double> range_sum(static_cast<std::size_t>(n), 0.0);
+    for (i64 c0 = s0; c0 < s0 + range; c0 += m) {
+      const i64 w = std::min(m, s0 + range - c0);
+      std::vector<la::Matrix> mean, y;
+      for (i64 r = 0; r < mt; ++r) {
+        mean.emplace_back(w, f.tile_rows(r));
+        y.emplace_back(w, f.tile_rows(r));
+      }
+      std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
+      for (i64 r = 0; r < mt; ++r) {
+        const auto ru = static_cast<std::size_t>(r);
+        for (i64 li = 0; li < f.tile_rows(r); ++li) {
+          const i64 i = r * m + li;
+          const std::span<const i64> nb = f.sets().of(i);
+          const double* wi = f.weights().data() +
+                             f.sets().offsets[static_cast<std::size_t>(i)];
+          for (std::size_t k = 0; k < nb.size() && nb[k] < r * m; ++k)
+            la::axpy(w, wi[k],
+                     y[static_cast<std::size_t>(nb[k] / m)].view().col(nb[k] % m),
+                     mean[ru].view().col(li));
+        }
+        const auto row = [&](std::span<const double> lim) {
+          return lim.subspan(
+              static_cast<std::size_t>(r * m),
+              static_cast<std::size_t>(f.tile_rows(r)));
+        };
+        dense_tile_chain_step(f, r, pts, c0, row(q.a), row(q.b),
+                              mean[ru].view(), y[ru].view(), p.data() + c0,
+                              q.prefix ? acc.data() + r * m : nullptr);
+      }
+      for (std::size_t i = 0; i < acc.size(); ++i) range_sum[i] += acc[i];
+    }
+    for (std::size_t i = 0; i < prefix.size(); ++i) prefix[i] += range_sum[i];
+  }
+
+  std::vector<double> means(static_cast<std::size_t>(shifts), 0.0);
+  for (i64 s = 0; s < total; ++s)
+    means[static_cast<std::size_t>(pts.shift_of(s))] +=
+        p[static_cast<std::size_t>(s)];
+  for (double& mean : means) mean /= static_cast<double>(sps);
+  const stats::BlockEstimate est = stats::combine_block_means(means);
+  engine::QueryResult res;
+  res.prob = est.mean;
+  res.error3sigma = est.error3sigma;
+  if (q.prefix) {
+    res.prefix_prob = std::move(prefix);
+    const double inv = 1.0 / static_cast<double>(total);
+    for (double& v : res.prefix_prob) v *= inv;
+  }
+  return res;
+}
+
+TEST(VecchiaPmvn, CsrChainStepMatchesDenseTileReferenceBitwise) {
+  // The chain step gathers only the in-tile neighbours; the dense tile it
+  // replaced multiplied zeros too. Every Y entry is finite, so those were
+  // exact no-ops: fixed and adaptive results, single and fused, equal the
+  // dense-tile sweep bit for bit.
+  const VecchiaProblem pb(8);  // n = 64
+  const i64 n = pb.cov->rows();
+  const auto nz = static_cast<std::size_t>(n);
+  std::vector<double> topk(nz, -kInf);
+  std::fill_n(topk.begin(), 21, 0.3);
+  const std::vector<double> box_a(nz, -0.8), box_b(nz, 1.2);
+  const std::vector<engine::LimitSet> batch = {
+      {pb.a, pb.b, 5, true}, {topk, pb.b, 6, true}, {box_a, box_b, 7, false}};
+  rt::Runtime rt(4);
+  for (const i64 tile : {i64{16}, i64{7}}) {
+    for (const i64 m : {i64{6}, i64{20}}) {
+      auto vf = std::make_shared<const vecchia::VecchiaFactor>(
+          vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, tile, m));
+      auto factor = std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::borrow_vecchia(*vf));
+      for (const bool adaptive : {false, true}) {
+        engine::EngineOptions opts;
+        opts.samples_per_shift = 150;
+        opts.shifts = 4;
+        opts.sampler = stats::SamplerKind::kRichtmyer;
+        opts.adaptive = adaptive;
+        opts.abs_tol = adaptive ? 0.02 : 0.0;
+        const engine::PmvnEngine eng(rt, factor, opts);
+        const std::vector<engine::QueryResult> fused = eng.evaluate(batch);
+        for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+          const std::string where =
+              "tile=" + std::to_string(tile) + " m=" + std::to_string(m) +
+              " adaptive=" + std::to_string(adaptive) +
+              " query=" + std::to_string(qi);
+          const engine::QueryResult want = dense_tile_sweep(
+              *vf, batch[qi], opts, fused[qi].shifts_used, adaptive);
+          for (const engine::QueryResult& got :
+               {fused[qi], eng.evaluate_one(batch[qi])}) {
+            EXPECT_EQ(got.prob, want.prob) << where;
+            EXPECT_EQ(got.error3sigma, want.error3sigma) << where;
+            ASSERT_EQ(got.prefix_prob.size(), want.prefix_prob.size())
+                << where;
+            for (std::size_t i = 0; i < want.prefix_prob.size(); ++i)
+              EXPECT_EQ(got.prefix_prob[i], want.prefix_prob[i])
+                  << where << " prefix=" << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
