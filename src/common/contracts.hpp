@@ -6,7 +6,9 @@
 // decisions where silent corruption is worse than an abort-with-message.
 #pragma once
 
+#include <cmath>
 #include <source_location>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +29,20 @@ namespace detail {
               loc.file_name() + ":" + std::to_string(loc.line()));
 }
 }  // namespace detail
+
+/// Limit check of the probability entry points: Phi(b) - Phi(a) is 0 for a
+/// NaN limit, so an unchecked NaN would come back as a confident
+/// probability 0. Throws Error("<who>: NaN limit a[i]") (or b[i]) for the
+/// first NaN coordinate.
+inline void expect_no_nan_limits(const std::string& who,
+                                 std::span<const double> a,
+                                 std::span<const double> b) {
+  if (a.size() != b.size()) throw Error(who + ": limit lengths differ");
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::isnan(a[i]) || std::isnan(b[i]))
+      throw Error(who + ": NaN limit " + (std::isnan(a[i]) ? "a[" : "b[") +
+                  std::to_string(i) + "]");
+}
 
 }  // namespace parmvn
 

@@ -29,6 +29,7 @@ MvnMcResult mvn_probability_mc(la::ConstMatrixView l, std::span<const double> a,
   PARMVN_EXPECTS(static_cast<i64>(a.size()) == n &&
                  static_cast<i64>(b.size()) == n);
   PARMVN_EXPECTS(num_samples >= 1);
+  expect_no_nan_limits("mvn_probability_mc", a, b);
 
   constexpr i64 kBatch = 64;
   la::Matrix z(kBatch, n);

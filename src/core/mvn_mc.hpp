@@ -16,6 +16,7 @@ struct MvnMcResult {
   double seconds = 0.0;
 };
 
+/// A NaN limit throws parmvn::Error naming the coordinate.
 [[nodiscard]] MvnMcResult mvn_probability_mc(la::ConstMatrixView l,
                                              std::span<const double> a,
                                              std::span<const double> b,

@@ -20,132 +20,62 @@ constexpr double kUEps = 1e-16;  // keeps Phi^-1 arguments inside (0,1)
 // stay cache-friendly at typical n.
 constexpr i64 kPanelSamples = 128;
 
-}  // namespace
-
-namespace detail {
-
-void sov_panel_sweep(
-    la::ConstMatrixView l, std::span<const double> a,
-    std::span<const double> b, const stats::PointSet& pts, i64 dim0,
-    i64 sample0, i64 count, std::span<const double> scale, double* prefix_acc,
-    const std::function<void(i64, i64, const double*)>& consume) {
-  const i64 n = l.rows;
-  const i64 chunk = std::min<i64>(kPanelSamples, count);
-  la::Matrix ap(chunk, n), bp(chunk, n), yp(chunk, n);
-  const bool constant_limits = scale.empty();
-  if (constant_limits) {
-    for (i64 i = 0; i < n; ++i) {
-      std::fill_n(ap.view().col(i), chunk, a[static_cast<std::size_t>(i)]);
-      std::fill_n(bp.view().col(i), chunk, b[static_cast<std::size_t>(i)]);
-    }
-  }
-  std::vector<double> p(static_cast<std::size_t>(chunk));
-  for (i64 s0 = sample0; s0 < sample0 + count; s0 += chunk) {
-    const i64 pc = std::min(chunk, sample0 + count - s0);
-    if (!constant_limits) {
-      // Per-sample scaled limits (MVT): a'(j, i) = scale_j * a_i, the same
-      // product the scalar recursion computed per (sample, dimension).
-      for (i64 i = 0; i < n; ++i) {
-        double* __restrict ac = ap.view().col(i);
-        double* __restrict bc = bp.view().col(i);
-        const double ai = a[static_cast<std::size_t>(i)];
-        const double bi = b[static_cast<std::size_t>(i)];
-        for (i64 j = 0; j < pc; ++j) {
-          const double sc = scale[static_cast<std::size_t>(s0 + j)];
-          ac[j] = sc * ai;
-          bc[j] = sc * bi;
-        }
-      }
-    }
-    std::fill_n(p.data(), pc, 1.0);
-    qmc_tile_kernel(l, pts, dim0, s0, ap.sub(0, 0, pc, n), bp.sub(0, 0, pc, n),
-                    yp.view().sub(0, 0, pc, n), p.data(), prefix_acc);
-    consume(s0, pc, p.data());
-  }
-}
-
-SovResult sov_block_estimate(la::ConstMatrixView l, std::span<const double> a,
-                             std::span<const double> b,
-                             const stats::PointSet& pts, i64 dim0,
-                             std::span<const double> scale,
-                             const SovOptions& opts) {
-  const i64 sps = opts.samples_per_shift;
-  std::vector<double> block_sums(static_cast<std::size_t>(opts.shifts), 0.0);
-  const auto consume = [&](i64 s0, i64 pc, const double* p) {
-    for (i64 j = 0; j < pc; ++j)
-      block_sums[static_cast<std::size_t>(pts.shift_of(s0 + j))] += p[j];
-  };
-  // Block means over the first `done` shifts.
-  const auto estimate = [&](int done) {
-    std::vector<double> means(block_sums.begin(), block_sums.begin() + done);
-    for (double& m : means) m /= static_cast<double>(sps);
-    return stats::combine_block_means(means);
-  };
-
-  SovResult res;
-  if (opts.abs_tol <= 0.0 && std::isnan(opts.decision)) {
-    // Fixed budget: one sweep over the whole stream (the pre-adaptive code
-    // path, bitwise preserved).
-    sov_panel_sweep(l, a, b, pts, dim0, 0, pts.num_samples(), scale, nullptr,
-                    consume);
-    const stats::BlockEstimate est = estimate(opts.shifts);
-    res.prob = est.mean;
-    res.error3sigma = est.error3sigma;
-    res.samples_used = pts.num_samples();
-    res.shifts_used = opts.shifts;
-    return res;
-  }
-
-  // Adaptive: one shift block per round, stop as soon as the running
-  // estimate meets a criterion — 3-sigma spread under the abs_tol budget, or
-  // the decision threshold cleanly outside the 3-sigma band (the result's
-  // side of the threshold is then settled; more samples only sharpen a
-  // decided number). The estimate gates a decision, so at
-  // least two (independent) blocks are required.
-  PARMVN_EXPECTS(opts.shifts >= 2);
-  PARMVN_EXPECTS(opts.min_shifts >= 2);
-  int done = 0;
-  bool converged = false;
-  stats::BlockEstimate est;
-  while (done < opts.shifts) {
-    sov_panel_sweep(l, a, b, pts, dim0, static_cast<i64>(done) * sps, sps,
-                    scale, nullptr, consume);
-    ++done;
-    est = estimate(done);
-    if (done >= opts.min_shifts) {
-      const bool tol_met = opts.abs_tol > 0.0 && est.error3sigma <= opts.abs_tol;
-      const bool decided =
-          !std::isnan(opts.decision) &&
-          (est.mean + est.error3sigma < opts.decision ||
-           est.mean - est.error3sigma > opts.decision);
-      if (tol_met || decided) {
-        converged = true;
-        break;
-      }
-    }
-  }
-  res.prob = est.mean;
-  res.error3sigma = est.error3sigma;
-  res.samples_used = static_cast<i64>(done) * sps;
-  res.shifts_used = done;
-  res.converged = converged;
-  return res;
-}
-
-}  // namespace detail
-
-SovResult mvn_probability_chol(la::ConstMatrixView l, std::span<const double> a,
-                               std::span<const double> b,
-                               const SovOptions& opts) {
+// Shape and NaN check of an estimator's inputs.
+void check_limits(const char* who, la::ConstMatrixView l,
+                  std::span<const double> a, std::span<const double> b) {
   const i64 n = l.rows;
   PARMVN_EXPECTS(l.cols == n);
   PARMVN_EXPECTS(static_cast<i64>(a.size()) == n);
   PARMVN_EXPECTS(static_cast<i64>(b.size()) == n);
+  expect_no_nan_limits(who, a, b);
+}
 
-  const stats::PointSet pts(opts.sampler, n, opts.samples_per_shift,
+// The sample-contiguous panel sweep of the sequential estimators: runs the
+// QMC tile kernel over panels of samples against the whole factor (one
+// "tile" of size n), handing each finished panel's per-sample probability
+// products to `consume(s0, pc, p)` in ascending sample order. Panelling is
+// exact — per-sample values are independent of the chunk boundaries.
+// `prefix_acc` is an optional length-n prefix accumulator (see
+// qmc_tile_kernel).
+template <class Consume>
+void sov_panel_sweep(la::ConstMatrixView l, std::span<const double> a,
+                     std::span<const double> b, const stats::PointSet& pts,
+                     double* prefix_acc, Consume&& consume) {
+  const i64 n = l.rows;
+  const i64 count = pts.num_samples();
+  const i64 chunk = std::min<i64>(kPanelSamples, count);
+  la::Matrix ap(chunk, n), bp(chunk, n), yp(chunk, n);
+  for (i64 i = 0; i < n; ++i) {
+    std::fill_n(ap.view().col(i), chunk, a[static_cast<std::size_t>(i)]);
+    std::fill_n(bp.view().col(i), chunk, b[static_cast<std::size_t>(i)]);
+  }
+  std::vector<double> p(static_cast<std::size_t>(chunk));
+  for (i64 s0 = 0; s0 < count; s0 += chunk) {
+    const i64 pc = std::min(chunk, count - s0);
+    std::fill_n(p.data(), pc, 1.0);
+    qmc_tile_kernel(l, pts, /*dim0=*/0, s0, ap.sub(0, 0, pc, n),
+                    bp.sub(0, 0, pc, n), yp.view().sub(0, 0, pc, n), p.data(),
+                    prefix_acc);
+    consume(s0, pc, p.data());
+  }
+}
+
+}  // namespace
+
+SovResult mvn_probability_chol(la::ConstMatrixView l, std::span<const double> a,
+                               std::span<const double> b,
+                               const SovOptions& opts) {
+  check_limits("mvn_probability", l, a, b);
+  const stats::PointSet pts(opts.sampler, l.rows, opts.samples_per_shift,
                             opts.shifts, opts.seed);
-  return detail::sov_block_estimate(l, a, b, pts, /*dim0=*/0, /*scale=*/{},
-                                    opts);
+  std::vector<double> means(static_cast<std::size_t>(opts.shifts), 0.0);
+  sov_panel_sweep(l, a, b, pts, nullptr, [&](i64 s0, i64 pc, const double* p) {
+    for (i64 j = 0; j < pc; ++j)
+      means[static_cast<std::size_t>(pts.shift_of(s0 + j))] += p[j];
+  });
+  for (double& m : means) m /= static_cast<double>(opts.samples_per_shift);
+  const stats::BlockEstimate est = stats::combine_block_means(means);
+  return {est.mean, est.error3sigma};
 }
 
 SovResult mvn_probability(la::ConstMatrixView sigma, std::span<const double> a,
@@ -159,17 +89,11 @@ std::vector<double> mvn_prefix_probabilities_chol(la::ConstMatrixView l,
                                                   std::span<const double> a,
                                                   std::span<const double> b,
                                                   const SovOptions& opts) {
-  const i64 n = l.rows;
-  PARMVN_EXPECTS(l.cols == n);
-  PARMVN_EXPECTS(static_cast<i64>(a.size()) == n);
-  PARMVN_EXPECTS(static_cast<i64>(b.size()) == n);
-
-  const stats::PointSet pts(opts.sampler, n, opts.samples_per_shift,
+  check_limits("mvn_prefix_probabilities", l, a, b);
+  const stats::PointSet pts(opts.sampler, l.rows, opts.samples_per_shift,
                             opts.shifts, opts.seed);
-  std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
-  detail::sov_panel_sweep(l, a, b, pts, /*dim0=*/0, 0, pts.num_samples(),
-                          /*scale=*/{}, acc.data(),
-                          [](i64, i64, const double*) {});
+  std::vector<double> acc(static_cast<std::size_t>(l.rows), 0.0);
+  sov_panel_sweep(l, a, b, pts, acc.data(), [](i64, i64, const double*) {});
   const double inv = 1.0 / static_cast<double>(pts.num_samples());
   for (double& v : acc) v *= inv;
   return acc;

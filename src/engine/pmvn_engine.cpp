@@ -40,18 +40,13 @@ bool clears_decision(double mean, double err, double decision) {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Shape and NaN check for every query of a batch, before any screen or
-// sweep: Phi(b) - Phi(a) is 0 for a NaN limit, so without it a NaN would
-// come back as a confident probability 0.
+// sweep.
 void check_limits(std::span<const LimitSet> queries, i64 n) {
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const LimitSet& ls = queries[q];
     PARMVN_EXPECTS(static_cast<i64>(ls.a.size()) == n);
     PARMVN_EXPECTS(static_cast<i64>(ls.b.size()) == n);
-    for (i64 i = 0; i < n; ++i)
-      if (std::isnan(ls.a[static_cast<std::size_t>(i)]) ||
-          std::isnan(ls.b[static_cast<std::size_t>(i)]))
-        throw Error("PmvnEngine: query " + std::to_string(q) +
-                    " has a NaN limit at row " + std::to_string(i));
+    expect_no_nan_limits("PmvnEngine: query " + std::to_string(q), ls.a, ls.b);
   }
 }
 

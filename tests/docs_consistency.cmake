@@ -1,15 +1,17 @@
 # Docs drift check, run as a ctest (`ctest -L docs`):
 #
 #   cmake -DREADME=<README.md> -DSRC_DIR=<src> -DSUITE_COUNT=<n> \
-#         -P docs_consistency.cmake
+#         -DBENCH_LISTS=<bench/CMakeLists.txt> -P docs_consistency.cmake
 #
 # Fails when README.md disagrees with the code on
 #  * the "N GTest suites" count (SUITE_COUNT = pairs in PARMVN_TEST_SUITES);
+#  * the "N bench drivers" count vs. the entries of PARMVN_BENCHES in
+#    BENCH_LISTS;
 #  * the fault-site table of the "Failure model & degradation ladder"
 #    section vs. the PARMVN_FAULT_POINT("...") literals in src/**/*.cpp.
 cmake_minimum_required(VERSION 3.20)
 
-foreach(_var README SRC_DIR SUITE_COUNT)
+foreach(_var README SRC_DIR SUITE_COUNT BENCH_LISTS)
   if(NOT DEFINED ${_var})
     message(FATAL_ERROR "docs_consistency: -D${_var}=... is required")
   endif()
@@ -26,6 +28,24 @@ elseif(NOT CMAKE_MATCH_1 EQUAL SUITE_COUNT)
   string(APPEND _errors
          "\n  README says ${CMAKE_MATCH_1} GTest suites; "
          "PARMVN_TEST_SUITES has ${SUITE_COUNT}")
+endif()
+
+# ---- bench driver count: entries of set(PARMVN_BENCHES ...)
+file(READ "${BENCH_LISTS}" _bench_lists)
+string(REGEX MATCH "set\\(PARMVN_BENCHES([^)]*)\\)" _m "${_bench_lists}")
+if(NOT _m)
+  string(APPEND _errors "\n  ${BENCH_LISTS} has no set(PARMVN_BENCHES ...)")
+else()
+  string(REGEX MATCHALL "[A-Za-z0-9_]+" _benches "${CMAKE_MATCH_1}")
+  list(LENGTH _benches _bench_count)
+  string(REGEX MATCH "([0-9]+) bench drivers" _m "${_readme}")
+  if(NOT _m)
+    string(APPEND _errors "\n  README has no \"N bench drivers\" count")
+  elseif(NOT CMAKE_MATCH_1 EQUAL _bench_count)
+    string(APPEND _errors
+           "\n  README says ${CMAKE_MATCH_1} bench drivers; "
+           "PARMVN_BENCHES has ${_bench_count}")
+  endif()
 endif()
 
 # ---- fault-site table: rows "| `site` | ..." of the failure-model section
@@ -79,4 +99,5 @@ if(_errors)
   message(FATAL_ERROR "README.md disagrees with the code:${_errors}")
 endif()
 list(LENGTH _coded _nsites)
-message(STATUS "docs_consistency: ${SUITE_COUNT} GTest suites, ${_nsites} fault sites")
+message(STATUS "docs_consistency: ${SUITE_COUNT} GTest suites, "
+               "${_bench_count} bench drivers, ${_nsites} fault sites")

@@ -25,7 +25,6 @@
 
 #include "common/contracts.hpp"
 #include "core/excursion.hpp"
-#include "core/mvt.hpp"
 #include "core/pmvn.hpp"
 #include "core/sov.hpp"
 #include "engine/cholesky_factor.hpp"
@@ -34,7 +33,6 @@
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/potrf.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
 
@@ -149,7 +147,9 @@ TEST(Adaptive, ConvergedEstimateAgreesWithFixedBudgetReference) {
   // convergence and back it with an in-budget error bar.
   EXPECT_LE(ada.samples_used, fixed.total_samples());
   EXPECT_GE(ada.shifts_used, 2);
-  if (ada.converged) EXPECT_LE(ada.error3sigma, 5e-3);
+  if (ada.converged) {
+    EXPECT_LE(ada.error3sigma, 5e-3);
+  }
   EXPECT_NEAR(ada.prob, ref.prob, ada.error3sigma + ref.error3sigma);
 
   // Exhausting the cap reproduces the fixed-budget estimate bitwise: the
@@ -216,61 +216,6 @@ TEST(Adaptive, DecisionStopNeverFlipsRegionSide) {
       EXPECT_EQ(adaptive[qi].region[i], fixed[qi].region[i])
           << "query=" << qi << " location=" << i;
   }
-}
-
-TEST(Adaptive, StudentTDecisionStopRidesTheSharedBlockLoop) {
-  // The decision-aware early stop lives in sov_block_estimate, the round
-  // loop shared by the sequential MVN and MVT estimators — so wiring a
-  // decision through SovOptions must adapt the Student-t budget too.
-  const Problem pb(8);
-  const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  const la::Matrix sigma = geo::dense_from_generator(gen);
-  la::Matrix l = sigma;
-  la::potrf_lower_or_throw(l.view());
-  const double nu = 7.0;
-
-  core::SovOptions fixed;
-  fixed.samples_per_shift = 250;
-  fixed.shifts = 16;
-  const core::SovResult ref =
-      core::mvt_probability_chol(l.view(), nu, pb.a, pb.b, fixed);
-  EXPECT_EQ(ref.shifts_used, fixed.shifts);
-  EXPECT_TRUE(ref.converged);  // the fixed sweep *is* its own contract
-
-  // A decision far from the estimate: the running interval clears it after
-  // min_shifts and the sweep retires most of the budget.
-  core::SovOptions decided = fixed;
-  decided.decision = ref.prob < 0.5 ? 0.9 : 1e-3;
-  const core::SovResult early =
-      core::mvt_probability_chol(l.view(), nu, pb.a, pb.b, decided);
-  EXPECT_TRUE(early.converged);
-  EXPECT_LT(early.shifts_used, fixed.shifts);
-  EXPECT_GE(early.shifts_used, decided.min_shifts);
-  EXPECT_EQ(early.samples_used,
-            static_cast<i64>(early.shifts_used) * decided.samples_per_shift);
-  // Same side of the threshold as the full-budget reference (no flip).
-  EXPECT_EQ(early.prob > decided.decision, ref.prob > decided.decision);
-  EXPECT_NEAR(early.prob, ref.prob, early.error3sigma + ref.error3sigma);
-
-  // A decision pinned on top of the estimate can never be cleared: the
-  // sweep runs to the cap and reports the failure to converge — and the
-  // exhausted-cap estimate is the fixed-budget one, bitwise.
-  core::SovOptions pinned = fixed;
-  pinned.decision = ref.prob;
-  const core::SovResult capped =
-      core::mvt_probability_chol(l.view(), nu, pb.a, pb.b, pinned);
-  EXPECT_FALSE(capped.converged);
-  EXPECT_EQ(capped.shifts_used, fixed.shifts);
-  EXPECT_DOUBLE_EQ(capped.prob, ref.prob);
-  EXPECT_DOUBLE_EQ(capped.error3sigma, ref.error3sigma);
-
-  // decision == NaN and abs_tol == 0 stays the classic fixed path: the
-  // whole budget in one sweep, bitwise unchanged (checked against ref
-  // above by construction — fixed *is* that path).
-  const core::SovResult again =
-      core::mvt_probability_chol(l.view(), nu, pb.a, pb.b, fixed);
-  EXPECT_DOUBLE_EQ(again.prob, ref.prob);
-  EXPECT_DOUBLE_EQ(again.error3sigma, ref.error3sigma);
 }
 
 TEST(Adaptive, SingleShiftBlockReportsInfiniteError) {

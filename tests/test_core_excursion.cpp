@@ -168,7 +168,9 @@ TEST(Crd, RegionIsSubsetOfMarginalSet) {
   EXPECT_LT(r.region_size, 81) << "region must not cover everything";
   for (std::size_t i = 0; i < r.region.size(); ++i) {
     EXPECT_LE(r.confidence[i], r.marginal[i] + 1e-9) << i;
-    if (r.region[i] != 0) EXPECT_GE(r.marginal[i], 1.0 - opts.alpha - 1e-9);
+    if (r.region[i] != 0) {
+      EXPECT_GE(r.marginal[i], 1.0 - opts.alpha - 1e-9);
+    }
   }
 }
 

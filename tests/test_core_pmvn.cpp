@@ -238,7 +238,9 @@ TEST(PmvnTlr, ConvergesToDenseAsToleranceTightens) {
     const double gap = std::fabs(p_tlr - p_dense) / p_dense;
     EXPECT_LE(gap, prev_gap * 1.5 + 1e-9) << "tol=" << tol;
     prev_gap = gap;
-    if (tol <= 1e-8) EXPECT_LT(gap, 1e-5);
+    if (tol <= 1e-8) {
+      EXPECT_LT(gap, 1e-5);
+    }
   }
 }
 

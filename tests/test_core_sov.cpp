@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/contracts.hpp"
 #include "core/mvn_mc.hpp"
 #include "core/sov.hpp"
 #include "linalg/blas.hpp"
@@ -212,6 +215,42 @@ TEST(MvnMc, FullBoxIsOne) {
   Matrix l = Matrix::identity(3);
   std::vector<double> a(3, -kInf), b(3, kInf);
   EXPECT_DOUBLE_EQ(core::mvn_probability_mc(l.view(), a, b, 100, 1).prob, 1.0);
+}
+
+TEST(SovSeq, NanLimitThrowsNamingTheCoordinate) {
+  // Phi(b) - Phi(a) is 0 for a NaN limit: every sequential estimator must
+  // refuse it instead of returning a confident probability 0.
+  const Matrix s = equicorrelated(4, 0.3);
+  Matrix l = la::to_matrix(s.view());
+  la::potrf_lower_or_throw(l.view());
+  SovOptions opts;
+  opts.samples_per_shift = 50;
+  opts.shifts = 4;
+  const auto expect_named = [](const auto& call, const std::string& coord) {
+    try {
+      call();
+      ADD_FAILURE() << "no error for NaN " << coord;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(coord), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const bool in_a : {true, false}) {
+    std::vector<double> a(4, -1.0), b(4, 1.5);
+    (in_a ? a : b)[2] = std::numeric_limits<double>::quiet_NaN();
+    const std::string coord = in_a ? "a[2]" : "b[2]";
+    expect_named([&] { (void)core::mvn_probability(s.view(), a, b, opts); },
+                 coord);
+    expect_named(
+        [&] { (void)core::mvn_probability_chol(l.view(), a, b, opts); },
+        coord);
+    expect_named(
+        [&] { (void)core::mvn_prefix_probabilities_chol(l.view(), a, b, opts); },
+        coord);
+    expect_named(
+        [&] { (void)core::mvn_probability_mc(l.view(), a, b, 100, 1); },
+        coord);
+  }
 }
 
 }  // namespace

@@ -99,7 +99,9 @@ TEST(Truncated, DeepTailStaysFiniteAndOrdered) {
     EXPECT_TRUE(std::isfinite(got.logz)) << c.alpha;
     EXPECT_LT(got.logz, 0.0);
     EXPECT_GE(got.mean, std::min(c.alpha, c.beta) - 1e-9);
-    if (std::isfinite(c.beta)) EXPECT_LE(got.mean, c.beta + 1e-9);
+    if (std::isfinite(c.beta)) {
+      EXPECT_LE(got.mean, c.beta + 1e-9);
+    }
     EXPECT_GT(got.var, 0.0);
     EXPECT_LE(got.var, 1.0 + 1e-12);
   }

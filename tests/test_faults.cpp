@@ -433,8 +433,9 @@ TEST(Deadline, TieredBatchUnderDeadlineStillAnswersEveryQuery) {
     EXPECT_TRUE(std::isfinite(res.prob));
     // Every query was answered by some tier: the EP screen, a (possibly
     // partial) QMC sweep, or a deadline stop with >= 1 block behind it.
-    if (res.method != engine::EvalMethod::kEp)
+    if (res.method != engine::EvalMethod::kEp) {
       EXPECT_GE(res.shifts_used, 1);
+    }
   }
 }
 

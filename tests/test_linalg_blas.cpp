@@ -407,7 +407,7 @@ TEST(MatrixViews, SubViewAliasesParent) {
   MatrixView s = a.sub(2, 3, 2, 2);
   s(0, 0) = 42.0;
   EXPECT_DOUBLE_EQ(a(2, 3), 42.0);
-  EXPECT_THROW(a.sub(5, 5, 3, 1), Error);
+  EXPECT_THROW((void)a.sub(5, 5, 3, 1), Error);
 }
 
 TEST(MatrixViews, TransposeInto) {

@@ -98,7 +98,7 @@ TEST(Kernels, ParameterValidation) {
   EXPECT_THROW(ExponentialKernel(0.0, 0.1), parmvn::Error);
   EXPECT_THROW(PoweredExponentialKernel(1.0, 0.1, 2.5), parmvn::Error);
   const MaternKernel k(1.0, 0.1, 0.5);
-  EXPECT_THROW(k(-0.1), parmvn::Error);
+  EXPECT_THROW((void)k(-0.1), parmvn::Error);
 }
 
 TEST(Kernels, PaperParameterSets) {

@@ -115,7 +115,7 @@ TEST(PointSet, FillRowBitwiseMatchesPerCallValue) {
     PointSet ps(kind, 6, 20, 3, 777);
     std::vector<double> row(static_cast<std::size_t>(ps.num_samples()));
     for (i64 dim = 0; dim < 6; ++dim) {
-      for (const auto [s0, count] : {std::pair<i64, i64>{0, 60},
+      for (const auto& [s0, count] : {std::pair<i64, i64>{0, 60},
                                      {17, 25},  // straddles a shift boundary
                                      {59, 1}}) {
         ps.fill_row(dim, s0, count, row.data());
@@ -133,8 +133,8 @@ TEST(PointSet, PreconditionViolations) {
   EXPECT_THROW(PointSet(SamplerKind::kPseudoMC, 2, 0, 1, 1), parmvn::Error);
   EXPECT_THROW(PointSet(SamplerKind::kPseudoMC, 2, 10, 0, 1), parmvn::Error);
   PointSet ps(SamplerKind::kPseudoMC, 2, 10, 1, 1);
-  EXPECT_THROW(ps.value(-1, 0), parmvn::Error);
-  EXPECT_THROW(ps.value(0, 10), parmvn::Error);
+  EXPECT_THROW((void)ps.value(-1, 0), parmvn::Error);
+  EXPECT_THROW((void)ps.value(0, 10), parmvn::Error);
 }
 
 TEST(CombineBlockMeans, MeanAndSpread) {

@@ -1,5 +1,5 @@
-// Tests for the tile layer: descriptor round-trips, generator fill, tiled
-// GEMM and tiled Cholesky vs the dense reference.
+// Tests for the tile layer: descriptor round-trips, generator fill and
+// tiled Cholesky vs the dense reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "runtime/runtime.hpp"
 #include "stats/rng.hpp"
 #include "tile/tile_matrix.hpp"
-#include "tile/tiled_blas.hpp"
 #include "tile/tiled_potrf.hpp"
 
 namespace {
@@ -86,23 +85,6 @@ TEST(TileMatrix, GenerateAsyncMatchesGenerator) {
   EXPECT_DOUBLE_EQ(la::frobenius_diff(t.to_dense().view(), a.view()), 0.0);
 }
 
-TEST(TiledGemm, MatchesDense) {
-  rt::Runtime rt(4);
-  const i64 m = 70, k = 50, n = 66, nb = 24;
-  const Matrix a = random_matrix(m, k, 8);
-  const Matrix b = random_matrix(k, n, 9);
-  Matrix c = random_matrix(m, n, 10);
-  TileMatrix ta(rt, m, k, nb), tb(rt, k, n, nb), tc(rt, m, n, nb);
-  ta.from_dense(a.view());
-  tb.from_dense(b.view());
-  tc.from_dense(c.view());
-  tile::gemm_tiled_async(rt, 1.5, ta, tb, -0.5, tc);
-  rt.wait_all();
-  la::gemm(Trans::kNo, Trans::kNo, 1.5, a.view(), b.view(), -0.5, c.view());
-  EXPECT_LT(la::frobenius_diff(tc.to_dense().view(), c.view()),
-            1e-12 * (1.0 + la::frobenius_norm(c.view())));
-}
-
 class TiledPotrfSweep
     : public ::testing::TestWithParam<std::tuple<i64, i64, int>> {};
 
@@ -151,25 +133,6 @@ TEST(TiledPotrf, FlopCountFormula) {
   EXPECT_NEAR(tile::potrf_flops(1), 1.0, 1.0);
   // n^3/3 dominates.
   EXPECT_NEAR(tile::potrf_flops(1000) / (1e9 / 3.0), 1.0, 0.01);
-}
-
-TEST(TrsmTiled, PanelSolveMatchesDense) {
-  rt::Runtime rt(2);
-  const i64 n = 96, nb = 32;
-  const Matrix spd = random_spd(nb, 55);
-  Matrix lkk = la::to_matrix(spd.view());
-  la::potrf_lower_or_throw(lkk.view());
-
-  // L stored as a 1-tile symmetric matrix; B is a (n x nb) column of tiles.
-  TileMatrix l(rt, nb, nb, nb, Layout::kLowerSymmetric);
-  l.from_dense(lkk.view());
-  Matrix b = random_matrix(n, nb, 56);
-  TileMatrix tb(rt, n, nb, nb);
-  tb.from_dense(b.view());
-  tile::trsm_right_trans_tiled_async(rt, l, 0, tb);
-  rt.wait_all();
-  la::trsm(la::Side::kRight, Trans::kYes, 1.0, lkk.view(), b.view());
-  EXPECT_LT(la::frobenius_diff(tb.to_dense().view(), b.view()), 1e-11);
 }
 
 }  // namespace
