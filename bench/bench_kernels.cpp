@@ -215,7 +215,47 @@ void BM_compress_block(benchmark::State& state) {
     benchmark::DoNotOptimize(t.rank());
   }
 }
-BENCHMARK(BM_compress_block)->Arg(128)->Arg(256);
+BENCHMARK(BM_compress_block)->Arg(128)->Arg(256)->Arg(512);
+
+// The TLR Cholesky's update kernel at the shapes the n = 4096 confidence-
+// region detection feeds it: 512-row tiles whose concatenated rank (tile +
+// update) is range(0). Sites are shuffled, as the detection's ordering by
+// marginal probability scatters them; the two halves are compressions of
+// two exponential-kernel blocks sharing their rows, capped so the
+// concatenated rank is exact.
+void BM_recompress(benchmark::State& state) {
+  const i64 nb = 512;
+  const i64 rank = state.range(0);
+  geo::LocationSet locs = geo::regular_grid(64, 64);
+  std::vector<i64> perm(locs.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<i64>(i);
+  stats::Xoshiro256pp g(7);
+  for (std::size_t i = perm.size() - 1; i > 0; --i)
+    std::swap(perm[i], perm[g.next() % (i + 1)]);
+  locs = geo::apply_permutation(locs, perm);
+  auto kernel = std::make_shared<stats::ExponentialKernel>(1.0, 0.1);
+  const geo::KernelCovGenerator gen(locs, kernel, 0.0);
+  la::Matrix b1(nb, nb), b2(nb, nb);
+  gen.fill(nb, 0, b1.view());
+  gen.fill(nb, 2 * nb, b2.view());
+  const tlr::LowRankTile t1 = tlr::compress_block(b1.view(), 1e-14, rank / 2);
+  const tlr::LowRankTile t2 =
+      tlr::compress_block(b2.view(), 1e-14, rank - rank / 2);
+  tlr::LowRankTile wide{la::Matrix(nb, rank), la::Matrix(nb, rank)};
+  la::copy_into(t1.u.view(), wide.u.sub(0, 0, nb, t1.rank()));
+  la::copy_into(t1.v.view(), wide.v.sub(0, 0, nb, t1.rank()));
+  la::copy_into(t2.u.view(), wide.u.sub(0, t1.rank(), nb, t2.rank()));
+  la::copy_into(t2.v.view(), wide.v.sub(0, t1.rank(), nb, t2.rank()));
+  for (auto _ : state) {
+    const tlr::LowRankTile t = tlr::recompress(wide, 1e-3, -1);
+    benchmark::DoNotOptimize(t.rank());
+  }
+}
+BENCHMARK(BM_recompress)
+    ->Arg(64)
+    ->Arg(108)
+    ->Arg(224)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_norm_cdf(benchmark::State& state) {
   double x = -4.0;

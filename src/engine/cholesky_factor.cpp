@@ -72,6 +72,9 @@ CholeskyFactor CholeskyFactor::factor(rt::Runtime& rt,
       break;
     }
     case FactorKind::kTlr: {
+      // Outside the fallback's try: a cap of 0 is a caller error, not a
+      // factorisation failure the dense rung should absorb.
+      PARMVN_EXPECTS(spec.tlr_max_rank != 0);
       try {
         tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, gen, spec.tile,
                                                     spec.tlr_tol,

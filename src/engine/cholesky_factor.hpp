@@ -64,7 +64,8 @@ struct FactorSpec {
   FactorKind kind = FactorKind::kDense;
   i64 tile = 256;
   double tlr_tol = 1e-3;  // TLR compression accuracy (ignored for others)
-  i64 tlr_max_rank = -1;  // TLR rank cap, < 0 = uncapped (ignored for others)
+  i64 tlr_max_rank = -1;  // TLR rank cap, < 0 = uncapped, 0 rejected
+                          // (ignored for others)
   i64 vecchia_m = 30;     // Vecchia conditioning-set size (ignored for others)
   /// Dense arm: bounded diagonal-boost retries on a non-PD pivot (shared
   /// escalation schedule with the TLR arm, linalg/jitter.hpp). 0 (default)

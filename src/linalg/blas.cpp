@@ -236,11 +236,7 @@ void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
     }
     detail::gemv_notrans_simd(alpha, a, x, y);
   } else {
-    const i64 n = a.cols;
-    for (i64 j = 0; j < n; ++j) {
-      const double s = dot(a.rows, a.col(j), x);
-      y[j] = alpha * s + (beta == 0.0 ? 0.0 : beta * y[j]);
-    }
+    detail::gemv_trans_simd(alpha, a, x, beta, y);
   }
 }
 

@@ -280,6 +280,18 @@ void gemm_packed(double alpha, Trans trans_a, ConstMatrixView a,
 
 #if defined(PARMVN_SIMD_VECTOR_EXT)
 
+namespace {
+
+// Fixed-order lane reduction: pairwise over lanes.
+double hsum(v8df v) noexcept {
+  alignas(64) double lanes[8];
+  store8(lanes, v);
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+}  // namespace
+
 double dot_simd(i64 n, const double* x, const double* y) noexcept {
   v8df acc0 = splat(0.0), acc1 = splat(0.0);
   v8df acc2 = splat(0.0), acc3 = splat(0.0);
@@ -296,12 +308,78 @@ double dot_simd(i64 n, const double* x, const double* y) noexcept {
   acc0 += acc1;
   acc2 += acc3;
   acc0 += acc2;
-  alignas(64) double lanes[8];
-  store8(lanes, acc0);
-  double s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-             ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  double s = hsum(acc0);
   for (; i < n; ++i) s += x[i] * y[i];
   return s;
+}
+
+void gemv_trans_simd(double alpha, ConstMatrixView a, const double* x,
+                     double beta, double* y) {
+  const i64 m = a.rows;
+  const auto finish = [&](i64 j, double s) {
+    y[j] = alpha * s + (beta == 0.0 ? 0.0 : beta * y[j]);
+  };
+  i64 j = 0;
+  for (; j + 4 <= a.cols; j += 4) {
+    const double* __restrict c0 = a.col(j);
+    const double* __restrict c1 = a.col(j + 1);
+    const double* __restrict c2 = a.col(j + 2);
+    const double* __restrict c3 = a.col(j + 3);
+    v8df s00 = splat(0.0), s01 = splat(0.0), s10 = splat(0.0), s11 = splat(0.0);
+    v8df s20 = splat(0.0), s21 = splat(0.0), s30 = splat(0.0), s31 = splat(0.0);
+    i64 i = 0;
+    for (; i + 16 <= m; i += 16) {
+      const v8df x0 = load8(x + i);
+      const v8df x1 = load8(x + i + 8);
+      s00 += load8(c0 + i) * x0;
+      s01 += load8(c0 + i + 8) * x1;
+      s10 += load8(c1 + i) * x0;
+      s11 += load8(c1 + i + 8) * x1;
+      s20 += load8(c2 + i) * x0;
+      s21 += load8(c2 + i + 8) * x1;
+      s30 += load8(c3 + i) * x0;
+      s31 += load8(c3 + i + 8) * x1;
+    }
+    if (i + 8 <= m) {
+      const v8df x0 = load8(x + i);
+      s00 += load8(c0 + i) * x0;
+      s10 += load8(c1 + i) * x0;
+      s20 += load8(c2 + i) * x0;
+      s30 += load8(c3 + i) * x0;
+      i += 8;
+    }
+    double t0 = hsum(s00 + s01), t1 = hsum(s10 + s11);
+    double t2 = hsum(s20 + s21), t3 = hsum(s30 + s31);
+    for (; i < m; ++i) {
+      t0 += c0[i] * x[i];
+      t1 += c1[i] * x[i];
+      t2 += c2[i] * x[i];
+      t3 += c3[i] * x[i];
+    }
+    finish(j, t0);
+    finish(j + 1, t1);
+    finish(j + 2, t2);
+    finish(j + 3, t3);
+  }
+  for (; j < a.cols; ++j) finish(j, dot_simd(m, a.col(j), x));
+}
+
+void rot_simd(i64 n, double c, double s, double* x, double* y) noexcept {
+  const v8df vc = splat(c);
+  const v8df vs = splat(s);
+  i64 i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const v8df xi = load8(x + i);
+    const v8df yi = load8(y + i);
+    store8(x + i, vc * xi - vs * yi);
+    store8(y + i, vs * xi + vc * yi);
+  }
+  for (; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
 }
 
 void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,
@@ -350,6 +428,49 @@ double dot_simd(i64 n, const double* x, const double* y) noexcept {
              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
   for (; i < n; ++i) s += x[i] * y[i];
   return s;
+}
+
+void gemv_trans_simd(double alpha, ConstMatrixView a, const double* x,
+                     double beta, double* y) {
+  const i64 m = a.rows;
+  const auto finish = [&](i64 j, double s) {
+    y[j] = alpha * s + (beta == 0.0 ? 0.0 : beta * y[j]);
+  };
+  i64 j = 0;
+  for (; j + 4 <= a.cols; j += 4) {
+    for (i64 q = 0; q < 4; ++q) {
+      // One column of the vector version: two 8-lane accumulators over
+      // 16-row blocks, an 8-row block into the first, then the tail.
+      const double* c = a.col(j + q);
+      double s0[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+      double s1[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+      i64 i = 0;
+      for (; i + 16 <= m; i += 16)
+        for (int l = 0; l < 8; ++l) {
+          s0[l] += c[i + l] * x[i + l];
+          s1[l] += c[i + 8 + l] * x[i + 8 + l];
+        }
+      if (i + 8 <= m) {
+        for (int l = 0; l < 8; ++l) s0[l] += c[i + l] * x[i + l];
+        i += 8;
+      }
+      for (int l = 0; l < 8; ++l) s0[l] += s1[l];
+      double t = ((s0[0] + s0[1]) + (s0[2] + s0[3])) +
+                 ((s0[4] + s0[5]) + (s0[6] + s0[7]));
+      for (; i < m; ++i) t += c[i] * x[i];
+      finish(j + q, t);
+    }
+  }
+  for (; j < a.cols; ++j) finish(j, dot_simd(m, a.col(j), x));
+}
+
+void rot_simd(i64 n, double c, double s, double* x, double* y) noexcept {
+  for (i64 i = 0; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
 }
 
 void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,

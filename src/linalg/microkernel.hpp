@@ -84,6 +84,20 @@ void set_pack_helpers(int helpers);
 /// naive left-to-right sum, so callers get reassociated rounding).
 [[nodiscard]] double dot_simd(i64 n, const double* x, const double* y) noexcept;
 
+/// SIMD y[j] = alpha * (A(:, j) . x) + beta * y[j] backing la::gemv's
+/// transposed case (the pivoted QR's per-step F column is the hot caller).
+/// Four columns per pass share each x load, two 8-lane accumulators per
+/// column; the per-column reduction order depends only on the shape.
+/// beta == 0 overwrites y without reading it.
+void gemv_trans_simd(double alpha, ConstMatrixView a, const double* x,
+                     double beta, double* y);
+
+/// SIMD plane rotation (x, y) <- (c x - s y, s x + c y) over n entries: the
+/// column update of the one-sided Jacobi SVD (linalg/svd.cpp). Elementwise,
+/// so vectorising reassociates nothing (the native build may contract the
+/// multiply-adds).
+void rot_simd(i64 n, double c, double s, double* x, double* y) noexcept;
+
 /// SIMD y += sum_j (alpha * x[j]) * A(:, j) column sweep backing la::gemv's
 /// no-transpose case; bitwise identical to the scalar loop (vectorising over
 /// rows does not reassociate any per-element sum).

@@ -1,11 +1,14 @@
 #include "linalg/svd.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <numeric>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/microkernel.hpp"
+#include "linalg/qr.hpp"
 
 namespace parmvn::la {
 
@@ -17,25 +20,55 @@ SvdResult svd_jacobi(ConstMatrixView a) {
   const i64 m = work.rows();
   const i64 n = work.cols();
 
-  Matrix v = Matrix::identity(n);
-  MatrixView w = work.view();
+  // Preconditioner (Drmac-Veselic): column-pivoted QR  work P = Q R, cut
+  // where the largest remaining column norm drops to rounding level,
+  // n eps |R_00| (|R_00| is the largest column norm, within sqrt(n) of
+  // sigma_1). Dropping R's trailing rows perturbs the matrix by at most
+  // ~n^1.5 eps sigma_1.
+  Matrix qr = to_matrix(work.view());
+  const detail::PivotedQr pq = detail::pivoted_qr(
+      qr.view(), 0.0, n, 0.0, static_cast<double>(n) * DBL_EPSILON);
+  const i64 k = pq.rank;
+  SvdResult out;
+  if (k == 0) {
+    // The zero matrix: one zero component with unit singular vectors.
+    out.sigma = {0.0};
+    out.u = Matrix(a.rows, 1);
+    out.v = Matrix(a.cols, 1);
+    out.u(0, 0) = 1.0;
+    out.v(0, 0) = 1.0;
+    return out;
+  }
+  // X = P R^T (n x k): work ~= Q X^T, so work and X share their singular
+  // values and X's left singular vectors are work's right ones. Jacobi on
+  // R^T needs fewer sweeps than on `work` itself: the pivoting grades its
+  // columns by decreasing norm (Drmac-Veselic), and it has only k columns.
+  Matrix x(n, k);
+  for (i64 j = 0; j < n; ++j) {
+    const i64 orig = pq.perm[static_cast<std::size_t>(j)];
+    const i64 top = std::min(j, k - 1);
+    for (i64 i = 0; i <= top; ++i) x(orig, i) = qr(i, j);
+  }
 
-  // Cyclic one-sided Jacobi: orthogonalise column pairs until all rotations
-  // in a sweep are negligible.
-  const double tol = 1e-15;
+  // Cyclic one-sided Jacobi on X: orthogonalise column pairs until every
+  // pair passes the LAPACK dgesvj test |x_p . x_q| <= sqrt(n) eps/2
+  // |x_p| |x_q|. Column masses are cached and updated by the rotation
+  // identity (x_p.x_p -= t x_p.x_q, x_q.x_q += t x_p.x_q), refreshed
+  // exactly at each sweep and after heavy cancellation; only the right
+  // singular vectors are wanted, so the rotations are not accumulated.
+  MatrixView xv = x.view();
+  const double tol = std::sqrt(static_cast<double>(n)) * 0.5 * DBL_EPSILON;
+  std::vector<double> mass(static_cast<std::size_t>(k));
   const int max_sweeps = 60;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    for (i64 j = 0; j < k; ++j)
+      mass[static_cast<std::size_t>(j)] = dot(n, xv.col(j), xv.col(j));
     bool rotated = false;
-    for (i64 p = 0; p < n - 1; ++p) {
-      for (i64 q = p + 1; q < n; ++q) {
-        double app = 0.0, aqq = 0.0, apq = 0.0;
-        const double* cp = w.col(p);
-        const double* cq = w.col(q);
-        for (i64 i = 0; i < m; ++i) {
-          app += cp[i] * cp[i];
-          aqq += cq[i] * cq[i];
-          apq += cp[i] * cq[i];
-        }
+    for (i64 p = 0; p < k - 1; ++p) {
+      for (i64 q = p + 1; q < k; ++q) {
+        double& app = mass[static_cast<std::size_t>(p)];
+        double& aqq = mass[static_cast<std::size_t>(q)];
+        const double apq = dot(n, xv.col(p), xv.col(q));
         if (std::fabs(apq) <= tol * std::sqrt(app * aqq) || apq == 0.0)
           continue;
         rotated = true;
@@ -43,58 +76,46 @@ SvdResult svd_jacobi(ConstMatrixView a) {
         const double t = std::copysign(
             1.0 / (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta)), zeta);
         const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        double* mp = w.col(p);
-        double* mq = w.col(q);
-        for (i64 i = 0; i < m; ++i) {
-          const double wp = mp[i];
-          const double wq = mq[i];
-          mp[i] = c * wp - s * wq;
-          mq[i] = s * wp + c * wq;
-        }
-        double* vp = v.view().col(p);
-        double* vq = v.view().col(q);
-        for (i64 i = 0; i < n; ++i) {
-          const double xp = vp[i];
-          const double xq = vq[i];
-          vp[i] = c * xp - s * xq;
-          vq[i] = s * xp + c * xq;
-        }
+        detail::rot_simd(n, c, c * t, xv.col(p), xv.col(q));
+        const double app_new = app - t * apq;
+        app = app_new < 0.5 * app ? dot(n, xv.col(p), xv.col(p)) : app_new;
+        aqq += t * apq;
       }
     }
     if (!rotated) break;
   }
 
-  // Singular values = column norms; U = normalised columns.
-  std::vector<double> sigma(static_cast<std::size_t>(n));
-  Matrix u(m, n);
-  for (i64 j = 0; j < n; ++j) {
-    double s = 0.0;
-    const double* cj = w.col(j);
-    for (i64 i = 0; i < m; ++i) s += cj[i] * cj[i];
-    s = std::sqrt(s);
-    sigma[static_cast<std::size_t>(j)] = s;
-    const double inv = (s > 0.0) ? 1.0 / s : 0.0;
-    for (i64 i = 0; i < m; ++i) u(i, j) = cj[i] * inv;
-  }
-
-  // Sort descending by singular value.
-  std::vector<i64> order(static_cast<std::size_t>(n));
+  // Singular values = column norms, sorted descending; V = normalised
+  // columns of X; U = work V Sigma^-1 (one GEMM, accurate to
+  // eps sigma_1 / sigma_j per column, and U Sigma = work V to eps sigma_1).
+  std::vector<double> sigma(static_cast<std::size_t>(k));
+  for (i64 j = 0; j < k; ++j)
+    sigma[static_cast<std::size_t>(j)] =
+        std::sqrt(dot(n, xv.col(j), xv.col(j)));
+  std::vector<i64> order(static_cast<std::size_t>(k));
   std::iota(order.begin(), order.end(), i64{0});
-  std::sort(order.begin(), order.end(), [&](i64 x, i64 y) {
-    return sigma[static_cast<std::size_t>(x)] > sigma[static_cast<std::size_t>(y)];
+  std::stable_sort(order.begin(), order.end(), [&](i64 p, i64 q) {
+    return sigma[static_cast<std::size_t>(p)] >
+           sigma[static_cast<std::size_t>(q)];
   });
-  SvdResult out;
-  out.sigma.resize(static_cast<std::size_t>(n));
-  out.u = Matrix(m, n);
-  out.v = Matrix(n, n);
-  for (i64 j = 0; j < n; ++j) {
+  out.sigma.resize(static_cast<std::size_t>(k));
+  Matrix v(n, k);
+  for (i64 j = 0; j < k; ++j) {
     const i64 src = order[static_cast<std::size_t>(j)];
-    out.sigma[static_cast<std::size_t>(j)] = sigma[static_cast<std::size_t>(src)];
-    for (i64 i = 0; i < m; ++i) out.u(i, j) = u(i, src);
-    for (i64 i = 0; i < n; ++i) out.v(i, j) = v(i, src);
+    const double s = sigma[static_cast<std::size_t>(src)];
+    out.sigma[static_cast<std::size_t>(j)] = s;
+    const double* xs = xv.col(src);
+    for (i64 i = 0; i < n; ++i) v(i, j) = xs[i] / s;
   }
-
+  Matrix u(m, k);
+  gemm(Trans::kNo, Trans::kNo, 1.0, work.view(), v.view(), 0.0, u.view());
+  for (i64 j = 0; j < k; ++j) {
+    const double inv = 1.0 / out.sigma[static_cast<std::size_t>(j)];
+    double* uj = u.view().col(j);
+    for (i64 i = 0; i < m; ++i) uj[i] *= inv;
+  }
+  out.u = std::move(u);
+  out.v = std::move(v);
   if (transposed) std::swap(out.u, out.v);
   return out;
 }

@@ -1,9 +1,14 @@
 // One-sided Jacobi singular value decomposition.
 //
-// Used on the small cores that appear in low-rank recompression
-// (r x r with r = tile rank, typically < 100) and as a high-accuracy oracle
-// in tests. One-sided Jacobi is slow for big matrices but essentially
-// backward-stable and simple to verify.
+// Used on the cores that appear in low-rank recompression (r x r with r
+// the concatenated rank of a tile and its update: on the n = 4096
+// confidence-region detection r averages ~108 and reaches ~235) and as a
+// high-accuracy oracle in tests. The Jacobi sweeps run on R^T from a
+// column-pivoted QR of the input (Drmac-Veselic preconditioning), which
+// takes a few sweeps off (13 -> 10 on bench_kernels' 224-column
+// BM_recompress core) and drops the numerically-zero part of the spectrum
+// before any rotation; one-sided Jacobi stays essentially backward-stable
+// and simple to verify.
 #pragma once
 
 #include <vector>
@@ -19,7 +24,15 @@ struct SvdResult {
   Matrix v;                    // n x k, orthonormal columns
 };
 
-/// Thin SVD A = U diag(sigma) V^T with k = min(m, n).
+/// Thin SVD A ~= U diag(sigma) V^T of the numerical rank: the k <= min(m, n)
+/// components above the rounding-level cut of the pivoted-QR preconditioner
+/// (largest remaining column norm <= min(m, n) eps |A|'s largest column
+/// norm); the dropped part has norm ~min(m, n)^1.5 eps sigma_1. The zero
+/// matrix gives one zero component. For m >= n, V comes straight from the
+/// Jacobi sweeps, orthonormal to working precision, and U = A V
+/// diag(sigma)^-1, whose column j is accurate to eps sigma_1 / sigma_j —
+/// so U diag(sigma) is always accurate to eps sigma_1. For m < n the roles
+/// of U and V swap. Throws parmvn::Error on a NaN or inf entry.
 [[nodiscard]] SvdResult svd_jacobi(ConstMatrixView a);
 
 /// Smallest rank r such that the discarded tail satisfies

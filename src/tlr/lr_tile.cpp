@@ -19,6 +19,7 @@ la::Matrix LowRankTile::to_dense() const {
 
 LowRankTile compress_block(la::ConstMatrixView a, double accuracy,
                            i64 max_rank) {
+  PARMVN_EXPECTS(max_rank != 0);
   // HiCMA accuracy semantics: keep singular components down to
   // accuracy * sigma_1(tile) (RRQR pivot norms track the residual's leading
   // singular value; the first pivot anchors the scale). This relative rule
@@ -29,6 +30,7 @@ LowRankTile compress_block(la::ConstMatrixView a, double accuracy,
 }
 
 LowRankTile recompress(const LowRankTile& t, double accuracy, i64 max_rank) {
+  PARMVN_EXPECTS(max_rank != 0);
   const i64 r = t.rank();
   // QR of both factors, SVD of the r x r core R_u R_v^T, then truncate.
   la::Matrix qu = la::to_matrix(t.u.view());
@@ -47,29 +49,29 @@ LowRankTile recompress(const LowRankTile& t, double accuracy, i64 max_rank) {
   la::Matrix core(ku, kv);
   la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, ru.view(), rv.view(), 0.0,
            core.view());
-  la::SvdResult svd = la::svd_jacobi(core.view());
+  const la::SvdResult svd = la::svd_jacobi(core.view());
   // The core's singular values are the tile's singular values; keep the
   // components with sigma_k >= accuracy * sigma_1 (HiCMA accuracy rule).
-  i64 keep = la::truncation_rank_sv(svd.sigma, accuracy * svd.sigma.front());
+  // A zero tile stays the rank-1 zero tile (rrqr_truncated's convention):
+  // with sigma_1 = 0 the threshold would keep every component.
+  const double sigma1 = svd.sigma.front();
+  if (sigma1 == 0.0)
+    return LowRankTile{la::Matrix(t.rows(), 1), la::Matrix(t.cols(), 1)};
+  i64 keep = la::truncation_rank_sv(svd.sigma, accuracy * sigma1);
   if (max_rank > 0) keep = std::min(keep, max_rank);
 
-  la::Matrix qu_thin = la::form_q_thin(qu.view(), tau_u, ku);
-  la::Matrix qv_thin = la::form_q_thin(qv.view(), tau_v, kv);
-  // U = Q_u * (W_r * diag(sigma_r)), V = Q_v * Z_r.
-  la::Matrix w_scaled(ku, keep);
-  for (i64 j = 0; j < keep; ++j)
-    for (i64 i = 0; i < ku; ++i)
-      w_scaled(i, j) = svd.u(i, j) * svd.sigma[static_cast<std::size_t>(j)];
+  // U = Q_u [W_k diag(sigma_k); 0], V = Q_v [Z_k; 0]: the reflectors are
+  // applied to the `keep` kept columns only; no thin Q is formed.
   LowRankTile out;
   out.u = la::Matrix(t.rows(), keep);
   out.v = la::Matrix(t.cols(), keep);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qu_thin.view(),
-           w_scaled.view(), 0.0, out.u.view());
-  la::Matrix z(kv, keep);
-  for (i64 j = 0; j < keep; ++j)
-    for (i64 i = 0; i < kv; ++i) z(i, j) = svd.v(i, j);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qv_thin.view(), z.view(), 0.0,
-           out.v.view());
+  for (i64 j = 0; j < keep; ++j) {
+    const double s = svd.sigma[static_cast<std::size_t>(j)];
+    for (i64 i = 0; i < ku; ++i) out.u(i, j) = svd.u(i, j) * s;
+    for (i64 i = 0; i < kv; ++i) out.v(i, j) = svd.v(i, j);
+  }
+  la::apply_q(qu.view(), tau_u, out.u.view());
+  la::apply_q(qv.view(), tau_v, out.v.view());
   return out;
 }
 

@@ -28,13 +28,16 @@ struct LowRankTile {
 /// produces Fig. 5's rank structure: rough (weak-correlation) kernels keep
 /// many components near the diagonal while far tiles vanish entirely.
 /// Optional rank cap (max_rank < 0 = uncapped; a binding cap degrades
-/// accuracy — the wind study caps at 145).
+/// accuracy — the wind study caps at 145; 0 is rejected).
 [[nodiscard]] LowRankTile compress_block(la::ConstMatrixView a, double accuracy,
                                          i64 max_rank);
 
 /// Recompress an existing factorisation under the same fixed-accuracy rule
-/// (QR of both factors + SVD of the small core; components with singular
-/// value < accuracy are dropped). Used after additions inflate the rank.
+/// (components with sigma < accuracy * sigma_1 are dropped, then the cap
+/// applies; max_rank < 0 = uncapped, 0 is rejected). Used after additions
+/// inflate the rank. Blocked QR of both factors, preconditioned Jacobi SVD
+/// of the r x r core, and the reflectors applied to the kept columns only;
+/// a tile with sigma_1 = 0 comes back as the rank-1 zero tile.
 [[nodiscard]] LowRankTile recompress(const LowRankTile& t, double accuracy,
                                      i64 max_rank);
 

@@ -74,6 +74,7 @@ TlrMatrix TlrMatrix::compress(rt::Runtime& rt, const la::MatrixGenerator& gen,
   PARMVN_EXPECTS(gen.rows() == gen.cols());
   PARMVN_EXPECTS(tile_size >= 1);
   PARMVN_EXPECTS(accuracy >= 0.0);
+  PARMVN_EXPECTS(max_rank != 0);  // a cap of 0 would zero every tile
 
   TlrMatrix m;
   m.n_ = gen.rows();

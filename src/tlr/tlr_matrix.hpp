@@ -25,7 +25,7 @@ class TlrMatrix {
   /// keeps exactly its singular components with singular value >= accuracy
   /// (the paper's "compression accuracy" 1e-1 ... 1e-9, well-scaled for
   /// unit-variance correlation matrices). `max_rank` caps tile ranks
-  /// (< 0 = uncapped). One runtime task per tile.
+  /// (< 0 = uncapped; 0 throws parmvn::Error). One runtime task per tile.
   static TlrMatrix compress(rt::Runtime& rt, const la::MatrixGenerator& gen,
                             i64 tile_size, double accuracy, i64 max_rank,
                             CompressionMethod method = CompressionMethod::kRrqr,

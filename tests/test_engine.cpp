@@ -109,6 +109,21 @@ TEST(CholeskyFactor, FactorOrderedRecordsMetadata) {
   EXPECT_GT(f.factor_seconds(), 0.0);
 }
 
+// tlr_max_rank = 0 would compress every off-diagonal block to zero and
+// factor the block-diagonal matrix: rejected typed, before any compression,
+// and not absorbed by the dense fallback.
+TEST(CholeskyFactor, TlrZeroRankCapIsRejected) {
+  const SpatialProblem pb(6);
+  rt::Runtime rt(2);
+  for (const bool fallback : {false, true}) {
+    engine::FactorSpec spec{engine::FactorKind::kTlr, 12, 1e-3, 0};
+    spec.fallback = fallback;
+    EXPECT_THROW((void)engine::CholeskyFactor::factor_ordered(
+                     rt, *pb.cov, identity_order(pb.n()), spec),
+                 Error);
+  }
+}
+
 TEST(CholeskyFactor, BorrowedDenseMatchesOwnedFactor) {
   // A borrowed factor and an owned factor of the same matrix must drive the
   // engine to bitwise-identical results.

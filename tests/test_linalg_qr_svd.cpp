@@ -6,6 +6,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "ref_householder_qr.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -22,6 +23,14 @@ Matrix random_matrix(i64 m, i64 n, u64 seed) {
   return a;
 }
 
+// The thin Q (m x k) of a householder_qr factor: Q applied to [I_k; 0].
+Matrix thin_q(la::ConstMatrixView qr, const std::vector<double>& tau, i64 k) {
+  Matrix q(qr.rows, k);
+  for (i64 j = 0; j < k; ++j) q(j, j) = 1.0;
+  la::apply_q(qr, tau, q.view());
+  return q;
+}
+
 // A = U diag(sv) V^T with orthonormal-ish factors built from QR of random
 // matrices; gives controlled singular values.
 Matrix matrix_with_singular_values(i64 m, i64 n, const std::vector<double>& sv,
@@ -30,15 +39,24 @@ Matrix matrix_with_singular_values(i64 m, i64 n, const std::vector<double>& sv,
   Matrix qu = random_matrix(m, k, seed);
   std::vector<double> tau;
   la::householder_qr(qu.view(), tau);
-  Matrix u = la::form_q_thin(qu.view(), tau, k);
+  Matrix u = thin_q(qu.view(), tau, k);
   Matrix qv = random_matrix(n, k, seed + 1);
   la::householder_qr(qv.view(), tau);
-  Matrix v = la::form_q_thin(qv.view(), tau, k);
+  Matrix v = thin_q(qv.view(), tau, k);
   for (i64 j = 0; j < k; ++j)
     for (i64 i = 0; i < m; ++i) u(i, j) *= sv[static_cast<std::size_t>(j)];
   Matrix a(m, n);
   la::gemm(Trans::kNo, Trans::kYes, 1.0, u.view(), v.view(), 0.0, a.view());
   return a;
+}
+
+// Upper-trapezoidal R (min(m, n) x n) out of a dgeqrf-layout factor.
+Matrix upper_r(const Matrix& qr) {
+  const i64 k = std::min(qr.rows(), qr.cols());
+  Matrix r(k, qr.cols());
+  for (i64 j = 0; j < qr.cols(); ++j)
+    for (i64 i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = qr(i, j);
+  return r;
 }
 
 double orthonormality_defect(la::ConstMatrixView q) {
@@ -56,7 +74,7 @@ TEST(HouseholderQr, ReconstructsAndQOrthonormal) {
     std::vector<double> tau;
     la::householder_qr(a.view(), tau);
     const i64 k = std::min(m, n);
-    Matrix q = la::form_q_thin(a.view(), tau, k);
+    Matrix q = thin_q(a.view(), tau, k);
     EXPECT_LT(orthonormality_defect(q.view()), 1e-12) << m << "x" << n;
     // R = leading k x n upper triangle.
     Matrix r(k, n);
@@ -67,6 +85,68 @@ TEST(HouseholderQr, ReconstructsAndQOrthonormal) {
     EXPECT_LT(la::frobenius_diff(rec.view(), a0.view()),
               1e-12 * (1.0 + la::frobenius_norm(a0.view())))
         << m << "x" << n;
+  }
+}
+
+// The blocked compact-WY QR and Q application against the unblocked
+// reflectors, on shapes straddling the panel width, with zero columns.
+TEST(HouseholderQr, BlockedMatchesUnblockedReflectors) {
+  const i64 nb = la::kQrPanel;
+  for (const i64 m : {i64{1}, i64{7}, i64{64}, i64{512}}) {
+    for (const i64 n : {i64{1}, nb - 1, nb, nb + 1, 2 * nb + 3, i64{235}}) {
+      for (const bool zero_cols : {false, true}) {
+        Matrix a0 = random_matrix(m, n, 31 + static_cast<u64>(m * n));
+        if (zero_cols) {
+          for (const i64 j : {i64{0}, n / 2, n - 1})
+            for (i64 i = 0; i < m; ++i) a0(i, j) = 0.0;
+        }
+        const double scale = 1.0 + la::frobenius_norm(a0.view());
+        Matrix a = la::to_matrix(a0.view());
+        std::vector<double> tau;
+        la::householder_qr(a.view(), tau);
+        Matrix ref = la::to_matrix(a0.view());
+        std::vector<double> ref_tau;
+        ref_qr::householder_qr(ref.view(), ref_tau);
+        const i64 k = std::min(m, n);
+        ASSERT_EQ(static_cast<i64>(tau.size()), k);
+        for (i64 j = 0; j < k; ++j)
+          EXPECT_NEAR(tau[static_cast<std::size_t>(j)],
+                      ref_tau[static_cast<std::size_t>(j)], 1e-13)
+              << m << "x" << n << " j=" << j;
+        const Matrix r = upper_r(a);
+        EXPECT_LT(la::frobenius_diff(r.view(), upper_r(ref).view()),
+                  1e-13 * scale)
+            << m << "x" << n;
+        // Q = apply_q([I_k; 0]) agrees with the explicit unblocked Q, is
+        // orthonormal, and Q R reproduces A.
+        const Matrix q = thin_q(a.view(), tau, k);
+        const Matrix q_ref = ref_qr::form_q_thin(ref.view(), ref_tau, k);
+        EXPECT_LT(la::frobenius_diff(q.view(), q_ref.view()),
+                  1e-13 * std::sqrt(static_cast<double>(k)))
+            << m << "x" << n;
+        Matrix gram(k, k);
+        la::gemm(Trans::kYes, Trans::kNo, 1.0, q.view(), q.view(), 0.0,
+                 gram.view());
+        for (i64 i = 0; i < k; ++i) gram(i, i) -= 1.0;
+        EXPECT_LT(la::max_abs(gram.view()), 1e-13) << m << "x" << n;
+        Matrix rec(m, n);
+        la::gemm(Trans::kNo, Trans::kNo, 1.0, q.view(), r.view(), 0.0,
+                 rec.view());
+        EXPECT_LT(la::frobenius_diff(rec.view(), a0.view()), 1e-13 * scale)
+            << m << "x" << n;
+        // apply_q on a general [X; 0] block equals Q_k X.
+        const Matrix x = random_matrix(k, 5, 41);
+        Matrix c(m, 5);
+        la::copy_into(x.view(), c.sub(0, 0, k, 5));
+        la::apply_q(a.view(), tau, c.view());
+        Matrix qx(m, 5);
+        la::gemm(Trans::kNo, Trans::kNo, 1.0, q_ref.view(), x.view(), 0.0,
+                 qx.view());
+        EXPECT_LT(la::frobenius_diff(c.view(), qx.view()),
+                  1e-13 * (1.0 + la::frobenius_norm(x.view())))
+            << m << "x" << n;
+      }
+    }
   }
 }
 
@@ -131,6 +211,26 @@ TEST(Rrqr, ZeroMatrixGivesRankOneZeroFactor) {
   EXPECT_DOUBLE_EQ(la::frobenius_norm(lr.v.view()), 0.0);
 }
 
+// Ranks across several panels: the once-per-panel trailing update and the
+// per-step pivot-row updates must keep the tracked residual exact.
+TEST(Rrqr, MultiPanelRankTracksResidual) {
+  std::vector<double> sv;
+  for (int i = 0; i < 120; ++i) sv.push_back(std::pow(0.9, i));
+  const Matrix a = matrix_with_singular_values(300, 200, sv, 37);
+  for (double tol : {1e-2, 1e-4}) {
+    const la::RrqrResult lr = la::rrqr_truncated(a.view(), tol, -1);
+    EXPECT_GT(lr.rank, la::kQrPanel) << "tol=" << tol;
+    Matrix rec(300, 200);
+    la::gemm(Trans::kNo, Trans::kYes, 1.0, lr.u.view(), lr.v.view(), 0.0,
+             rec.view());
+    const double err = la::frobenius_diff(rec.view(), a.view());
+    EXPECT_LE(err, tol * 1.01) << "tol=" << tol;
+    EXPECT_LE(lr.residual_fro, tol * 1.01) << "tol=" << tol;
+    EXPECT_NEAR(err, lr.residual_fro, 1e-7) << "tol=" << tol;
+    EXPECT_LT(orthonormality_defect(lr.u.view()), 1e-12) << "tol=" << tol;
+  }
+}
+
 TEST(SvdJacobi, DiagonalMatrix) {
   Matrix a(4, 4);
   a(0, 0) = 4.0;
@@ -177,6 +277,68 @@ TEST(SvdJacobi, AgreesWithRrqrResidual) {
   const la::SvdResult s = la::svd_jacobi(a.view());
   for (std::size_t i = 0; i < sv.size(); ++i)
     EXPECT_NEAR(s.sigma[i], sv[i], 1e-10) << i;
+}
+
+// Duplicated columns: the pivoted-QR preconditioner drops the numerically
+// zero half of the spectrum before any rotation.
+TEST(SvdJacobi, RankDeficientInputKeepsNumericalRank) {
+  const Matrix base = random_matrix(40, 6, 43);
+  Matrix a(40, 12);
+  la::copy_into(base.view(), a.sub(0, 0, 40, 6));
+  la::copy_into(base.view(), a.sub(0, 6, 40, 6));
+  for (const bool transpose : {false, true}) {
+    Matrix in = transpose ? Matrix(12, 40) : la::to_matrix(a.view());
+    if (transpose) la::transpose_into(a.view(), in.view());
+    const la::SvdResult s = la::svd_jacobi(in.view());
+    ASSERT_EQ(s.sigma.size(), 6u);
+    EXPECT_LT(orthonormality_defect(s.u.view()), 1e-12);
+    EXPECT_LT(orthonormality_defect(s.v.view()), 1e-12);
+    Matrix us = la::to_matrix(s.u.view());
+    for (i64 j = 0; j < 6; ++j)
+      for (i64 i = 0; i < us.rows(); ++i)
+        us(i, j) *= s.sigma[static_cast<std::size_t>(j)];
+    Matrix rec(in.rows(), in.cols());
+    la::gemm(Trans::kNo, Trans::kYes, 1.0, us.view(), s.v.view(), 0.0,
+             rec.view());
+    EXPECT_LT(la::frobenius_diff(rec.view(), in.view()),
+              1e-13 * la::frobenius_norm(in.view()));
+  }
+}
+
+TEST(SvdJacobi, ZeroMatrixGivesOneZeroComponent) {
+  const Matrix a(9, 5);
+  const la::SvdResult s = la::svd_jacobi(a.view());
+  ASSERT_EQ(s.sigma.size(), 1u);
+  EXPECT_EQ(s.sigma[0], 0.0);
+  EXPECT_EQ(s.u.rows(), 9);
+  EXPECT_EQ(s.v.rows(), 5);
+}
+
+// A spectrum graded over twelve decades comes back to ~eps sigma_1
+// absolute accuracy, every component above the rounding cut kept.
+TEST(SvdJacobi, GradedSpectrumAccurate) {
+  std::vector<double> sv;
+  for (int i = 0; i < 25; ++i) sv.push_back(std::pow(10.0, -0.5 * i));
+  const Matrix a = matrix_with_singular_values(60, 40, sv, 47);
+  const la::SvdResult s = la::svd_jacobi(a.view());
+  ASSERT_EQ(s.sigma.size(), sv.size());
+  for (std::size_t i = 0; i < sv.size(); ++i)
+    EXPECT_NEAR(s.sigma[i], sv[i], 1e-13) << i;
+}
+
+// A NaN or inf entry throws instead of reading as the zero matrix: a NaN
+// column mass fails every comparison of the pivoted QR, which would stop at
+// rank 0.
+TEST(SvdJacobi, NonFiniteInputThrowsTyped) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const bool wide : {false, true}) {
+      Matrix a = wide ? random_matrix(6, 11, 53) : random_matrix(11, 6, 53);
+      a(3, 4) = bad;
+      EXPECT_THROW((void)la::svd_jacobi(a.view()), Error) << bad << wide;
+      EXPECT_THROW((void)la::rrqr_truncated(a.view(), 1e-8, -1), Error)
+          << bad << wide;
+    }
+  }
 }
 
 TEST(TruncationRank, TailRule) {

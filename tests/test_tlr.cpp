@@ -2,13 +2,18 @@
 // algebra, the TLR matrix container, and TLR Cholesky vs the dense oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
+#include "linalg/svd.hpp"
+#include "ref_householder_qr.hpp"
 #include "stats/covariance.hpp"
 #include "stats/rng.hpp"
 #include "tlr/aca.hpp"
@@ -35,6 +40,270 @@ std::unique_ptr<KernelCovGenerator> grid_cov(i64 nx, i64 ny, double range,
   locs = geo::apply_permutation(locs, perm);
   auto kernel = std::make_shared<stats::MaternKernel>(1.0, range, nu);
   return std::make_unique<KernelCovGenerator>(std::move(locs), kernel, nugget);
+}
+
+// Verbatim copy of the unblocked recompression that tlr::recompress
+// replaced (unblocked Householder QR and explicit thin Qs from
+// ref_householder_qr.hpp, unpreconditioned one-sided Jacobi with
+// accumulated V): the oracle for the blocked kernel.
+namespace oracle {
+
+struct Svd {
+  Matrix u;
+  std::vector<double> sigma;
+  Matrix v;
+};
+
+Svd svd_jacobi(la::ConstMatrixView a) {
+  const bool transposed = a.rows < a.cols;
+  Matrix work = transposed ? Matrix(a.cols, a.rows) : la::to_matrix(a);
+  if (transposed) la::transpose_into(a, work.view());
+  const i64 m = work.rows();
+  const i64 n = work.cols();
+  Matrix v = Matrix::identity(n);
+  la::MatrixView w = work.view();
+  const double tol = 1e-15;
+  const int max_sweeps = 60;
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    bool rotated = false;
+    for (i64 p = 0; p < n - 1; ++p) {
+      for (i64 q = p + 1; q < n; ++q) {
+        double app = 0.0, aqq = 0.0, apq = 0.0;
+        const double* cp = w.col(p);
+        const double* cq = w.col(q);
+        for (i64 i = 0; i < m; ++i) {
+          app += cp[i] * cp[i];
+          aqq += cq[i] * cq[i];
+          apq += cp[i] * cq[i];
+        }
+        if (std::fabs(apq) <= tol * std::sqrt(app * aqq) || apq == 0.0)
+          continue;
+        rotated = true;
+        const double zeta = (aqq - app) / (2.0 * apq);
+        const double t = std::copysign(
+            1.0 / (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta)), zeta);
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double s = c * t;
+        double* mp = w.col(p);
+        double* mq = w.col(q);
+        for (i64 i = 0; i < m; ++i) {
+          const double wp = mp[i];
+          const double wq = mq[i];
+          mp[i] = c * wp - s * wq;
+          mq[i] = s * wp + c * wq;
+        }
+        double* vp = v.view().col(p);
+        double* vq = v.view().col(q);
+        for (i64 i = 0; i < n; ++i) {
+          const double xp = vp[i];
+          const double xq = vq[i];
+          vp[i] = c * xp - s * xq;
+          vq[i] = s * xp + c * xq;
+        }
+      }
+    }
+    if (!rotated) break;
+  }
+  std::vector<double> sigma(static_cast<std::size_t>(n));
+  Matrix u(m, n);
+  for (i64 j = 0; j < n; ++j) {
+    double s = 0.0;
+    const double* cj = w.col(j);
+    for (i64 i = 0; i < m; ++i) s += cj[i] * cj[i];
+    s = std::sqrt(s);
+    sigma[static_cast<std::size_t>(j)] = s;
+    const double inv = (s > 0.0) ? 1.0 / s : 0.0;
+    for (i64 i = 0; i < m; ++i) u(i, j) = cj[i] * inv;
+  }
+  std::vector<i64> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), i64{0});
+  std::sort(order.begin(), order.end(), [&](i64 x, i64 y) {
+    return sigma[static_cast<std::size_t>(x)] >
+           sigma[static_cast<std::size_t>(y)];
+  });
+  Svd out;
+  out.sigma.resize(static_cast<std::size_t>(n));
+  out.u = Matrix(m, n);
+  out.v = Matrix(n, n);
+  for (i64 j = 0; j < n; ++j) {
+    const i64 src = order[static_cast<std::size_t>(j)];
+    out.sigma[static_cast<std::size_t>(j)] =
+        sigma[static_cast<std::size_t>(src)];
+    for (i64 i = 0; i < m; ++i) out.u(i, j) = u(i, src);
+    for (i64 i = 0; i < n; ++i) out.v(i, j) = v(i, src);
+  }
+  if (transposed) std::swap(out.u, out.v);
+  return out;
+}
+
+LowRankTile recompress(const LowRankTile& t, double accuracy, i64 max_rank) {
+  const i64 r = t.rank();
+  Matrix qu = la::to_matrix(t.u.view());
+  Matrix qv = la::to_matrix(t.v.view());
+  std::vector<double> tau_u, tau_v;
+  ref_qr::householder_qr(qu.view(), tau_u);
+  ref_qr::householder_qr(qv.view(), tau_v);
+  const i64 ku = std::min(qu.rows(), r);
+  const i64 kv = std::min(qv.rows(), r);
+  Matrix ru(ku, r), rv(kv, r);
+  for (i64 j = 0; j < r; ++j) {
+    for (i64 i = 0; i <= std::min(j, ku - 1); ++i) ru(i, j) = qu(i, j);
+    for (i64 i = 0; i <= std::min(j, kv - 1); ++i) rv(i, j) = qv(i, j);
+  }
+  Matrix core(ku, kv);
+  la::gemm(Trans::kNo, Trans::kYes, 1.0, ru.view(), rv.view(), 0.0,
+           core.view());
+  Svd svd = oracle::svd_jacobi(core.view());
+  i64 keep = la::truncation_rank_sv(svd.sigma, accuracy * svd.sigma.front());
+  if (max_rank > 0) keep = std::min(keep, max_rank);
+  Matrix qu_thin = ref_qr::form_q_thin(qu.view(), tau_u, ku);
+  Matrix qv_thin = ref_qr::form_q_thin(qv.view(), tau_v, kv);
+  Matrix w_scaled(ku, keep);
+  for (i64 j = 0; j < keep; ++j)
+    for (i64 i = 0; i < ku; ++i)
+      w_scaled(i, j) = svd.u(i, j) * svd.sigma[static_cast<std::size_t>(j)];
+  LowRankTile out;
+  out.u = Matrix(t.rows(), keep);
+  out.v = Matrix(t.cols(), keep);
+  la::gemm(Trans::kNo, Trans::kNo, 1.0, qu_thin.view(), w_scaled.view(), 0.0,
+           out.u.view());
+  Matrix z(kv, keep);
+  for (i64 j = 0; j < keep; ++j)
+    for (i64 i = 0; i < kv; ++i) z(i, j) = svd.v(i, j);
+  la::gemm(Trans::kNo, Trans::kNo, 1.0, qv_thin.view(), z.view(), 0.0,
+           out.v.view());
+  return out;
+}
+
+}  // namespace oracle
+
+Matrix random_normal(i64 m, i64 n, stats::Xoshiro256pp& g) {
+  Matrix a(m, n);
+  for (i64 j = 0; j < n; ++j)
+    for (i64 i = 0; i < m; ++i) a(i, j) = g.next_normal();
+  return a;
+}
+
+// Orthonormal m x k basis: the Q of a random matrix.
+Matrix random_orthonormal(i64 m, i64 k, stats::Xoshiro256pp& g) {
+  Matrix q = random_normal(m, k, g);
+  std::vector<double> tau;
+  ref_qr::householder_qr(q.view(), tau);
+  return ref_qr::form_q_thin(q.view(), tau, k);
+}
+
+// A tile with the given singular values, written with an inflated rank of
+// 2 * sv.size(): U = Q_u diag(sv) B, V = Q_v C with B C^T = I, so the
+// concatenated factors carry twice the tile's rank, as after an update.
+LowRankTile inflated_tile(i64 m, i64 n, const std::vector<double>& sv,
+                          u64 seed) {
+  stats::Xoshiro256pp g(seed);
+  const i64 k = static_cast<i64>(sv.size());
+  Matrix qu = random_orthonormal(m, k, g);
+  const Matrix qv = random_orthonormal(n, k, g);
+  for (i64 j = 0; j < k; ++j)
+    for (i64 i = 0; i < m; ++i) qu(i, j) *= sv[static_cast<std::size_t>(j)];
+  // B = [H, I - H], C = [I, I] with H random: B C^T = I exactly.
+  const Matrix h = random_normal(k, k, g);
+  Matrix b(k, 2 * k), c(k, 2 * k);
+  for (i64 j = 0; j < k; ++j) {
+    for (i64 i = 0; i < k; ++i) {
+      b(i, j) = h(i, j);
+      b(i, k + j) = (i == j ? 1.0 : 0.0) - h(i, j);
+    }
+    c(j, j) = 1.0;
+    c(j, k + j) = 1.0;
+  }
+  LowRankTile t{Matrix(m, 2 * k), Matrix(n, 2 * k)};
+  la::gemm(Trans::kNo, Trans::kNo, 1.0, qu.view(), b.view(), 0.0,
+           t.u.view());
+  la::gemm(Trans::kNo, Trans::kNo, 1.0, qv.view(), c.view(), 0.0,
+           t.v.view());
+  return t;
+}
+
+double tile_diff_fro(const LowRankTile& a, const LowRankTile& b) {
+  const Matrix da = a.to_dense();
+  const Matrix db = b.to_dense();
+  return la::frobenius_diff(da.view(), db.view());
+}
+
+// The blocked recompression keeps the oracle's rank and agrees with it to
+// 1e-12 sigma_1 on graded spectra whose threshold sits in a gap.
+TEST(LowRankTile, RecompressMatchesUnblockedOracle) {
+  for (const double acc : {1e-1, 1e-3, 1e-6, 1e-9, 1e-12}) {
+    // 30 values graded from 1 down to 4 acc, a gap, then 20 more from
+    // acc / 4 down towards rounding level.
+    std::vector<double> sv;
+    for (int i = 0; i < 30; ++i)
+      sv.push_back(std::pow(4.0 * acc, static_cast<double>(i) / 29.0));
+    for (int i = 0; i < 20; ++i)
+      sv.push_back(acc / 4.0 *
+                   std::pow(1e-3, static_cast<double>(i) / 19.0));
+    const LowRankTile t = inflated_tile(200, 150, sv, 61);
+    const LowRankTile ref = oracle::recompress(t, acc, -1);
+    const LowRankTile got = tlr::recompress(t, acc, -1);
+    EXPECT_EQ(got.rank(), 30) << "acc=" << acc;
+    EXPECT_EQ(got.rank(), ref.rank()) << "acc=" << acc;
+    EXPECT_LE(tile_diff_fro(got, ref), 1e-12 * sv.front()) << "acc=" << acc;
+  }
+}
+
+// Rank-deficient inputs: duplicated columns, and zero-padded (inflated)
+// factors — both must come back at the tile's true rank, matching the
+// oracle; and a binding cap keeps the same leading components.
+TEST(LowRankTile, RecompressRankDeficientAndCappedMatchOracle) {
+  stats::Xoshiro256pp g(67);
+  const Matrix u0 = random_normal(120, 8, g);
+  const Matrix v0 = random_normal(90, 8, g);
+  LowRankTile dup{Matrix(120, 16), Matrix(90, 16)};
+  la::copy_into(u0.view(), dup.u.sub(0, 0, 120, 8));
+  la::copy_into(u0.view(), dup.u.sub(0, 8, 120, 8));
+  la::copy_into(v0.view(), dup.v.sub(0, 0, 90, 8));
+  la::copy_into(v0.view(), dup.v.sub(0, 8, 90, 8));
+  LowRankTile padded{Matrix(120, 13), Matrix(90, 13)};
+  la::copy_into(u0.view(), padded.u.sub(0, 0, 120, 8));
+  la::copy_into(v0.view(), padded.v.sub(0, 0, 90, 8));
+  for (const LowRankTile* t : {&dup, &padded}) {
+    const LowRankTile ref = oracle::recompress(*t, 1e-10, -1);
+    const LowRankTile got = tlr::recompress(*t, 1e-10, -1);
+    EXPECT_EQ(got.rank(), 8);
+    EXPECT_EQ(ref.rank(), 8);
+    const double scale = la::frobenius_norm(t->to_dense().view());
+    EXPECT_LE(tile_diff_fro(got, ref), 1e-12 * scale);
+    EXPECT_LE(tlr::lr_error_fro(got, t->to_dense().view()), 1e-12 * scale);
+  }
+  std::vector<double> sv;
+  for (int i = 0; i < 40; ++i) sv.push_back(std::pow(0.7, i));
+  const LowRankTile t = inflated_tile(160, 100, sv, 71);
+  const LowRankTile ref = oracle::recompress(t, 1e-9, 12);
+  const LowRankTile got = tlr::recompress(t, 1e-9, 12);
+  EXPECT_EQ(got.rank(), 12);
+  EXPECT_EQ(ref.rank(), 12);
+  EXPECT_LE(tile_diff_fro(got, ref), 1e-12);
+}
+
+// A zero tile given zero updates stays the rank-1 zero tile: with
+// sigma_1 = 0 the relative threshold accuracy * sigma_1 would keep every
+// component, and the rank would grow by the update's rank each time.
+TEST(LowRankTile, ZeroUpdatesKeepZeroTileAtRankOne) {
+  LowRankTile t{Matrix(64, 1), Matrix(48, 1)};
+  const Matrix u2(64, 5), v2(48, 5);
+  for (int update = 0; update < 4; ++update) {
+    tlr::add_lowrank_inplace(t, -1.0, u2.view(), v2.view(), 1e-3, -1);
+    EXPECT_EQ(t.rank(), 1) << "update " << update;
+  }
+  EXPECT_EQ(la::frobenius_norm(t.u.view()), 0.0);
+  EXPECT_EQ(la::frobenius_norm(t.v.view()), 0.0);
+}
+
+// A NaN in a factor reaches the core's SVD, which throws; it must not
+// come back as an exact zero block.
+TEST(LowRankTile, RecompressNonFiniteFactorThrowsTyped) {
+  stats::Xoshiro256pp g(67);
+  LowRankTile t{random_normal(64, 10, g), random_normal(48, 10, g)};
+  t.u(17, 3) = std::nan("");
+  EXPECT_THROW((void)tlr::recompress(t, 1e-3, -1), Error);
 }
 
 TEST(LowRankTile, CompressErrorScalesWithAccuracy) {
@@ -232,6 +501,19 @@ TEST(TlrMatrix, AcaMethodProducesComparableRanks) {
       TlrMatrix::compress(rt, *gen, 48, 1e-4, -1, CompressionMethod::kAca);
   EXPECT_NEAR(aca.mean_offdiag_rank(), rrqr.mean_offdiag_rank(),
               0.5 * rrqr.mean_offdiag_rank() + 2.0);
+}
+
+// A rank cap of 0 would compress every off-diagonal tile to exactly zero
+// (and recompression reads 0 as uncapped): it is rejected up front.
+TEST(TlrMatrix, ZeroRankCapIsRejected) {
+  rt::Runtime rt(2);
+  auto gen = grid_cov(16, 16, 0.1);
+  EXPECT_THROW((void)TlrMatrix::compress(rt, *gen, 64, 1e-3, 0), Error);
+  Matrix block(64, 64);
+  gen->fill(64, 0, block.view());
+  EXPECT_THROW((void)tlr::compress_block(block.view(), 1e-3, 0), Error);
+  const LowRankTile t = tlr::compress_block(block.view(), 1e-3, -1);
+  EXPECT_THROW((void)tlr::recompress(t, 1e-3, 0), Error);
 }
 
 TEST(TlrMatrix, MaxRankCapIsHonored) {
