@@ -1,23 +1,13 @@
-// Environment-variable configuration knobs shared by tests and benches.
+// The library's one environment knob: the default worker count.
 #pragma once
-
-#include <string>
-
-#include "common/types.hpp"
 
 namespace parmvn {
 
-/// Number of worker threads to use by default: $PARMVN_NUM_THREADS if set,
-/// else std::thread::hardware_concurrency(), else 1.
+/// Number of worker threads to use by default: $PARMVN_NUM_THREADS if set
+/// and non-empty, else std::thread::hardware_concurrency(), else 1. A set
+/// value must be a positive decimal integer that fits in int, written with
+/// nothing around it; anything else throws parmvn::Error naming the
+/// variable.
 int default_num_threads();
-
-/// Integer environment variable with fallback.
-i64 env_i64(const char* name, i64 fallback);
-
-/// Floating-point environment variable with fallback.
-double env_f64(const char* name, double fallback);
-
-/// String environment variable with fallback.
-std::string env_str(const char* name, const std::string& fallback);
 
 }  // namespace parmvn

@@ -36,7 +36,6 @@
 
 #include "engine/factor_backend.hpp"
 #include "linalg/generator.hpp"
-#include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
 
 namespace parmvn::tile {
@@ -139,26 +138,10 @@ class CholeskyFactor {
   /// otherwise.
   [[nodiscard]] const std::vector<double>& sd() const noexcept { return sd_; }
 
-  // ---- sweep interface (forwarded to the backend; see
-  //      engine/factor_backend.hpp for the two panel protocols) ----
+  /// The sweep interface: tile geometry and the two panel protocols (see
+  /// engine/factor_backend.hpp).
   [[nodiscard]] const FactorBackend& backend() const noexcept {
     return *backend_;
-  }
-  [[nodiscard]] bool mean_panel_form() const noexcept {
-    return backend_->mean_panel_form();
-  }
-  [[nodiscard]] la::ConstMatrixView diag_view(i64 r) const {
-    return backend_->diag_view(r);
-  }
-  [[nodiscard]] rt::DataHandle diag_handle(i64 r) const {
-    return backend_->diag_handle(r);
-  }
-  [[nodiscard]] rt::DataHandle off_handle(i64 i, i64 r) const {
-    return backend_->off_handle(i, r);
-  }
-  void apply_update(i64 i, i64 r, la::ConstMatrixView y, la::MatrixView a,
-                    la::MatrixView b) const {
-    backend_->apply_update(i, r, y, a, b);
   }
 
   /// The concrete factored matrix (throws unless kind() matches); for

@@ -10,7 +10,9 @@ void DenseBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
   // (possibly wide, multi-query) panel. Each output element's reduction
   // order in the microkernel depends only on the k extent, so per-sample
   // rows stay bitwise independent of the panel width (the batched==single
-  // contract). An empty b is all +inf and stays so: no B update.
+  // contract; tests/test_linalg_blas.cpp's
+  // Gemm.RowsBitwiseIndependentOfPanelHeight pins it). An empty b is all
+  // +inf and stays so: no B update.
   la::ConstMatrixView lir = l_->tile(i, r);
   la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, a);
   if (b.data != nullptr)

@@ -194,6 +194,9 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     std::span<const LimitSet> queries, double elapsed_s) const {
   const WallTimer timer;
   const CholeskyFactor& f = *factor_;
+  // The sweep's tasks reach the factor through its backend; the engine's
+  // factor_ keeps it alive until every task has run.
+  const FactorBackend* const fb = &f.backend();
   const i64 n = f.dim();
   const i64 m = f.tile_size();
   const i64 mt = f.row_tiles();
@@ -251,7 +254,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     // chain — already serialised by the probability-product handle — is the
     // only dependency, so no per-pair panel handles or update tasks exist.
     // See engine/factor_backend.hpp.
-    const bool meanp = f.mean_panel_form();
+    const bool meanp = fb->mean_panel_form();
     // Reduced-limit sweeps stop at the batch's constrained extent: tile
     // rows [0, mts) are swept, and the n_swept rows they hold cover every
     // active query's last finite limit (at least one tile row is always
@@ -407,7 +410,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
           const la::ConstMatrixView lrr =
-              meanp ? la::ConstMatrixView{} : f.diag_view(r);
+              meanp ? la::ConstMatrixView{} : fb->diag_view(r);
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
             la::MatrixView at = A[static_cast<std::size_t>(r)].sub(
@@ -436,7 +439,6 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
               const std::span<const double> qb =
                   q.b.subspan(static_cast<std::size_t>(row0),
                               static_cast<std::size_t>(mr));
-              const FactorBackend* fb = &f.backend();
               const std::vector<la::Matrix>* yall = &Y;
               const i64 col0 = ct.col0;
               const i64 cw = ct.width;
@@ -455,7 +457,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
             la::ConstMatrixView bt = b_slice(r, ct.col0, ct.width);
             la::ConstMatrixView atc = at;
             rt_.submit("qmc",
-                       {{f.diag_handle(r), rt::Access::kRead},
+                       {{fb->diag_handle(r), rt::Access::kRead},
                         {handle(r, t), rt::Access::kReadWrite},
                         {p_handles[static_cast<std::size_t>(t)],
                          rt::Access::kReadWrite}},
@@ -474,12 +476,11 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                                                                    mi);
             la::MatrixView bw = b_slice(i, 0, width);
             wide_accesses.clear();
-            wide_accesses.push_back({f.off_handle(i, r), rt::Access::kRead});
+            wide_accesses.push_back({fb->off_handle(i, r), rt::Access::kRead});
             for (i64 t = 0; t < nct; ++t) {
               wide_accesses.push_back({handle(r, t), rt::Access::kRead});
               wide_accesses.push_back({handle(i, t), rt::Access::kReadWrite});
             }
-            const CholeskyFactor* fp = factor_.get();
             // Host-side submit failure with earlier tasks already in flight:
             // the catch below must drain them before releasing handles.
             PARMVN_FAULT_POINT("engine.submit");
@@ -488,8 +489,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
             // lane; the remaining updates trail (same weighting as the
             // factorizations, see runtime/priority.hpp).
             rt_.submit("pmvn_update", wide_accesses,
-                       [fp, i, r, yw, aw, bw] {
-                         fp->apply_update(i, r, yw, aw, bw);
+                       [fb, i, r, yw, aw, bw] {
+                         fb->apply_update(i, r, yw, aw, bw);
                        },
                        i == r + 1 ? rt::kPrioSweep : rt::kPrioUpdate);
           }

@@ -1,12 +1,8 @@
 #include "linalg/microkernel.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 
 #include "common/aligned.hpp"
-#include "common/env.hpp"
-#include "common/parallel.hpp"
 #include "common/simd.hpp"
 
 namespace parmvn::la::detail {
@@ -31,54 +27,6 @@ PackScratch& scratch() {
     s.b.resize(static_cast<std::size_t>(kKC * kNC));
   }
   return s;
-}
-
-// ---- parallel packing (ROADMAP lever: very large single GEMMs) ----
-//
-// Packing is pure data movement: the packed bytes are identical however the
-// panel range is split, so large packs can be spread over the shared
-// HelperPool without touching the determinism contract. The pool is
-// single-flight (common/parallel.hpp): when several threads run big GEMMs
-// at once, one wins the helpers and the rest pack serially — never
-// oversubscribing, never blocking.
-//
-// Gates: the whole mode needs an operand strictly larger than
-// kParallelPackMinElems elements (m*k for A, k*n for B — a B-dominated
-// shape like 64 x 4096 x 4096 qualifies through its panels even though
-// m*k is tiny). Tile-task GEMMs never qualify: nb <= 512 gives both
-// operands exactly 2^18 elements at most, under the strict >. An
-// individual pack call is additionally only split when it moves at least
-// kParallelPackMinPanelElems elements — with the default kMC/kKC blocking
-// only the B panel (kKC x kNC = 192 KiB-class) clears that bar; the A
-// panel path is gated the same way so a retuned blocking picks it up for
-// free.
-constexpr i64 kParallelPackMinElems = i64{1} << 18;       // per-operand gate
-constexpr i64 kParallelPackMinPanelElems = i64{1} << 15;  // per-pack gate
-
-std::mutex& pack_pool_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::unique_ptr<common::HelperPool>& pack_pool_slot() {
-  static std::unique_ptr<common::HelperPool> pool;
-  return pool;
-}
-
-int default_pack_helpers() {
-  // PARMVN_PACK_THREADS counts helpers (0 disables); default: the host's
-  // spare hardware threads, capped — packing is bandwidth-bound and stops
-  // scaling long before the core count on big machines.
-  const i64 env = env_i64("PARMVN_PACK_THREADS", -1);
-  if (env >= 0) return static_cast<int>(std::min<i64>(env, 15));
-  return std::clamp(default_num_threads() - 1, 0, 7);
-}
-
-common::HelperPool& pack_pool() {
-  std::lock_guard<std::mutex> g(pack_pool_mu());
-  auto& slot = pack_pool_slot();
-  if (!slot) slot = std::make_unique<common::HelperPool>(default_pack_helpers());
-  return *slot;
 }
 
 // Pack op(A)(i0:i0+mc, p0:p0+kc) into column-panels of kMR rows:
@@ -224,14 +172,6 @@ void micro_kernel(i64 kc, const double* __restrict ap,
 
 }  // namespace
 
-void set_pack_helpers(int helpers) {
-  std::lock_guard<std::mutex> g(pack_pool_mu());
-  pack_pool_slot() = std::make_unique<common::HelperPool>(
-      helpers < 0 ? default_pack_helpers() : helpers);
-}
-
-int pack_helpers() { return pack_pool().helpers(); }
-
 void gemm_packed(double alpha, Trans trans_a, ConstMatrixView a,
                  Trans trans_b, ConstMatrixView b, MatrixView c) {
   const i64 m = c.rows;
@@ -240,30 +180,15 @@ void gemm_packed(double alpha, Trans trans_a, ConstMatrixView a,
   PackScratch& s = scratch();
   double* const apack = s.a.data();
   double* const bpack = s.b.data();
-  const bool parallel_pack = m * k > kParallelPackMinElems ||
-                             k * n > kParallelPackMinElems;
 
   for (i64 jc = 0; jc < n; jc += kNC) {
     const i64 nc = std::min(kNC, n - jc);
     for (i64 pc = 0; pc < k; pc += kKC) {
       const i64 kc = std::min(kKC, k - pc);
-      // Split the pack by whole micro-panels (kNR columns / kMR rows): a
-      // chunk [x0, x1) writes exactly out[x0*kc, x1*kc), so chunks are
-      // disjoint and the packed buffer is byte-identical to a serial pack.
-      if (!(parallel_pack && kc * nc >= kParallelPackMinPanelElems &&
-            pack_pool().try_run(nc, kNR, [&](i64 j0, i64 j1) {
-              pack_b(trans_b, b, pc, jc + j0, kc, j1 - j0, bpack + j0 * kc);
-            }))) {
-        pack_b(trans_b, b, pc, jc, kc, nc, bpack);
-      }
+      pack_b(trans_b, b, pc, jc, kc, nc, bpack);
       for (i64 ic = 0; ic < m; ic += kMC) {
         const i64 mc = std::min(kMC, m - ic);
-        if (!(parallel_pack && kc * mc >= kParallelPackMinPanelElems &&
-              pack_pool().try_run(mc, kMR, [&](i64 i0, i64 i1) {
-                pack_a(trans_a, a, ic + i0, pc, i1 - i0, kc, apack + i0 * kc);
-              }))) {
-          pack_a(trans_a, a, ic, pc, mc, kc, apack);
-        }
+        pack_a(trans_a, a, ic, pc, mc, kc, apack);
         for (i64 jr = 0; jr < nc; jr += kNR) {
           const i64 nr = std::min(kNR, nc - jr);
           const double* bp = bpack + (jr / kNR) * (kNR * kc);

@@ -58,27 +58,13 @@ inline constexpr i64 kNC = 1024;
 /// C += alpha * op(A) * op(B), with op(A) m x k, op(B) k x n, C m x n.
 /// Operand transposition is handled while packing panels. The caller
 /// (la::gemm) has already applied beta to C and screened out alpha == 0 and
-/// empty shapes.
-///
-/// Very large GEMMs (an operand — m·k or k·n — past an internal threshold)
-/// split their panel packing across a shared helper pool
-/// (common/parallel.hpp) — packed bytes
-/// are identical however the range is split, so the result stays bitwise
-/// equal to the serial path. The pool is single-flight and sized by
-/// PARMVN_PACK_THREADS (default: spare hardware threads, capped; 0
-/// disables), so tile tasks running under the runtime never oversubscribe.
+/// empty shapes. Packing and the microkernel both run on the calling thread.
 void gemm_packed(double alpha, Trans trans_a, ConstMatrixView a,
                  Trans trans_b, ConstMatrixView b, MatrixView c);
 
-/// Resize the shared packing helper pool (tests/benchmarks only — callers
-/// must ensure no GEMM is in flight). Negative restores the default sizing.
-void set_pack_helpers(int helpers);
-
-/// Current helper-thread count of the packing pool (0 = packing is serial).
-[[nodiscard]] int pack_helpers();
-
-/// SIMD dot product backing la::dot (ACA pivot search and the QMC sweep's
-/// triangular solves are the hot callers). Four independent 8-lane
+/// SIMD dot product backing la::dot (the hot callers are the Jacobi SVD's
+/// column inner products, the Householder and pivoted-QR column norms, and
+/// the ACA compression's norm updates). Four independent 8-lane
 /// accumulators, reduced in a fixed lane order — the reduction order depends
 /// only on n, preserving the determinism contract (but it differs from the
 /// naive left-to-right sum, so callers get reassociated rounding).

@@ -8,7 +8,10 @@
 #  * the "N bench drivers" count vs. the entries of PARMVN_BENCHES in
 #    BENCH_LISTS;
 #  * the fault-site table of the "Failure model & degradation ladder"
-#    section vs. the PARMVN_FAULT_POINT("...") literals in src/**/*.cpp.
+#    section vs. the PARMVN_FAULT_POINT("...") literals in src/**/*.cpp;
+#  * the names in the "Runtime environment knobs:" paragraph vs. the
+#    "PARMVN_..." string literals in src/**/*.{cpp,hpp} (the variables the
+#    library reads).
 cmake_minimum_required(VERSION 3.20)
 
 foreach(_var README SRC_DIR SUITE_COUNT BENCH_LISTS)
@@ -95,9 +98,47 @@ foreach(_site IN LISTS _documented)
   endif()
 endforeach()
 
+# ---- environment knobs: `PARMVN_...` names of the knob paragraph
+string(REGEX MATCH "Runtime environment knobs:[^\n]*(\n[^\n]+)*" _knob_par
+       "${_readme}")
+if(NOT _knob_par)
+  string(APPEND _errors "\n  README has no \"Runtime environment knobs:\" paragraph")
+endif()
+string(REGEX MATCHALL "`PARMVN_[A-Z0-9_]+`" _hits "${_knob_par}")
+set(_knobs_documented "")
+foreach(_hit IN LISTS _hits)
+  string(REPLACE "`" "" _knob "${_hit}")
+  list(APPEND _knobs_documented "${_knob}")
+endforeach()
+
+file(GLOB_RECURSE _knob_sources "${SRC_DIR}/*.cpp" "${SRC_DIR}/*.hpp")
+set(_knobs_coded "")
+foreach(_file IN LISTS _knob_sources)
+  file(READ "${_file}" _text)
+  string(REGEX MATCHALL "\"PARMVN_[A-Z0-9_]+\"" _hits "${_text}")
+  foreach(_hit IN LISTS _hits)
+    string(REPLACE "\"" "" _knob "${_hit}")
+    list(APPEND _knobs_coded "${_knob}")
+  endforeach()
+endforeach()
+list(REMOVE_DUPLICATES _knobs_coded)
+
+foreach(_knob IN LISTS _knobs_coded)
+  if(NOT _knob IN_LIST _knobs_documented)
+    string(APPEND _errors "\n  src/ reads `${_knob}`, which README's knob paragraph omits")
+  endif()
+endforeach()
+foreach(_knob IN LISTS _knobs_documented)
+  if(NOT _knob IN_LIST _knobs_coded)
+    string(APPEND _errors "\n  README lists knob `${_knob}`, which no src/ file reads")
+  endif()
+endforeach()
+
 if(_errors)
   message(FATAL_ERROR "README.md disagrees with the code:${_errors}")
 endif()
 list(LENGTH _coded _nsites)
+list(LENGTH _knobs_coded _nknobs)
 message(STATUS "docs_consistency: ${SUITE_COUNT} GTest suites, "
-               "${_bench_count} bench drivers, ${_nsites} fault sites")
+               "${_bench_count} bench drivers, ${_nsites} fault sites, "
+               "${_nknobs} environment knobs")

@@ -1,8 +1,10 @@
-// Tests for src/common: contracts, aligned allocation, env knobs, timer.
+// Tests for src/common: contracts, aligned memory, PARMVN_NUM_THREADS, timer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "common/aligned.hpp"
 #include "common/contracts.hpp"
@@ -49,26 +51,54 @@ TEST(Aligned, AllocatorEquality) {
   EXPECT_TRUE(a == b);
 }
 
+// Sets PARMVN_NUM_THREADS, or unsets it for nullptr.
+void set_num_threads_env(const char* value) {
+  if (value == nullptr) {
+    ::unsetenv("PARMVN_NUM_THREADS");
+  } else {
+    ::setenv("PARMVN_NUM_THREADS", value, 1);
+  }
+}
+
 TEST(Env, FallbacksWhenUnset) {
-  ::unsetenv("PARMVN_TEST_UNSET_VAR");
-  EXPECT_EQ(env_i64("PARMVN_TEST_UNSET_VAR", 42), 42);
-  EXPECT_DOUBLE_EQ(env_f64("PARMVN_TEST_UNSET_VAR", 2.5), 2.5);
-  EXPECT_EQ(env_str("PARMVN_TEST_UNSET_VAR", "abc"), "abc");
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw == 0 ? 1 : static_cast<int>(hw);
+  for (const char* v : {static_cast<const char*>(nullptr), ""}) {
+    set_num_threads_env(v);
+    EXPECT_EQ(default_num_threads(), expected);
+  }
+  set_num_threads_env(nullptr);
 }
 
 TEST(Env, ReadsValuesWhenSet) {
-  ::setenv("PARMVN_TEST_VAR", "7", 1);
-  EXPECT_EQ(env_i64("PARMVN_TEST_VAR", 0), 7);
-  ::setenv("PARMVN_TEST_VAR", "1.5", 1);
-  EXPECT_DOUBLE_EQ(env_f64("PARMVN_TEST_VAR", 0.0), 1.5);
-  ::unsetenv("PARMVN_TEST_VAR");
+  const std::pair<const char*, int> cases[] = {
+      {"1", 1}, {"7", 7}, {"007", 7}, {"2147483647", 2147483647}};
+  for (const auto& [v, n] : cases) {
+    set_num_threads_env(v);
+    EXPECT_EQ(default_num_threads(), n) << v;
+  }
+  set_num_threads_env(nullptr);
 }
 
 TEST(Env, DefaultThreadsPositive) {
   EXPECT_GE(default_num_threads(), 1);
-  ::setenv("PARMVN_NUM_THREADS", "3", 1);
+  set_num_threads_env("3");
   EXPECT_EQ(default_num_threads(), 3);
-  ::unsetenv("PARMVN_NUM_THREADS");
+  // Only default_num_threads() sees these values: a Runtime built from a
+  // value that slipped through would start that many threads.
+  for (const char* v : {"abc", "4x", "4294967297", "2147483648", "-3", "0x10",
+                        "0", "+4", " 4", "4 "}) {
+    set_num_threads_env(v);
+    try {
+      (void)default_num_threads();
+      ADD_FAILURE() << "accepted PARMVN_NUM_THREADS=\"" << v << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("PARMVN_NUM_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  set_num_threads_env(nullptr);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

@@ -259,8 +259,9 @@ engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
       std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
       for (i64 r = 0; r < mt; ++r) {
         const auto ru = static_cast<std::size_t>(r);
-        core::qmc_tile_kernel(f.diag_view(r), pts, r * m, c0, A[ru].view(),
-                              B[ru].view(), Y[ru].view(), p.data() + c0,
+        core::qmc_tile_kernel(f.backend().diag_view(r), pts, r * m, c0,
+                              A[ru].view(), B[ru].view(), Y[ru].view(),
+                              p.data() + c0,
                               q.prefix ? acc.data() + r * m : nullptr);
         for (i64 i = r + 1; i < mt; ++i)
           update(i, r, Y[ru].view(), A[static_cast<std::size_t>(i)].view(),

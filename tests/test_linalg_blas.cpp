@@ -1,6 +1,7 @@
 // Tests for the dense BLAS kernels against naive reference implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -8,7 +9,6 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/microkernel.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -422,36 +422,40 @@ TEST(MatrixViews, TransposeInto) {
 
 namespace {
 
-TEST(GemmParallelPack, BitwiseEqualToSerialPack) {
-  // Large single GEMMs split their panel packing across the shared helper
-  // pool; the packed buffers — and therefore every C entry — must be
-  // byte-identical to the serial pack. m*k = 360000 clears the parallel
-  // gate; kc*nc of the B panel clears the per-pack gate.
-  using namespace parmvn;
-  using la::Matrix;
-  const i64 m = 600, k = 600, n = 300;
-  stats::Xoshiro256pp g(20240625);
-  Matrix a(m, k), b(k, n);
-  for (i64 j = 0; j < k; ++j)
-    for (i64 i = 0; i < m; ++i) a(i, j) = g.next_normal();
-  for (i64 j = 0; j < n; ++j)
-    for (i64 i = 0; i < k; ++i) b(i, j) = g.next_normal();
-
-  la::detail::set_pack_helpers(3);
-  ASSERT_EQ(la::detail::pack_helpers(), 3);
-  Matrix c_par(m, n);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, a.view(), b.view(), 0.0,
-           c_par.view());
-
-  la::detail::set_pack_helpers(0);  // force the serial pack path
-  Matrix c_ser(m, n);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, a.view(), b.view(), 0.0,
-           c_ser.view());
-  la::detail::set_pack_helpers(-1);  // restore default sizing
-
-  for (i64 j = 0; j < n; ++j)
-    for (i64 i = 0; i < m; ++i)
-      ASSERT_EQ(c_par(i, j), c_ser(i, j)) << "(" << i << "," << j << ")";
+// Every C row comes out of the same reduction however many rows the call
+// holds: the engine's batched update (one GEMM over all stacked query rows,
+// engine/dense_backend.cpp) is bitwise equal to per-query updates only
+// because of this. Each input is run whole, then cut into row slices of
+// heights 1, 17, 128 and 1000 (the last one ragged) and run slice by slice.
+TEST(Gemm, RowsBitwiseIndependentOfPanelHeight) {
+  struct Shape {
+    i64 m, n, k;
+    Trans tb;
+  };
+  // C -= Y * L^T at the shape of a crd_dense update (tile 256), then a square
+  // NN shape whose B panel spans more than one kKC block.
+  const Shape shapes[] = {{8000, 256, 256, Trans::kYes},
+                          {600, 300, 600, Trans::kNo}};
+  for (const Shape& sh : shapes) {
+    const Matrix y = random_matrix(sh.m, sh.k, 60);
+    const Matrix l = sh.tb == Trans::kYes ? random_matrix(sh.n, sh.k, 61)
+                                          : random_matrix(sh.k, sh.n, 61);
+    const Matrix c0 = random_matrix(sh.m, sh.n, 62);
+    Matrix whole = c0;
+    la::gemm(Trans::kNo, sh.tb, -1.0, y.view(), l.view(), 1.0, whole.view());
+    for (const i64 h : {i64{1}, i64{17}, i64{128}, i64{1000}}) {
+      Matrix stacked = c0;
+      for (i64 r0 = 0; r0 < sh.m; r0 += h) {
+        const i64 rows = std::min(h, sh.m - r0);
+        la::gemm(Trans::kNo, sh.tb, -1.0, y.sub(r0, 0, rows, sh.k),
+                 l.view(), 1.0, stacked.sub(r0, 0, rows, sh.n));
+      }
+      for (i64 j = 0; j < sh.n; ++j)
+        for (i64 i = 0; i < sh.m; ++i)
+          ASSERT_EQ(stacked(i, j), whole(i, j))
+              << "m=" << sh.m << " h=" << h << " (" << i << "," << j << ")";
+    }
+  }
 }
 
 TEST(TrmmLower, IgnoresGarbageUpperTriangle) {
