@@ -151,16 +151,14 @@ void BM_qmc_kernel(benchmark::State& state) {
   const i64 nb = state.range(0);
   const la::Matrix l = spd_lower(nb);
   const stats::PointSet pts(stats::SamplerKind::kPseudoMC, nb, nb, 1, 7);
-  la::Matrix a(nb, nb), b(nb, nb), y(nb, nb);
-  for (i64 j = 0; j < nb; ++j)
-    for (i64 i = 0; i < nb; ++i) {
-      a(i, j) = -1.0;
-      b(i, j) = 1.0;
-    }
+  const std::vector<double> a(static_cast<std::size_t>(nb), -1.0);
+  const std::vector<double> b(static_cast<std::size_t>(nb), 1.0);
+  const la::Matrix mean(nb, nb);  // a first tile row: no external mean
+  la::Matrix y(nb, nb);
   std::vector<double> p(static_cast<std::size_t>(nb), 1.0);
   for (auto _ : state) {
     std::fill(p.begin(), p.end(), 1.0);
-    core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y.view(),
+    core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                           p.data(), nullptr);
     benchmark::DoNotOptimize(p.data());
   }

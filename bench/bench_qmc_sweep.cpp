@@ -120,24 +120,28 @@ int main(int argc, char** argv) {
     for (const i64 mc : mcs) {
       const stats::PointSet pts(stats::SamplerKind::kRichtmyer, m,
                                 std::max<i64>(mc, 64), 4, 7);
-      // Batched layout: sample-contiguous (mc x m).
-      la::Matrix ab(mc, m), bb(mc, m), yb(mc, m);
+      // Batched layout: limit spans plus a sample-contiguous (mc x m) mean
+      // panel that varies the effective lower limit per sample as the seed
+      // panels do.
+      std::vector<double> al(static_cast<std::size_t>(m));
+      std::vector<double> bl(static_cast<std::size_t>(m));
+      la::Matrix mean(mc, m), yb(mc, m);
       // Seed layout: dimension-major (m x mc).
       la::Matrix as(m, mc), bs(m, mc), ys(m, mc);
-      for (i64 i = 0; i < m; ++i)
+      for (i64 i = 0; i < m; ++i) {
+        al[static_cast<std::size_t>(i)] = -1.4;
+        bl[static_cast<std::size_t>(i)] = 0.9 + 0.04 * static_cast<double>(i % 7);
         for (i64 j = 0; j < mc; ++j) {
-          const double av = -1.4 - 0.05 * static_cast<double>((i + j) % 5);
-          const double bv = 0.9 + 0.04 * static_cast<double>((2 * i + j) % 7);
-          ab(j, i) = av;
-          bb(j, i) = bv;
-          as(i, j) = av;
-          bs(i, j) = bv;
+          mean(j, i) = 0.05 * static_cast<double>((i + j) % 5);
+          as(i, j) = -1.4 - 0.05 * static_cast<double>((i + j) % 5);
+          bs(i, j) = 0.9 + 0.04 * static_cast<double>((2 * i + j) % 7);
         }
+      }
       std::vector<double> p(static_cast<std::size_t>(mc));
 
       const Rate batched = measure(m, mc, min_s, [&] {
         std::fill(p.begin(), p.end(), 1.0);
-        core::qmc_tile_kernel(l.view(), pts, 0, 0, ab.view(), bb.view(),
+        core::qmc_tile_kernel(l.view(), pts, 0, 0, al, bl, mean.view(),
                               yb.view(), p.data(), nullptr);
         return p[0];
       });

@@ -5,20 +5,20 @@
 // matrix, evaluate a 1-element batch, and return its engine::QueryResult.
 // Multi-query workloads (many limit sets against one factor) should use
 // engine/pmvn_engine.hpp directly — the batched graph packs all queries
-// into shared wide column panels so the factorization, the per-tile GEMM
-// propagation and the off-diagonal tile reads amortize across queries.
+// into shared wide column panels so the factorization, the per-tile mean
+// update GEMMs and the off-diagonal tile reads amortize across queries.
 //
 // All three factor backends are supported:
 //  * dense tiled L (Chameleon-style potrf_tiled output),
-//  * TLR L (HiCMA-style potrf_tlr output) — the GEMM propagation then uses
-//    the low-rank form U (V^T Y), the source of the TLR speedup at equal
+//  * TLR L (HiCMA-style potrf_tlr output) — the mean-update GEMMs then use
+//    the low-rank form (Y V) U^T, the source of the TLR speedup at equal
 //    QMC cost,
 //  * Vecchia sparse inverse-Cholesky (vecchia::VecchiaFactor) — a
 //    *different estimand*: the integral of the Vecchia-approximate density,
 //    which agrees with the exact PMVN statistically (tighter as vecchia_m
 //    grows, exact at m = n-1) but not bitwise.
 //
-// Memory: A/B/Y panels are bounded by `panel_bytes`; sample columns are
+// Memory: the M/Y panels are bounded by `panel_bytes`; sample columns are
 // processed panel-by-panel (columns are independent MC chains, so panelling
 // is exact, not an approximation).
 #pragma once

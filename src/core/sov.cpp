@@ -16,7 +16,7 @@ namespace {
 constexpr double kUEps = 1e-16;  // keeps Phi^-1 arguments inside (0,1)
 
 // Samples per panel of the sample-contiguous sweep: wide enough to fill the
-// batched Phi/Phi^-1 lanes, small enough that the three (panel x n) buffers
+// batched Phi/Phi^-1 lanes, small enough that the two (panel x n) buffers
 // stay cache-friendly at typical n.
 constexpr i64 kPanelSamples = 128;
 
@@ -32,7 +32,8 @@ void check_limits(const char* who, la::ConstMatrixView l,
 
 // The sample-contiguous panel sweep of the sequential estimators: runs the
 // QMC tile kernel over panels of samples against the whole factor (one
-// "tile" of size n), handing each finished panel's per-sample probability
+// "tile" of size n, so its mean panel has no earlier tile row to hold and
+// stays zero), handing each finished panel's per-sample probability
 // products to `consume(s0, pc, p)` in ascending sample order. Panelling is
 // exact — per-sample values are independent of the chunk boundaries.
 // `prefix_acc` is an optional length-n prefix accumulator (see
@@ -44,18 +45,14 @@ void sov_panel_sweep(la::ConstMatrixView l, std::span<const double> a,
   const i64 n = l.rows;
   const i64 count = pts.num_samples();
   const i64 chunk = std::min<i64>(kPanelSamples, count);
-  la::Matrix ap(chunk, n), bp(chunk, n), yp(chunk, n);
-  for (i64 i = 0; i < n; ++i) {
-    std::fill_n(ap.view().col(i), chunk, a[static_cast<std::size_t>(i)]);
-    std::fill_n(bp.view().col(i), chunk, b[static_cast<std::size_t>(i)]);
-  }
+  const la::Matrix mean(chunk, n);
+  la::Matrix yp(chunk, n);
   std::vector<double> p(static_cast<std::size_t>(chunk));
   for (i64 s0 = 0; s0 < count; s0 += chunk) {
     const i64 pc = std::min(chunk, count - s0);
     std::fill_n(p.data(), pc, 1.0);
-    qmc_tile_kernel(l, pts, /*dim0=*/0, s0, ap.sub(0, 0, pc, n),
-                    bp.sub(0, 0, pc, n), yp.view().sub(0, 0, pc, n), p.data(),
-                    prefix_acc);
+    qmc_tile_kernel(l, pts, /*row0=*/0, s0, a, b, mean.sub(0, 0, pc, n),
+                    yp.view().sub(0, 0, pc, n), p.data(), prefix_acc);
     consume(s0, pc, p.data());
   }
 }

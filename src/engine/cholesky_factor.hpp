@@ -3,9 +3,9 @@
 //
 // The PMVN sweep (Algorithm 2) only ever touches a factor through the
 // FactorBackend vocabulary (engine/factor_backend.hpp): tile geometry plus
-// one panel protocol — diagonal tiles, dependency handles and a
-// propagation rule for dense/TLR, a mean-panel fold and chain step for
-// Vecchia.
+// the mean-form panel protocol — a chain step per tile row, and a
+// per-pair mean update (dense/TLR) or a fold inside the chain task
+// (Vecchia).
 // CholeskyFactor owns one backend — dense tiled, TLR, or Vecchia — behind
 // that vocabulary, so it can outlive the stack frame that produced it (a
 // prerequisite for caching), and carries the ordering/standardisation

@@ -1,22 +1,29 @@
 #include "engine/dense_backend.hpp"
 
+#include "core/qmc_kernel.hpp"
 #include "linalg/blas.hpp"
 
 namespace parmvn::engine {
 
 void DenseBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                                la::MatrixView a, la::MatrixView b) const {
-  // Panels are sample-contiguous (samples x dims): A -= Y L_ir^T over the
+                                la::MatrixView mean) const {
+  // Panels are sample-contiguous (samples x dims): M += Y L_ir^T over the
   // (possibly wide, multi-query) panel. Each output element's reduction
   // order in the microkernel depends only on the k extent, so per-sample
   // rows stay bitwise independent of the panel width (the batched==single
   // contract; tests/test_linalg_blas.cpp's
-  // Gemm.RowsBitwiseIndependentOfPanelHeight pins it). An empty b is all
-  // +inf and stays so: no B update.
-  la::ConstMatrixView lir = l_->tile(i, r);
-  la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, a);
-  if (b.data != nullptr)
-    la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, y, lir, 1.0, b);
+  // Gemm.RowsBitwiseIndependentOfPanelHeight pins it).
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y, l_->tile(i, r), 1.0,
+           mean);
+}
+
+void DenseBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                              std::span<const double> a,
+                              std::span<const double> b,
+                              la::ConstMatrixView mean, la::MatrixView y,
+                              double* p, double* prefix_acc) const {
+  core::qmc_tile_kernel(l_->tile(r, r), pts, r * l_->tile_size(), col0, a, b,
+                        mean, y, p, prefix_acc);
 }
 
 double DenseBackend::ep_row(

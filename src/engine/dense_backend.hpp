@@ -1,5 +1,5 @@
 // Dense-tiled factor backend: a thin adapter exposing tile::TileMatrix
-// through the FactorBackend sweep vocabulary (reduced-limit protocol).
+// through the FactorBackend sweep vocabulary (per-pair update tasks).
 #pragma once
 
 #include <memory>
@@ -32,18 +32,12 @@ class DenseBackend final : public FactorBackend {
     return l_->tile_rows(r);
   }
 
-  [[nodiscard]] la::ConstMatrixView diag_view(i64 r) const override {
-    return l_->tile(r, r);
-  }
-  [[nodiscard]] rt::DataHandle diag_handle(i64 r) const override {
-    return l_->handle(r, r);
-  }
-  [[nodiscard]] rt::DataHandle off_handle(i64 i, i64 r) const override {
-    return l_->handle(i, r);
-  }
-
-  void apply_update(i64 i, i64 r, la::ConstMatrixView y, la::MatrixView a,
-                    la::MatrixView b) const override;
+  void apply_update(i64 i, i64 r, la::ConstMatrixView y,
+                    la::MatrixView mean) const override;
+  void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                  std::span<const double> a, std::span<const double> b,
+                  la::ConstMatrixView mean, la::MatrixView y, double* p,
+                  double* prefix_acc) const override;
 
   double ep_row(i64 k,
                 std::vector<std::pair<i64, double>>& parents) const override;

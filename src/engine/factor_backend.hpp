@@ -1,47 +1,50 @@
 // Polymorphic factor backend — the seam between "factor once" and
 // "evaluate many".
 //
-// The PMVN sweep consumes a factor through a small, fixed vocabulary:
-// tile geometry, plus one of two per-protocol rule sets for folding tile
-// row r's conditioning values into a later tile row i. FactorBackend names
-// that vocabulary so CholeskyFactor (the owning facade the caching/serving
-// layers hold) and PmvnEngine (the task-graph builder) never branch on a
-// concrete format. Dense-tiled and TLR factors are thin adapters
-// (dense_backend.hpp / tlr_backend.hpp); the Vecchia sparse
+// The PMVN sweep consumes a factor through a small, fixed vocabulary: tile
+// geometry, one QMC chain step per (tile row, column tile), and a rule for
+// folding tile row r's conditioning values into later tile rows.
+// FactorBackend names that vocabulary so CholeskyFactor (the owning facade
+// the caching/serving layers hold) and PmvnEngine (the task-graph builder)
+// never branch on a concrete format. Dense-tiled and TLR factors are thin
+// adapters (dense_backend.hpp / tlr_backend.hpp); the Vecchia sparse
 // inverse-Cholesky arm (vecchia/vecchia_backend.hpp) is the third.
 //
-// Two sweep protocols, selected by mean_panel_form():
+// Every arm sweeps in one panel protocol, the mean form of Algorithm 2: a
+// per-tile-row mean panel M starts at zero and accumulates the external
+// (earlier-tile-row) conditional mean of each sample, and chain_step()
+// standardises the query's original limits against it row by row,
+// a' = (a_i - M(:, i) - s) / d_i with s the in-tile contribution. The
+// limits reach the kernel as per-dimension spans; infinite limits need no
+// special case, and the engine stops the sweep at the constrained extent —
+// the tile row holding the last row where some query has a > -inf or
+// b < +inf — since later rows multiply every sample's probability by
+// exactly 1.
 //
-//  * Reduced-limit form (dense, TLR — mean_panel_form() == false): the A/B
-//    panels carry the *transformed integration limits*, initialised to the
-//    query limits and reduced in place by apply_update()'s wide GEMMs
-//    (A -= Y L_ir^T). The QMC kernel reads the diagonal tile (diag_view()),
-//    and every (i, r) tile pair carries an off-diagonal block, named by
-//    off_handle() for dependency tracking. Infinite limits cost
-//    nothing: a tile row on which every active query has b = +inf gets no
-//    B panel (an empty view, which apply_update and the QMC kernel read as
-//    b = +inf), and the sweep stops at the constrained extent — the tile
-//    row holding the last row where some query has a > -inf or b < +inf —
-//    since later rows multiply every sample's probability by exactly 1.
+// The arms differ in one question only, pair_update_tasks(): are the
+// cross-tile contributions separate per-pair tasks, or folded into the
+// chain task?
 //
-//  * Mean form (Vecchia — mean_panel_form() == true): conditioning sets are
-//    sparse, so per-pair GEMM tasks would drown in task/handle overhead.
-//    Instead the A panel accumulates the *external conditional mean*
-//    (initialised to zero by allocation) and the kernel standardises the
-//    original query limits against it row by row. Row r's integrand task
-//    makes two calls: accumulate_external() folds in every contribution
-//    from earlier tile rows — a deterministic sequence of unit-stride
-//    axpys — and chain_step() runs the row's QMC chain step, adding the
-//    in-tile neighbours itself. The per-column-tile chain (already
-//    serialised by the engine's probability-product handle) is the only
-//    dependency needed, so no per-pair or per-tile handles or tasks exist
-//    at all. The B panel is unused and never allocated.
+//  * Per-pair update tasks (dense, TLR): every (i, r) tile pair carries a
+//    factor block, so the engine submits one apply_update() task per pair,
+//    M_i += Y_r L_ir^T, one wide GEMM over the whole batch.
 //
-// Both protocols keep the determinism contracts: every per-sample row of a
-// panel is computed by arithmetic whose reduction order depends only on the
-// dimension index, never on the panel width or task interleaving, so fused
-// batches stay bitwise equal to single-query runs and results are identical
-// across worker counts *within* a factor kind.
+//  * Folded into the chain task (Vecchia): conditioning sets are sparse, so
+//    per-pair GEMM tasks would drown in task/handle overhead. Row r's chain
+//    task first calls accumulate_external(), which folds in every
+//    contribution from earlier tile rows — a deterministic sequence of
+//    unit-stride axpys — then chain_step(). The per-column-tile chain
+//    (already serialised by the engine's probability-product handle) is the
+//    only dependency needed, so no per-pair or per-tile handles or tasks
+//    exist at all.
+//
+// The factor is complete before any sweep starts (CholeskyFactor::factor
+// is its own submit…wait_all epoch), so sweep tasks declare no accesses on
+// factor tiles. Every per-sample row of a panel is computed by arithmetic
+// whose reduction order depends only on the dimension index, never on the
+// panel width or task interleaving, so fused batches stay bitwise equal to
+// single-query runs and results are identical across worker counts
+// *within* a factor kind.
 #pragma once
 
 #include <span>
@@ -50,7 +53,6 @@
 
 #include "common/contracts.hpp"
 #include "linalg/matrix.hpp"
-#include "runtime/runtime.hpp"
 
 namespace parmvn::stats {
 class PointSet;
@@ -70,46 +72,27 @@ class FactorBackend {
   [[nodiscard]] virtual i64 row_tiles() const noexcept = 0;
   [[nodiscard]] virtual i64 tile_rows(i64 r) const noexcept = 0;
 
-  // ---- reduced-limit protocol (mean_panel_form() == false) ----
+  // ---- the sweep (mean form) ----
 
-  /// Lower-triangular Cholesky diagonal tile L_rr of tile row r, and the
-  /// handle naming it.
-  [[nodiscard]] virtual la::ConstMatrixView diag_view(i64 r) const {
-    (void)r;
-    PARMVN_ASSERT(!"diag_view: backend has no diagonal tiles");
-    return {};
-  }
-  [[nodiscard]] virtual rt::DataHandle diag_handle(i64 r) const {
-    (void)r;
-    PARMVN_ASSERT(!"diag_handle: backend has no diagonal tiles");
-    return rt::DataHandle{};
+  /// Whether the cross-tile contributions are per-pair update tasks
+  /// (apply_update) rather than folded into the chain task
+  /// (accumulate_external).
+  [[nodiscard]] virtual bool pair_update_tasks() const noexcept {
+    return true;
   }
 
-  /// Handle naming the (i, r) off-diagonal block, i > r.
-  [[nodiscard]] virtual rt::DataHandle off_handle(i64 i, i64 r) const {
-    (void)i;
-    (void)r;
-    PARMVN_ASSERT(!"off_handle: backend has no off-diagonal blocks");
-    return rt::DataHandle{};
-  }
-
-  /// A -= Y * L_ir^T, B -= Y * L_ir^T over (possibly wide, multi-query)
-  /// sample-contiguous panels (rows = samples, columns = dimensions). An
-  /// empty `b` (data == nullptr) means b = +inf on tile row i, which the
-  /// update leaves unchanged: only A is updated.
+  /// M += Y * L_ir^T over (possibly wide, multi-query) sample-contiguous
+  /// panels (rows = samples, columns = dimensions): folds tile row r's
+  /// conditioning values `y` into tile row i's mean panel. Called once per
+  /// (i, r) pair, i > r, in ascending r for each i.
   virtual void apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                            la::MatrixView a, la::MatrixView b) const {
+                            la::MatrixView mean) const {
     (void)i;
     (void)r;
     (void)y;
-    (void)a;
-    (void)b;
-    PARMVN_ASSERT(!"apply_update: backend uses the mean-panel protocol");
+    (void)mean;
+    PARMVN_ASSERT(!"apply_update: backend folds updates into chain tasks");
   }
-
-  // ---- mean-panel protocol (mean_panel_form() == true) ----
-
-  [[nodiscard]] virtual bool mean_panel_form() const noexcept { return false; }
 
   /// Fold every external (earlier-tile) regression contribution into tile
   /// row r's mean panel: mean(:, c) += w * Y[k / tile](:, k % tile) for each
@@ -128,29 +111,19 @@ class FactorBackend {
     (void)row_off;
     (void)nrows;
     (void)mean_tile;
-    PARMVN_ASSERT(!"accumulate_external: backend uses reduced-limit panels");
+    PARMVN_ASSERT(!"accumulate_external: backend uses per-pair update tasks");
   }
 
-  /// Tile row r's QMC chain step over one column tile, after
-  /// accumulate_external() (vecchia/vecchia_kernel.hpp): `mean` is the
-  /// column tile's mean panel, `a`/`b` the row's query limits, `y` receives
-  /// the realized values, `p` the running per-sample products (updated),
-  /// `prefix_acc` (optional) the per-row running-product sums.
+  /// Tile row r's QMC chain step over one column tile, once its mean tile
+  /// holds every earlier tile row's contribution: `mean` is the column
+  /// tile's mean panel, `a`/`b` the row's original query limits, `y`
+  /// receives the conditioning values, `p` the running per-sample products
+  /// (updated), `prefix_acc` (optional) the per-row running-product sums.
+  /// `col0` is the column tile's first global sample.
   virtual void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
                           std::span<const double> a, std::span<const double> b,
                           la::ConstMatrixView mean, la::MatrixView y, double* p,
-                          double* prefix_acc) const {
-    (void)r;
-    (void)pts;
-    (void)col0;
-    (void)a;
-    (void)b;
-    (void)mean;
-    (void)y;
-    (void)p;
-    (void)prefix_acc;
-    PARMVN_ASSERT(!"chain_step: backend uses reduced-limit panels");
-  }
+                          double* prefix_acc) const = 0;
 
   // ---- EP screening-row protocol (ep/ep_screen.hpp) ----
   //

@@ -12,7 +12,6 @@
 #include "common/fault.hpp"
 #include "ep/ep_screen.hpp"
 #include "common/timer.hpp"
-#include "core/qmc_kernel.hpp"
 #include "linalg/matrix.hpp"
 #include "runtime/priority.hpp"
 
@@ -199,29 +198,34 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const FactorBackend* const fb = &f.backend();
   const i64 n = f.dim();
   const i64 m = f.tile_size();
-  const i64 mt = f.row_tiles();
   const i64 nq = static_cast<i64>(queries.size());
   if (nq == 0) return {};
+  // Cross-tile contributions: per-pair update tasks, or folded into the
+  // chain task (engine/factor_backend.hpp).
+  const bool pair_tasks = fb->pair_update_tasks();
 
   // Where each query's limits constrain anything: extent[q] is 1 + the last
-  // row with a > -inf or b < +inf (0 if none), and upper[q * mt + r] flags
-  // tile row r as holding some b < +inf. Unconstrained rows multiply every
-  // sample's probability by exactly Phi(+inf) - Phi(-inf) == 1.0, and
-  // b = +inf stays +inf under propagation, so the reduced-limit sweep skips
-  // both (see sweep_range).
+  // row with a > -inf or b < +inf (0 if none). Unconstrained rows multiply
+  // every sample's probability by exactly Phi(+inf) - Phi(-inf) == 1.0, so
+  // the sweep skips them (see sweep_range).
   std::vector<i64> extent(static_cast<std::size_t>(nq), 0);
-  std::vector<char> upper(static_cast<std::size_t>(nq * mt), 0);
   for (i64 q = 0; q < nq; ++q) {
     const LimitSet& ls = queries[static_cast<std::size_t>(q)];
-    for (i64 i = 0; i < n; ++i) {
-      const double a = ls.a[static_cast<std::size_t>(i)];
-      const double b = ls.b[static_cast<std::size_t>(i)];
-      if (b != kInf) upper[static_cast<std::size_t>(q * mt + i / m)] = 1;
-      if (a != -kInf || b != kInf) extent[static_cast<std::size_t>(q)] = i + 1;
-    }
+    i64 e = n;
+    while (e > 0 && ls.a[static_cast<std::size_t>(e - 1)] == -kInf &&
+           ls.b[static_cast<std::size_t>(e - 1)] == kInf)
+      --e;
+    extent[static_cast<std::size_t>(q)] = e;
   }
   const i64 sps = opts_.samples_per_shift;
-  const i64 num_samples = opts_.total_samples();
+
+  // Rounds: a stop can happen between rounds only on the adaptive and
+  // deadline paths, so there a round is one shift block; otherwise the
+  // whole budget is one round. Prefix sums are stored one slot (n rows) per
+  // round and folded in ascending round order.
+  const bool stepped = opts_.adaptive || opts_.deadline_ms > 0;
+  const int round_shifts = stepped ? 1 : opts_.shifts;
+  const int rounds = opts_.shifts / round_shifts;
 
   // One deterministic point set per query, keyed by the query's seed.
   std::vector<stats::PointSet> pts;
@@ -230,256 +234,189 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     pts.emplace_back(opts_.sampler, n, sps, opts_.shifts, q.seed);
 
   std::vector<std::vector<double>> p(static_cast<std::size_t>(nq));
-  for (auto& pq : p) pq.assign(static_cast<std::size_t>(num_samples), 1.0);
+  for (auto& pq : p)
+    pq.assign(static_cast<std::size_t>(opts_.total_samples()), 1.0);
 
-  // Per-query prefix accumulators. The fixed-budget path keeps one running
-  // length-n total; the adaptive path keeps per-shift sums (n per shift) so
-  // every prefix row gets its own block-mean error estimate. Both are
-  // addressed through the per-sweep `prefix_target` pointers.
   std::vector<std::vector<double>> prefix_store(static_cast<std::size_t>(nq));
-  std::vector<double*> prefix_target(static_cast<std::size_t>(nq), nullptr);
+  for (i64 q = 0; q < nq; ++q)
+    if (queries[static_cast<std::size_t>(q)].prefix)
+      prefix_store[static_cast<std::size_t>(q)].assign(
+          static_cast<std::size_t>(n * rounds), 0.0);
 
-  std::vector<rt::DataAccess> wide_accesses;  // reused across submits
+  // The panel workspace, allocated by the first panel and reused by the
+  // rest: per swept tile row a mean panel M (the external conditional mean,
+  // zeroed for every panel) and a conditioning panel Y, each `cap` samples
+  // tall and sample-contiguous (rows = samples of the whole batch, columns =
+  // the tile row's dimensions — the layout the QMC kernel sweeps), plus one
+  // length-n prefix accumulator per column tile. A later panel reallocates
+  // only if it needs more: fewer active queries may each get wider panels.
+  std::vector<la::Matrix> M, Y;
+  std::vector<std::vector<double>> prefix_acc;
+  i64 cap = 0;
+
+  std::vector<rt::DataAccess> accesses;  // reused across submits
 
   // One fused sweep of the sample range [s_begin, s_end) for the queries in
-  // `active`: the whole-budget loop of the fixed path with the range and the
-  // participant set as parameters. Per-sample probability products land in
-  // p[q]; range prefix sums land at prefix_target[q] (when non-null).
-  const auto sweep_range = [&](std::span<const i64> active, i64 s_begin,
-                               i64 s_end) {
+  // `active`. Per-sample probability products land in p[q]; prefix sums land
+  // in round slot `slot` of prefix_store[q].
+  const auto sweep_range = [&](std::span<const i64> active, int slot,
+                               i64 s_begin, i64 s_end) {
     const i64 nact = static_cast<i64>(active.size());
-    // Mean-panel backends (Vecchia) drive a different panel protocol: A
-    // accumulates the external conditional mean (zero-initialised by
-    // allocation, no init tasks), B is unused, and the per-column-tile task
-    // chain — already serialised by the probability-product handle — is the
-    // only dependency, so no per-pair panel handles or update tasks exist.
-    // See engine/factor_backend.hpp.
-    const bool meanp = fb->mean_panel_form();
-    // Reduced-limit sweeps stop at the batch's constrained extent: tile
-    // rows [0, mts) are swept, and the n_swept rows they hold cover every
-    // active query's last finite limit (at least one tile row is always
-    // swept). Rows past it stay untouched — their factors are exactly 1,
-    // so they change no probability and no prefix sum (the prefix fold
-    // below fills them from the last swept row). need_b[r] flags the swept
-    // tile rows on which some active b is finite: only those get a B panel;
-    // everywhere else the empty B view means b = +inf. The mean-panel
-    // protocol sweeps every row and never uses B.
-    i64 mts = mt;
-    std::vector<char> need_b(static_cast<std::size_t>(mt), 0);
-    if (!meanp) {
-      i64 ext = 0;
-      for (const i64 q : active) {
-        ext = std::max(ext, extent[static_cast<std::size_t>(q)]);
-        for (i64 r = 0; r < mt; ++r)
-          need_b[static_cast<std::size_t>(r)] |=
-              upper[static_cast<std::size_t>(q * mt + r)];
-      }
-      mts = std::max<i64>(1, (ext + m - 1) / m);
-    }
+    // The sweep stops at the batch's constrained extent: tile rows [0, mts)
+    // are swept, and the n_swept rows they hold cover every active query's
+    // last finite limit (at least one tile row is always swept). Rows past
+    // it stay untouched — their factors are exactly 1, so they change no
+    // probability and no prefix sum (the prefix fold below fills them from
+    // the last swept row).
+    i64 ext = 0;
+    for (const i64 q : active)
+      ext = std::max(ext, extent[static_cast<std::size_t>(q)]);
+    const i64 mts = std::max<i64>(1, (ext + m - 1) / m);
     const i64 n_swept = std::min(n, mts * m);
     // Per-query panel width: the sweep shares the panel budget, counted as
-    // 3 matrices (A, B, Y) of n rows, 8 bytes each — an upper bound now
-    // that B panels and rows past the extent may be skipped, so panelling
-    // and peak memory only shrink. Floored at one tile width per query and
+    // 2 matrices (M, Y) of n rows, 8 bytes each — an upper bound, since rows
+    // past the extent get no panels. Floored at one tile width per query and
     // rounded to a tile multiple. For a 1-element batch this reproduces the
     // single-query decomposition exactly; panelling is exact regardless
     // (sample columns are independent chains, and column-tile boundaries
     // fall at tile multiples for every panel width).
-    i64 panel_cols = opts_.panel_bytes / (3 * 8 * n * nact);
+    i64 panel_cols = opts_.panel_bytes / (2 * 8 * n * nact);
     panel_cols = std::max(panel_cols, m);
     panel_cols = (panel_cols / m) * m;
 
-    for (i64 round0 = s_begin; round0 < s_end; round0 += panel_cols) {
-      const i64 pc = std::min(panel_cols, s_end - round0);
+    for (i64 panel0 = s_begin; panel0 < s_end; panel0 += panel_cols) {
+      const i64 pc = std::min(panel_cols, s_end - panel0);
 
-      // Column-tile map for this round: every active query contributes the
-      // same sample range [round0, round0 + pc), sliced into tile-width
+      // Column-tile map for this panel: every active query contributes the
+      // same sample range [panel0, panel0 + pc), sliced into tile-width
       // columns.
       std::vector<ColTile> tiles;
       i64 width = 0;
       for (const i64 q : active) {
         for (i64 c = 0; c < pc; c += m) {
           const i64 w = std::min(m, pc - c);
-          tiles.push_back({q, round0 + c, width, w});
+          tiles.push_back({q, panel0 + c, width, w});
           width += w;
         }
       }
       const i64 nct = static_cast<i64>(tiles.size());
 
-      // Shared wide panels: one sample-contiguous (width x tile_rows(r))
-      // matrix per tile row for each of A, B, Y — the same layout the QMC
-      // integrand sweeps, so the fused propagation GEMMs and the kernel
-      // share one panel format (rows = samples of the whole batch, columns =
-      // the tile row's dimensions). A/B/Y of one (row, column-tile) are
-      // always touched together, so they share a single dependency handle.
-      // Only the swept tile rows get panels; B[r] stays empty (0 x 0)
-      // unless need_b[r].
-      std::vector<la::Matrix> A, B, Y;
-      A.reserve(static_cast<std::size_t>(mts));
-      B.resize(static_cast<std::size_t>(mts));
-      Y.reserve(static_cast<std::size_t>(mts));
-      for (i64 r = 0; r < mts; ++r) {
-        const i64 mr = f.tile_rows(r);
-        A.emplace_back(width, mr);
-        if (need_b[static_cast<std::size_t>(r)] != 0)
-          B[static_cast<std::size_t>(r)] = la::Matrix(width, mr);
-        Y.emplace_back(width, mr);
+      // The active set only shrinks, so no later panel sweeps more tile rows.
+      if (width > cap || mts > static_cast<i64>(M.size())) {
+        cap = std::max(cap, width);
+        M.clear();
+        Y.clear();
+        for (i64 r = 0; r < mts; ++r) {
+          M.emplace_back(cap, f.tile_rows(r));
+          Y.emplace_back(cap, f.tile_rows(r));
+        }
+      } else {
+        for (i64 r = 0; r < mts; ++r)
+          for (i64 i = 0; i < f.tile_rows(r); ++i)
+            std::fill_n(M[static_cast<std::size_t>(r)].view().col(i), width,
+                        0.0);
       }
-      // Column slice of tile row r's B panel; empty (b = +inf) when the
-      // row has none.
-      const auto b_slice = [&](i64 r, i64 col0, i64 w) {
-        la::Matrix& br = B[static_cast<std::size_t>(r)];
-        return br.empty() ? la::MatrixView{}
-                          : br.sub(col0, 0, w, f.tile_rows(r));
-      };
-      std::vector<std::vector<double>> prefix_acc(
-          static_cast<std::size_t>(nct));
-      for (i64 t = 0; t < nct; ++t)
-        if (prefix_target[static_cast<std::size_t>(
-                tiles[static_cast<std::size_t>(t)].query)] != nullptr)
+      if (nct > static_cast<i64>(prefix_acc.size()))
+        prefix_acc.resize(static_cast<std::size_t>(nct));
+      for (i64 t = 0; t < nct; ++t) {
+        const i64 q = tiles[static_cast<std::size_t>(t)].query;
+        if (queries[static_cast<std::size_t>(q)].prefix)
           prefix_acc[static_cast<std::size_t>(t)].assign(
               static_cast<std::size_t>(n), 0.0);
+      }
 
       // Handle registration happens inside the try below so that a failure
       // in register_data itself (e.g. bad_alloc growing the runtime's handle
-      // table) still reaches release_round for the handles already taken.
+      // table) still reaches release_handles for the handles already taken.
       // The vectors are reserved up front, so push_back never throws and
-      // every registered handle is recorded.
+      // every registered handle is recorded. M and Y of one (row, column
+      // tile) are always touched together, so they share one handle; only
+      // per-pair update tasks need them.
       std::vector<rt::DataHandle> panel_handles;
       panel_handles.reserve(static_cast<std::size_t>(mts * nct));
       const auto handle = [&](i64 r, i64 t) {
         return panel_handles[static_cast<std::size_t>(r * nct + t)];
       };
       // Per-column-tile probability products (and prefix accumulators) are
-      // written by every tile row's QMC task; their own handle keeps that
-      // chain explicit even though the A/B/Y data flow already orders it.
+      // written by every tile row's QMC task; their own handle serialises
+      // that chain (for folded backends, the only dependency there is).
       std::vector<rt::DataHandle> p_handles;
       p_handles.reserve(static_cast<std::size_t>(nct));
 
-      // The round's panel/p handles must go back to the runtime on every
+      // The panel's handles must go back to the runtime on every
       // exit path (a long-lived serving runtime's handle table stays
       // bounded), and may only be released once the epoch has drained —
       // wait_all() drains before rethrowing a task error, and the catch
       // below drains first when a submit itself throws (e.g. handle
       // validation) with earlier tasks still in flight.
-      const auto release_round = [&] {
+      const auto release_handles = [&] {
         for (const rt::DataHandle h : panel_handles) rt_.release_data(h);
         for (const rt::DataHandle h : p_handles) rt_.release_data(h);
       };
       try {
-        if (!meanp)
+        if (pair_tasks)
           for (i64 k = 0; k < mts * nct; ++k) {
             PARMVN_FAULT_POINT("engine.register");
             panel_handles.push_back(rt_.register_data());
           }
         for (i64 t = 0; t < nct; ++t) p_handles.push_back(rt_.register_data());
-        // Initialise A/B with the replicated per-query limit vectors (lines
-        // 2-3 of Algorithm 2), one task per (swept tile row, column tile).
-        // Mean-panel backends skip this: their A panel starts at zero (the
-        // allocation already zero-fills on the host thread) and the limits
-        // reach the kernel as per-dimension spans instead.
-        for (i64 r = 0; !meanp && r < mts; ++r) {
-          const i64 mr = f.tile_rows(r);
-          const i64 row0 = r * m;
-          for (i64 t = 0; t < nct; ++t) {
-            const ColTile& ct = tiles[static_cast<std::size_t>(t)];
-            la::MatrixView at = A[static_cast<std::size_t>(r)].sub(
-                ct.col0, 0, ct.width, mr);
-            la::MatrixView bt = b_slice(r, ct.col0, ct.width);
-            const LimitSet& q = queries[static_cast<std::size_t>(ct.query)];
-            const std::span<const double> qa = q.a;
-            const std::span<const double> qb = q.b;
-            rt_.submit("pmvn_init", {{handle(r, t), rt::Access::kWrite}},
-                       [at, bt, row0, qa, qb] {
-                         PARMVN_FAULT_POINT("engine.panel_init");
-                         // Sample-contiguous panels: replicate each limit
-                         // down its dimension's (contiguous) column.
-                         for (i64 i = 0; i < at.cols; ++i) {
-                           const auto k = static_cast<std::size_t>(row0 + i);
-                           std::fill_n(at.col(i), at.rows, qa[k]);
-                           if (bt.data != nullptr)
-                             std::fill_n(bt.col(i), bt.rows, qb[k]);
-                         }
-                       });
-          }
-        }
 
-        // The sweep: QMC on tile row r per column tile, then one wide
-        // propagation GEMM per (i, r) pair spanning the whole batch.
+        // The sweep: QMC on tile row r per column tile, then (per-pair
+        // backends) one wide mean-update GEMM per (i, r) pair spanning the
+        // whole batch.
+        const std::span<const la::Matrix> yall = Y;
         for (i64 r = 0; r < mts; ++r) {
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
-          const la::ConstMatrixView lrr =
-              meanp ? la::ConstMatrixView{} : fb->diag_view(r);
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
-            la::MatrixView at = A[static_cast<std::size_t>(r)].sub(
-                ct.col0, 0, ct.width, mr);
-            la::MatrixView yt = Y[static_cast<std::size_t>(r)].sub(
-                ct.col0, 0, ct.width, mr);
+            const la::MatrixView mtile =
+                M[static_cast<std::size_t>(r)].sub(ct.col0, 0, ct.width, mr);
+            const la::MatrixView yt =
+                Y[static_cast<std::size_t>(r)].sub(ct.col0, 0, ct.width, mr);
             const stats::PointSet* ps =
                 &pts[static_cast<std::size_t>(ct.query)];
             double* pk =
                 p[static_cast<std::size_t>(ct.query)].data() + ct.sample0;
-            double* acc = prefix_acc[static_cast<std::size_t>(t)].empty()
-                              ? nullptr
-                              : prefix_acc[static_cast<std::size_t>(t)].data() +
-                                    row0;
+            const LimitSet& q = queries[static_cast<std::size_t>(ct.query)];
+            double* acc = q.prefix
+                              ? prefix_acc[static_cast<std::size_t>(t)].data() +
+                                    row0
+                              : nullptr;
+            const std::span<const double> qa = q.a.subspan(
+                static_cast<std::size_t>(row0), static_cast<std::size_t>(mr));
+            const std::span<const double> qb = q.b.subspan(
+                static_cast<std::size_t>(row0), static_cast<std::size_t>(mr));
             const i64 sample0 = ct.sample0;
-            if (meanp) {
-              // Mean-panel integrand: fold the cross-tile regression
-              // contributions into this row's mean tile (reading earlier Y
-              // tiles of the same column tile, completed by this chain),
-              // then run the backend's chain step. The probability-product
-              // handle serialises the whole per-column-tile chain.
-              const LimitSet& q = queries[static_cast<std::size_t>(ct.query)];
-              const std::span<const double> qa =
-                  q.a.subspan(static_cast<std::size_t>(row0),
-                              static_cast<std::size_t>(mr));
-              const std::span<const double> qb =
-                  q.b.subspan(static_cast<std::size_t>(row0),
-                              static_cast<std::size_t>(mr));
-              const std::vector<la::Matrix>* yall = &Y;
-              const i64 col0 = ct.col0;
-              const i64 cw = ct.width;
-              rt_.submit("vecchia_qmc",
-                         {{p_handles[static_cast<std::size_t>(t)],
-                           rt::Access::kReadWrite}},
-                         [fb, r, ps, sample0, qa, qb, at, yt, pk, acc, yall,
-                          col0, cw] {
-                           fb->accumulate_external(r, *yall, col0, cw, at);
-                           fb->chain_step(r, *ps, sample0, qa, qb, at, yt, pk,
-                                          acc);
-                         },
-                         rt::kPrioSweep);
-              continue;
-            }
-            la::ConstMatrixView bt = b_slice(r, ct.col0, ct.width);
-            la::ConstMatrixView atc = at;
-            rt_.submit("qmc",
-                       {{fb->diag_handle(r), rt::Access::kRead},
-                        {handle(r, t), rt::Access::kReadWrite},
-                        {p_handles[static_cast<std::size_t>(t)],
-                         rt::Access::kReadWrite}},
-                       [lrr, ps, row0, sample0, atc, bt, yt, pk, acc] {
+            const i64 col0 = ct.col0;
+            const i64 cw = ct.width;
+            accesses.clear();
+            if (pair_tasks)
+              accesses.push_back({handle(r, t), rt::Access::kReadWrite});
+            accesses.push_back({p_handles[static_cast<std::size_t>(t)],
+                                rt::Access::kReadWrite});
+            rt_.submit("qmc", accesses,
+                       [fb, pair_tasks, r, ps, sample0, qa, qb, mtile, yt, pk,
+                        acc, yall, col0, cw] {
                          PARMVN_FAULT_POINT("engine.qmc");
-                         core::qmc_tile_kernel(lrr, *ps, row0, sample0, atc,
-                                               bt, yt, pk, acc);
+                         // Folded backends read earlier Y tiles of the same
+                         // column tile, completed by this chain.
+                         if (!pair_tasks)
+                           fb->accumulate_external(r, yall, col0, cw, mtile);
+                         fb->chain_step(r, *ps, sample0, qa, qb, mtile, yt, pk,
+                                        acc);
                        },
                        rt::kPrioSweep);
           }
-          for (i64 i = r + 1; !meanp && i < mts; ++i) {
-            const i64 mi = f.tile_rows(i);
-            la::ConstMatrixView yw = Y[static_cast<std::size_t>(r)].sub(
-                0, 0, width, mr);
-            la::MatrixView aw = A[static_cast<std::size_t>(i)].sub(0, 0, width,
-                                                                   mi);
-            la::MatrixView bw = b_slice(i, 0, width);
-            wide_accesses.clear();
-            wide_accesses.push_back({fb->off_handle(i, r), rt::Access::kRead});
+          for (i64 i = r + 1; pair_tasks && i < mts; ++i) {
+            const la::ConstMatrixView yw =
+                Y[static_cast<std::size_t>(r)].sub(0, 0, width, mr);
+            const la::MatrixView mw = M[static_cast<std::size_t>(i)].sub(
+                0, 0, width, f.tile_rows(i));
+            accesses.clear();
             for (i64 t = 0; t < nct; ++t) {
-              wide_accesses.push_back({handle(r, t), rt::Access::kRead});
-              wide_accesses.push_back({handle(i, t), rt::Access::kReadWrite});
+              accesses.push_back({handle(r, t), rt::Access::kRead});
+              accesses.push_back({handle(i, t), rt::Access::kReadWrite});
             }
             // Host-side submit failure with earlier tasks already in flight:
             // the catch below must drain them before releasing handles.
@@ -488,10 +425,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
             // directly — the sweep's critical path — so it shares the QMC
             // lane; the remaining updates trail (same weighting as the
             // factorizations, see runtime/priority.hpp).
-            rt_.submit("pmvn_update", wide_accesses,
-                       [fb, i, r, yw, aw, bw] {
-                         fb->apply_update(i, r, yw, aw, bw);
-                       },
+            rt_.submit("pmvn_update", accesses,
+                       [fb, i, r, yw, mw] { fb->apply_update(i, r, yw, mw); },
                        i == r + 1 ? rt::kPrioSweep : rt::kPrioUpdate);
           }
         }
@@ -504,26 +439,26 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
           rt_.wait_all();
         } catch (...) {  // NOLINT(bugprone-empty-catch)
         }
-        release_round();
+        release_handles();
         throw;
       }
 
-      // Fold this round's prefix sums into the per-query targets, in
-      // ascending column-tile (== ascending sample) order so the
+      // Fold this panel's prefix sums into the queries' round slots,
+      // in ascending column-tile (== ascending sample) order so the
       // accumulation order is independent of the panelling. Rows past the
       // swept extent hold the same running products as the last swept row,
       // so their per-tile sums are that row's sum, bit for bit.
       for (i64 t = 0; t < nct; ++t) {
+        const i64 q = tiles[static_cast<std::size_t>(t)].query;
+        if (!queries[static_cast<std::size_t>(q)].prefix) continue;
         std::vector<double>& acc = prefix_acc[static_cast<std::size_t>(t)];
-        if (acc.empty()) continue;
         std::fill(acc.begin() + n_swept, acc.end(),
                   acc[static_cast<std::size_t>(n_swept - 1)]);
-        double* total = prefix_target[static_cast<std::size_t>(
-            tiles[static_cast<std::size_t>(t)].query)];
-        for (i64 i = 0; i < n; ++i)
-          total[i] += acc[static_cast<std::size_t>(i)];
+        double* total =
+            prefix_store[static_cast<std::size_t>(q)].data() + slot * n;
+        for (i64 i = 0; i < n; ++i) total[i] += acc[static_cast<std::size_t>(i)];
       }
-      release_round();
+      release_handles();
     }
   };
 
@@ -539,66 +474,14 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     return stats::combine_block_means(means);
   };
 
-  std::vector<QueryResult> results(static_cast<std::size_t>(nq));
-
-  // A deadline routes the fixed-budget sweep through the round loop below
-  // (one shift block at a time, deadline checked between rounds on the host
-  // thread); without one, the fixed path stays bitwise untouched.
-  const bool deadline_on = opts_.deadline_ms > 0;
-  const double deadline_s = static_cast<double>(opts_.deadline_ms) / 1000.0;
-
-  if (!opts_.adaptive && !deadline_on) {
-    // Fixed budget: one sweep over the whole stream for every query — the
-    // pre-adaptive code path, bitwise preserved.
-    std::vector<i64> all(static_cast<std::size_t>(nq));
-    std::iota(all.begin(), all.end(), i64{0});
-    for (i64 q = 0; q < nq; ++q)
-      if (queries[static_cast<std::size_t>(q)].prefix) {
-        prefix_store[static_cast<std::size_t>(q)].assign(
-            static_cast<std::size_t>(n), 0.0);
-        prefix_target[static_cast<std::size_t>(q)] =
-            prefix_store[static_cast<std::size_t>(q)].data();
-      }
-    sweep_range(all, 0, num_samples);
-
-    const double batch_seconds = timer.seconds();
-    for (i64 q = 0; q < nq; ++q) {
-      const stats::BlockEstimate est = block_estimate(q, opts_.shifts);
-      QueryResult& res = results[static_cast<std::size_t>(q)];
-      res.prob = est.mean;
-      res.error3sigma = est.error3sigma;
-      res.seconds = batch_seconds;
-      res.samples_used = num_samples;
-      res.shifts_used = opts_.shifts;
-      if (queries[static_cast<std::size_t>(q)].prefix) {
-        res.prefix_prob = std::move(prefix_store[static_cast<std::size_t>(q)]);
-        const double inv = 1.0 / static_cast<double>(num_samples);
-        for (double& v : res.prefix_prob) v *= inv;
-      }
-    }
-    return results;
-  }
-
-  // Round mode (adaptive and/or deadline-bounded): one shift block per
-  // round across the still-active queries, retiring each query
-  // independently once its criterion is met — error3sigma <= abs_tol,
-  // or the decision threshold cleanly cleared (adaptive only) —
-  // or en masse when the deadline expires. All stop decisions run here on
-  // the host thread from deterministic block sums, so the adaptive round
-  // schedule (and therefore every result bit) is identical across worker
-  // counts; deadline stops are time-dependent and exempt (see ROADMAP).
-  for (i64 q = 0; q < nq; ++q)
-    if (queries[static_cast<std::size_t>(q)].prefix)
-      prefix_store[static_cast<std::size_t>(q)].assign(
-          static_cast<std::size_t>(n * opts_.shifts), 0.0);
-
   // A prefix query retires only when every prefix row meets the budget or
   // clears the decision — the confidence-region envelope is a running min
   // of these rows, so row-wise clearance implies the envelope's side cannot
   // flip with more samples inside the error model. The true prefix sequence
   // is non-increasing (each SOV factor is a probability in [0,1]), so the
   // first row whose interval lies cleanly *below* the decision decides
-  // every later row at once.
+  // every later row at once. Adaptive rounds are one shift block, so slot s
+  // holds shift s.
   const auto prefix_decided = [&](i64 q, int done) {
     const double decision = queries[static_cast<std::size_t>(q)].decision;
     const std::vector<double>& store =
@@ -619,35 +502,36 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     return true;
   };
 
+  // The round loop, across the still-active queries, retiring each query
+  // independently once its criterion is met — error3sigma <= abs_tol, or
+  // the decision threshold cleanly cleared (adaptive only) — or en masse
+  // when the deadline expires. All stop decisions run here on the host
+  // thread from deterministic block sums, so the adaptive round schedule
+  // (and therefore every result bit) is identical across worker counts;
+  // deadline stops are time-dependent and exempt (see ROADMAP).
+  const bool deadline_on = opts_.deadline_ms > 0;
+  const double deadline_s = static_cast<double>(opts_.deadline_ms) / 1000.0;
   std::vector<i64> active(static_cast<std::size_t>(nq));
   std::iota(active.begin(), active.end(), i64{0});
   std::vector<int> shifts_done(static_cast<std::size_t>(nq), 0);
   std::vector<char> converged(static_cast<std::size_t>(nq), 0);
   std::vector<char> deadline_hit(static_cast<std::size_t>(nq), 0);
 
-  while (!active.empty()) {
-    // All active queries have advanced in lockstep: one shared shift index.
-    const int s = shifts_done[static_cast<std::size_t>(active.front())];
+  for (int round = 0; !active.empty(); ++round) {
     // Deadline check between rounds — but only after the first round, so
     // every query retires with at least one shift block behind its estimate
     // (a deadline result is a partial answer, never an empty one).
-    if (deadline_on && s > 0 && timer.seconds() + elapsed_s >= deadline_s) {
+    if (deadline_on && round > 0 && timer.seconds() + elapsed_s >= deadline_s) {
       for (const i64 qi : active)
         deadline_hit[static_cast<std::size_t>(qi)] = 1;
       break;
     }
-    for (const i64 qi : active)
-      prefix_target[static_cast<std::size_t>(qi)] =
-          queries[static_cast<std::size_t>(qi)].prefix
-              ? prefix_store[static_cast<std::size_t>(qi)].data() +
-                    static_cast<i64>(s) * n
-              : nullptr;
-    sweep_range(active, static_cast<i64>(s) * sps,
-                static_cast<i64>(s + 1) * sps);
+    const i64 s_begin = static_cast<i64>(round) * round_shifts * sps;
+    sweep_range(active, round, s_begin, s_begin + round_shifts * sps);
     std::vector<i64> still;
     still.reserve(active.size());
     for (const i64 qi : active) {
-      ++shifts_done[static_cast<std::size_t>(qi)];
+      shifts_done[static_cast<std::size_t>(qi)] += round_shifts;
       const int done = shifts_done[static_cast<std::size_t>(qi)];
       // Early-stop checks belong to adaptive mode only: a deadline-bounded
       // fixed-budget run sweeps every block the clock allows.
@@ -672,6 +556,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   }
 
   const double batch_seconds = timer.seconds();
+  std::vector<QueryResult> results(static_cast<std::size_t>(nq));
   for (i64 q = 0; q < nq; ++q) {
     const int done = shifts_done[static_cast<std::size_t>(q)];
     const stats::BlockEstimate est = block_estimate(q, done);
@@ -686,15 +571,15 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                      ? EvalMethod::kDeadline
                      : EvalMethod::kQmc;
     if (queries[static_cast<std::size_t>(q)].prefix) {
-      // Fold per-shift prefix sums in ascending shift order, then normalise
-      // by the samples this query actually evaluated.
+      // Fold the round slots in ascending round order, then normalise by
+      // the samples this query actually evaluated.
       res.prefix_prob.assign(static_cast<std::size_t>(n), 0.0);
       const std::vector<double>& store =
           prefix_store[static_cast<std::size_t>(q)];
-      for (int sft = 0; sft < done; ++sft)
+      for (int slot = 0; slot < done / round_shifts; ++slot)
         for (i64 i = 0; i < n; ++i)
           res.prefix_prob[static_cast<std::size_t>(i)] +=
-              store[static_cast<std::size_t>(static_cast<i64>(sft) * n + i)];
+              store[static_cast<std::size_t>(static_cast<i64>(slot) * n + i)];
       const double inv = 1.0 / static_cast<double>(res.samples_used);
       for (double& v : res.prefix_prob) v *= inv;
     }

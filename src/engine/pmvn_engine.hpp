@@ -6,7 +6,7 @@
 // all queries are packed end to end into shared wide sample-contiguous
 // panels (rows = samples of the whole batch, columns = dimensions — the
 // same layout the QMC tile kernel sweeps), so
-// each propagation step is one GEMM over the whole batch — every
+// each mean-update step is one GEMM over the whole batch — every
 // off-diagonal factor tile is read once per (tile-row pair, panel round)
 // instead of once per query — and the QMC kernels of different queries run
 // as independent tasks that fill the worker pool even when a single query's
@@ -22,11 +22,12 @@
 //    queries, and the microkernel's per-column arithmetic does not depend on
 //    panel width or column position.
 //
-// Adaptive mode (EngineOptions::adaptive) evaluates shift blocks round by
-// round and retires queries as their error budget is met; each round reuses
-// the same fused wide-panel sweep over the still-active subset. All stop
-// decisions happen on the host thread from deterministic block sums, so
-// both contracts extend to the adaptive path.
+// One round loop serves every path: the fixed budget is one round, while
+// adaptive mode (EngineOptions::adaptive) and deadlines evaluate one shift
+// block per round and retire queries between rounds; each round reuses the
+// same fused wide-panel sweep, and the same panel workspace, over the
+// still-active subset. All stop decisions happen on the host thread from
+// deterministic block sums, so both contracts extend to the adaptive path.
 #pragma once
 
 #include <limits>
@@ -46,8 +47,9 @@ struct EngineOptions {
   /// The paper's Algorithm 2 fills R with i.i.d. U(0,1); Richtmyer QMC is
   /// what Genz recommends and converges faster (see the sampler ablation).
   stats::SamplerKind sampler = stats::SamplerKind::kPseudoMC;
-  /// Memory budget for the batch's A/B/Y panels, shared across all queries;
-  /// floored at one tile-width of columns per query.
+  /// Memory budget for the batch's M (conditional mean) and Y
+  /// (conditioning value) panels, shared across all queries; floored at one
+  /// tile-width of columns per query.
   i64 panel_bytes = i64{512} << 20;
 
   /// Error-budget-adaptive evaluation: sweep shift blocks round by round and
@@ -166,7 +168,7 @@ class PmvnEngine {
   [[nodiscard]] const EngineOptions& options() const noexcept { return opts_; }
 
  private:
-  /// The QMC wide-panel sweep (fixed-budget or adaptive) — the untiered
+  /// The QMC wide-panel round loop (fixed-budget or adaptive) — the untiered
   /// evaluate(), bitwise independent of which queries the EP screen peeled
   /// off (batch transparency). `elapsed_s` is wall time already charged
   /// against the deadline before the sweep started (the tiered screen).

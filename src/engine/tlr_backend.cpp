@@ -1,23 +1,29 @@
 #include "engine/tlr_backend.hpp"
 
+#include "core/qmc_kernel.hpp"
 #include "linalg/blas.hpp"
 #include "tlr/lr_tile.hpp"
 
 namespace parmvn::engine {
 
 void TlrBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                              la::MatrixView a, la::MatrixView b) const {
-  // L_ir = U V^T, so A -= (Y V) U^T with the skinny inner product shared
-  // by both targets. An empty b is all +inf and stays so: no B update.
+                              la::MatrixView mean) const {
+  // L_ir = U V^T, so M += (Y V) U^T: two skinny GEMMs through the rank.
   const tlr::LowRankTile& t = l_->lr(i, r);
   la::Matrix tmp(y.rows, t.rank());
   la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, y, t.v.view(), 0.0,
            tmp.view());
-  la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, tmp.view(), t.u.view(), 1.0,
-           a);
-  if (b.data != nullptr)
-    la::gemm(la::Trans::kNo, la::Trans::kYes, -1.0, tmp.view(), t.u.view(),
-             1.0, b);
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(), t.u.view(), 1.0,
+           mean);
+}
+
+void TlrBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                            std::span<const double> a,
+                            std::span<const double> b, la::ConstMatrixView mean,
+                            la::MatrixView y, double* p,
+                            double* prefix_acc) const {
+  core::qmc_tile_kernel(l_->diag(r), pts, r * l_->tile_size(), col0, a, b,
+                        mean, y, p, prefix_acc);
 }
 
 double TlrBackend::ep_row(i64 k,

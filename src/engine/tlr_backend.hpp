@@ -1,5 +1,5 @@
 // TLR factor backend: a thin adapter exposing tlr::TlrMatrix through the
-// FactorBackend sweep vocabulary (reduced-limit protocol).
+// FactorBackend sweep vocabulary (per-pair update tasks).
 #pragma once
 
 #include <memory>
@@ -31,18 +31,12 @@ class TlrBackend final : public FactorBackend {
     return l_->tile_rows(r);
   }
 
-  [[nodiscard]] la::ConstMatrixView diag_view(i64 r) const override {
-    return l_->diag(r);
-  }
-  [[nodiscard]] rt::DataHandle diag_handle(i64 r) const override {
-    return l_->diag_handle(r);
-  }
-  [[nodiscard]] rt::DataHandle off_handle(i64 i, i64 r) const override {
-    return l_->lr_handle(i, r);
-  }
-
-  void apply_update(i64 i, i64 r, la::ConstMatrixView y, la::MatrixView a,
-                    la::MatrixView b) const override;
+  void apply_update(i64 i, i64 r, la::ConstMatrixView y,
+                    la::MatrixView mean) const override;
+  void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
+                  std::span<const double> a, std::span<const double> b,
+                  la::ConstMatrixView mean, la::MatrixView y, double* p,
+                  double* prefix_acc) const override;
 
   double ep_row(i64 k,
                 std::vector<std::pair<i64, double>>& parents) const override;

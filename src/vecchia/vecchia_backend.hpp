@@ -1,4 +1,5 @@
-// FactorBackend adapter for the Vecchia factor (mean-panel protocol).
+// FactorBackend adapter for the Vecchia factor (cross-tile contributions
+// folded into the chain task).
 #pragma once
 
 #include <memory>
@@ -30,7 +31,9 @@ class VecchiaBackend final : public engine::FactorBackend {
     return v_->tile_rows(r);
   }
 
-  [[nodiscard]] bool mean_panel_form() const noexcept override { return true; }
+  [[nodiscard]] bool pair_update_tasks() const noexcept override {
+    return false;  // cross-tile weights fold into the chain task
+  }
 
   void accumulate_external(i64 r, std::span<const la::Matrix> y_panels,
                            i64 row_off, i64 nrows,

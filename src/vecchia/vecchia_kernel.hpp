@@ -1,10 +1,11 @@
-// The per-tile QMC chain step for the Vecchia factor — the mean-panel
+// The per-tile QMC chain step for the Vecchia factor — the sparse
 // counterpart of core::qmc_tile_kernel.
 //
 // Same sample-contiguous panel layout (rows = samples, columns = tile-local
-// dimensions) and the same batched Phi / Phi^-1 primitives; the protocol
-// differs because a Vecchia factor propagates *realized field values*, not
-// standardised innovations:
+// dimensions), the same mean form and the same per-row tail
+// (core::detail::chain_row); the arms differ in how the in-tile mean is
+// formed and in what the Y panel carries, because a Vecchia factor
+// propagates *realized field values*, not standardised innovations:
 //
 //   mu_j   = sum_{k in c(i), k in tile} w_ik y(j,k) + mean(j, i)   (gather)
 //   a'_j   = (a_i - mu_j) / d_i,  b'_j = (b_i - mu_j) / d_i
@@ -15,11 +16,9 @@
 // lies in the tile, at most m FMAs per entry. `mean` carries the
 // accumulated external conditional mean (zero plus every cross-tile
 // weight, VecchiaBackend::accumulate_external); `a`/`b` are the
-// per-dimension query limits in the factor's ordered, standardised space —
-// constant down each column, so they are passed as spans instead of
-// replicated panels. The per-sample arithmetic depends only on the
-// dimension index, preserving the batched==single and worker-count
-// determinism contracts.
+// per-dimension query limits in the factor's ordered, standardised space.
+// The per-sample arithmetic depends only on the dimension index,
+// preserving the batched==single and worker-count determinism contracts.
 #pragma once
 
 #include <span>

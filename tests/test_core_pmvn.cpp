@@ -47,7 +47,7 @@ tile::TileMatrix tiled_chol(rt::Runtime& rt, const Matrix& sigma, i64 nb) {
 TEST(PmvnDense, MatchesSequentialOracleExactly) {
   // Same PointSet parameters => identical w values => the tile algorithm
   // computes the same chains as the sequential reference (up to FP
-  // reassociation in the GEMM propagation).
+  // reassociation in the mean-update GEMMs).
   const i64 n = 60;
   Matrix sigma = equicorrelated(n, 0.45);
   std::vector<double> a(static_cast<std::size_t>(n), -0.4);

@@ -3,13 +3,17 @@
 // sample-major scalar kernel, infinite-limit handling, dead chains, prefix
 // accumulation and tiling invariance.
 //
-// Panel layout: a/b/y are sample-contiguous (mc x m) — row index = sample,
-// column index = tile-local dimension.
+// Mean form: the limits are per-dimension spans, and an (mc x m)
+// sample-contiguous mean panel carries each sample's external conditional
+// mean (row index = sample, column index = tile-local dimension), as do the
+// y outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/qmc_kernel.hpp"
@@ -40,22 +44,23 @@ Matrix lower_factor(i64 n, u64 seed) {
 }
 
 // The seed's sample-major scalar recursion (one chain at a time, plain
-// left-to-right dots through the scalar Phi / Phi^-1): the reference the
-// vectorized panel sweep must agree with.
+// left-to-right dots through the scalar Phi / Phi^-1), in mean form: the
+// reference the vectorized panel sweep must agree with.
 void reference_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
-                      i64 row0, i64 col0, la::ConstMatrixView a,
-                      la::ConstMatrixView b, la::MatrixView y, double* p,
-                      double* prefix_acc) {
+                      i64 row0, i64 col0, std::span<const double> a,
+                      std::span<const double> b, la::ConstMatrixView mean,
+                      la::MatrixView y, double* p, double* prefix_acc) {
   const i64 m = l.rows;
-  const i64 mc = a.rows;
+  const i64 mc = mean.rows;
   for (i64 j = 0; j < mc; ++j) {
     double pj = p[j];
     for (i64 i = 0; i < m; ++i) {
       double s = 0.0;
       for (i64 k = 0; k < i; ++k) s += l(i, k) * y(j, k);
+      s += mean(j, i);
       const double lii = l(i, i);
-      const double ai = (a(j, i) - s) / lii;
-      const double bi = (b(j, i) - s) / lii;
+      const double ai = (a[static_cast<std::size_t>(i)] - s) / lii;
+      const double bi = (b[static_cast<std::size_t>(i)] - s) / lii;
       const double phi_a = stats::norm_cdf(ai);
       const double d = stats::norm_cdf_diff(ai, bi);
       pj *= d;
@@ -68,19 +73,31 @@ void reference_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
   }
 }
 
+// A per-sample external mean that varies down and across the panel.
+Matrix mean_panel(i64 mc, i64 m) {
+  Matrix mean(mc, m);
+  for (i64 j = 0; j < mc; ++j)
+    for (i64 i = 0; i < m; ++i)
+      mean(j, i) = 0.05 * static_cast<double>((i * 5 + j) % 7) - 0.1;
+  return mean;
+}
+
 TEST(QmcKernel, MatchesScalarRecursionPerChain) {
+  // A nonzero external mean shifts every sample's limits differently:
+  // a' = (a_i - mean(j, i) - s) / l_ii.
   const i64 m = 12;
   const i64 mc = 5;
   const Matrix l = lower_factor(m, 3);
   const stats::PointSet pts(stats::SamplerKind::kPseudoMC, m, 64, 1, 9);
-  Matrix a(mc, m), b(mc, m), y(mc, m);
-  for (i64 j = 0; j < mc; ++j)
-    for (i64 i = 0; i < m; ++i) {
-      a(j, i) = -1.2 - 0.05 * static_cast<double>(i);
-      b(j, i) = 0.8 + 0.03 * static_cast<double>(j);
-    }
+  std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
+  for (i64 i = 0; i < m; ++i) {
+    a[static_cast<std::size_t>(i)] = -1.2 - 0.05 * static_cast<double>(i);
+    b[static_cast<std::size_t>(i)] = 0.8 + 0.03 * static_cast<double>(i % 4);
+  }
+  const Matrix mean = mean_panel(mc, m);
+  Matrix y(mc, m);
   std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y.view(),
+  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                         p.data(), nullptr);
 
   // Scalar re-derivation of chain j = 2.
@@ -88,10 +105,10 @@ TEST(QmcKernel, MatchesScalarRecursionPerChain) {
   std::vector<double> yref(static_cast<std::size_t>(m));
   double pref = 1.0;
   for (i64 i = 0; i < m; ++i) {
-    double s = 0.0;
+    double s = mean(j, i);
     for (i64 k = 0; k < i; ++k) s += l(i, k) * yref[static_cast<std::size_t>(k)];
-    const double ai = (a(j, i) - s) / l(i, i);
-    const double bi = (b(j, i) - s) / l(i, i);
+    const double ai = (a[static_cast<std::size_t>(i)] - s) / l(i, i);
+    const double bi = (b[static_cast<std::size_t>(i)] - s) / l(i, i);
     const double d = stats::norm_cdf_diff(ai, bi);
     pref *= d;
     const double u = std::clamp(stats::norm_cdf(ai) + pts.value(i, j) * d,
@@ -105,59 +122,67 @@ TEST(QmcKernel, MatchesScalarRecursionPerChain) {
 
 // Old-vs-new equivalence: the panel sweep against the seed's sample-major
 // kernel at the panel widths the engine actually produces (full tile, a
-// ragged SIMD tail, a single chain). Tolerances absorb the reassociated
-// triangular products and the native batched transcendentals (<= ~1e-14
-// relative per evaluation; chains amplify through the quantile feedback).
+// ragged SIMD tail, a single chain), two-sided and one-sided (b = +inf on
+// the whole tile). Tolerances absorb the reassociated triangular products
+// and the native batched transcendentals (<= ~1e-14 relative per
+// evaluation; chains amplify through the quantile feedback).
 TEST(QmcKernel, MatchesSampleMajorSeedKernelAcrossWidths) {
   const i64 m = 24;
-  for (const i64 mc : {i64{1}, i64{7}, i64{64}}) {
-    const Matrix l = lower_factor(m, 17);
-    const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m,
-                              std::max<i64>(mc, 8), 2, 31);
-    Matrix a(mc, m), b(mc, m), y_new(mc, m), y_old(mc, m);
-    for (i64 j = 0; j < mc; ++j)
+  for (const bool one_sided : {false, true}) {
+    for (const i64 mc : {i64{1}, i64{7}, i64{64}}) {
+      const Matrix l = lower_factor(m, 17);
+      const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m,
+                                std::max<i64>(mc, 8), 2, 31);
+      std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
       for (i64 i = 0; i < m; ++i) {
-        a(j, i) = -1.5 - 0.04 * static_cast<double>((i * 5 + j) % 7);
-        b(j, i) = 0.6 + 0.05 * static_cast<double>((i + 2 * j) % 5);
+        a[static_cast<std::size_t>(i)] =
+            -1.5 - 0.04 * static_cast<double>((i * 5) % 7);
+        b[static_cast<std::size_t>(i)] =
+            one_sided ? kInf : 0.6 + 0.05 * static_cast<double>(i % 5);
       }
-    std::vector<double> p_new(static_cast<std::size_t>(mc), 1.0);
-    std::vector<double> p_old(static_cast<std::size_t>(mc), 1.0);
-    std::vector<double> acc_new(static_cast<std::size_t>(m), 0.0);
-    std::vector<double> acc_old(static_cast<std::size_t>(m), 0.0);
-    core::qmc_tile_kernel(l.view(), pts, m, 0, a.view(), b.view(),
-                          y_new.view(), p_new.data(), acc_new.data());
-    reference_kernel(l.view(), pts, m, 0, a.view(), b.view(), y_old.view(),
-                     p_old.data(), acc_old.data());
-    for (i64 j = 0; j < mc; ++j) {
-      EXPECT_NEAR(p_new[static_cast<std::size_t>(j)] /
-                      p_old[static_cast<std::size_t>(j)],
-                  1.0, 1e-10)
-          << "mc=" << mc << " chain=" << j;
+      const Matrix mean = mean_panel(mc, m);
+      Matrix y_new(mc, m), y_old(mc, m);
+      std::vector<double> p_new(static_cast<std::size_t>(mc), 1.0);
+      std::vector<double> p_old(static_cast<std::size_t>(mc), 1.0);
+      std::vector<double> acc_new(static_cast<std::size_t>(m), 0.0);
+      std::vector<double> acc_old(static_cast<std::size_t>(m), 0.0);
+      core::qmc_tile_kernel(l.view(), pts, m, 0, a, b, mean.view(),
+                            y_new.view(), p_new.data(), acc_new.data());
+      reference_kernel(l.view(), pts, m, 0, a, b, mean.view(), y_old.view(),
+                       p_old.data(), acc_old.data());
+      const std::string where = "one_sided=" + std::to_string(one_sided) +
+                                " mc=" + std::to_string(mc);
+      for (i64 j = 0; j < mc; ++j) {
+        EXPECT_NEAR(p_new[static_cast<std::size_t>(j)] /
+                        p_old[static_cast<std::size_t>(j)],
+                    1.0, 1e-10)
+            << where << " chain=" << j;
+        for (i64 i = 0; i < m; ++i)
+          EXPECT_NEAR(y_new(j, i), y_old(j, i),
+                      1e-9 * (1.0 + std::fabs(y_old(j, i))))
+              << where << " chain=" << j << " row=" << i;
+      }
       for (i64 i = 0; i < m; ++i)
-        EXPECT_NEAR(y_new(j, i), y_old(j, i),
-                    1e-9 * (1.0 + std::fabs(y_old(j, i))))
-            << "mc=" << mc << " chain=" << j << " row=" << i;
+        EXPECT_NEAR(acc_new[static_cast<std::size_t>(i)],
+                    acc_old[static_cast<std::size_t>(i)],
+                    1e-10 * static_cast<double>(mc))
+            << where << " prefix row=" << i;
     }
-    for (i64 i = 0; i < m; ++i)
-      EXPECT_NEAR(acc_new[static_cast<std::size_t>(i)],
-                  acc_old[static_cast<std::size_t>(i)],
-                  1e-10 * static_cast<double>(mc))
-          << "mc=" << mc << " prefix row=" << i;
   }
 }
 
 TEST(QmcKernel, InfiniteLimitsContributeFactorOne) {
+  // a = -inf and b = +inf on the whole tile, under a nonzero mean: every
+  // factor is exactly Phi(+inf) - Phi(-inf) = 1, whatever the mean.
   const i64 m = 8;
   const Matrix l = lower_factor(m, 5);
   const stats::PointSet pts(stats::SamplerKind::kRichtmyer, m, 16, 1, 1);
-  Matrix a(2, m), b(2, m), y(2, m);
-  for (i64 j = 0; j < 2; ++j)
-    for (i64 i = 0; i < m; ++i) {
-      a(j, i) = -kInf;
-      b(j, i) = kInf;
-    }
+  const std::vector<double> a(static_cast<std::size_t>(m), -kInf);
+  const std::vector<double> b(static_cast<std::size_t>(m), kInf);
+  const Matrix mean = mean_panel(2, m);
+  Matrix y(2, m);
   std::vector<double> p(2, 0.7);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y.view(),
+  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                         p.data(), nullptr);
   // Unconstrained dimensions multiply p by exactly 1 but still draw y.
   EXPECT_DOUBLE_EQ(p[0], 0.7);
@@ -168,54 +193,18 @@ TEST(QmcKernel, InfiniteLimitsContributeFactorOne) {
   }
 }
 
-TEST(QmcKernel, EmptyUpperPanelEqualsExplicitInfinity) {
-  // An empty b view is the engine's "b = +inf on this tile row": it must
-  // reproduce a B panel filled with +inf bit for bit — y, p and the prefix
-  // sums — with a ragged SIMD tail and one unconstrained row thrown in.
-  const i64 m = 20;
-  const i64 mc = 13;
-  const Matrix l = lower_factor(m, 23);
-  const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m, 16, 1, 8);
-  Matrix a(mc, m), b(mc, m), y_full(mc, m), y_empty(mc, m);
-  for (i64 j = 0; j < mc; ++j)
-    for (i64 i = 0; i < m; ++i) {
-      a(j, i) = i == 5 ? -kInf : -0.9 + 0.07 * static_cast<double>((i + j) % 6);
-      b(j, i) = kInf;
-    }
-  std::vector<double> p_full(static_cast<std::size_t>(mc), 1.0);
-  std::vector<double> p_empty = p_full;
-  std::vector<double> acc_full(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> acc_empty = acc_full;
-  core::qmc_tile_kernel(l.view(), pts, m, 3, a.view(), b.view(),
-                        y_full.view(), p_full.data(), acc_full.data());
-  core::qmc_tile_kernel(l.view(), pts, m, 3, a.view(), la::ConstMatrixView{},
-                        y_empty.view(), p_empty.data(), acc_empty.data());
-  for (i64 j = 0; j < mc; ++j) {
-    EXPECT_EQ(p_empty[static_cast<std::size_t>(j)],
-              p_full[static_cast<std::size_t>(j)])
-        << j;
-    for (i64 i = 0; i < m; ++i)
-      EXPECT_EQ(y_empty(j, i), y_full(j, i)) << j << "," << i;
-  }
-  for (i64 i = 0; i < m; ++i)
-    EXPECT_EQ(acc_empty[static_cast<std::size_t>(i)],
-              acc_full[static_cast<std::size_t>(i)])
-        << i;
-}
-
 TEST(QmcKernel, DeadChainZeroesProbabilityAndStaysFinite) {
   const i64 m = 6;
   const Matrix l = lower_factor(m, 7);
   const stats::PointSet pts(stats::SamplerKind::kPseudoMC, m, 8, 1, 2);
-  Matrix a(1, m), b(1, m), y(1, m);
-  for (i64 i = 0; i < m; ++i) {
-    a(0, i) = -1.0;
-    b(0, i) = 1.0;
-  }
-  a(0, 2) = 2.0;  // inverted box at row 2: d = 0 kills the chain
-  b(0, 2) = -2.0;
+  std::vector<double> a(static_cast<std::size_t>(m), -1.0);
+  std::vector<double> b(static_cast<std::size_t>(m), 1.0);
+  a[2] = 2.0;  // inverted box at row 2: d = 0 kills the chain
+  b[2] = -2.0;
+  const Matrix mean(1, m);
+  Matrix y(1, m);
   std::vector<double> p(1, 1.0);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y.view(),
+  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                         p.data(), nullptr);
   EXPECT_DOUBLE_EQ(p[0], 0.0);
   for (i64 i = 0; i < m; ++i) EXPECT_TRUE(std::isfinite(y(0, i))) << i;
@@ -226,15 +215,13 @@ TEST(QmcKernel, PrefixAccumulatorSumsRunningProducts) {
   const i64 mc = 4;
   const Matrix l = lower_factor(m, 11);
   const stats::PointSet pts(stats::SamplerKind::kPseudoMC, m, 32, 1, 3);
-  Matrix a(mc, m), b(mc, m), y(mc, m);
-  for (i64 j = 0; j < mc; ++j)
-    for (i64 i = 0; i < m; ++i) {
-      a(j, i) = -0.5;
-      b(j, i) = kInf;
-    }
+  const std::vector<double> a(static_cast<std::size_t>(m), -0.5);
+  const std::vector<double> b(static_cast<std::size_t>(m), kInf);
+  const Matrix mean(mc, m);
+  Matrix y(mc, m);
   std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
   std::vector<double> acc(static_cast<std::size_t>(m), 0.0);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y.view(),
+  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                         p.data(), acc.data());
   // Last accumulator row equals the sum of the final products.
   double total = 0.0;
@@ -255,15 +242,14 @@ TEST(QmcKernel, RowOffsetSelectsSamplerDimensions) {
   const i64 m = 6;
   const Matrix l = lower_factor(m, 13);
   const stats::PointSet pts(stats::SamplerKind::kPseudoMC, 2 * m, 16, 1, 4);
-  Matrix a(1, m), b(1, m), y0(1, m), y1(1, m);
-  for (i64 i = 0; i < m; ++i) {
-    a(0, i) = -1.0;
-    b(0, i) = 1.0;
-  }
+  const std::vector<double> a(static_cast<std::size_t>(m), -1.0);
+  const std::vector<double> b(static_cast<std::size_t>(m), 1.0);
+  const Matrix mean(1, m);
+  Matrix y0(1, m), y1(1, m);
   std::vector<double> p0(1, 1.0), p1(1, 1.0);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a.view(), b.view(), y0.view(),
+  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y0.view(),
                         p0.data(), nullptr);
-  core::qmc_tile_kernel(l.view(), pts, m, 0, a.view(), b.view(), y1.view(),
+  core::qmc_tile_kernel(l.view(), pts, m, 0, a, b, mean.view(), y1.view(),
                         p1.data(), nullptr);
   bool differs = false;
   for (i64 i = 0; i < m; ++i) differs |= (y0(0, i) != y1(0, i));

@@ -239,8 +239,8 @@ TEST(Determinism, BatchedEqualsSingleQueryEvaluationAcrossWorkers) {
     batch.push_back({lo2, hi, 42, true});
 
     // Mixed batch: extents k = 3, 17, n (a = -inf past row k) and one
-    // query with b finite on tile row 1 only, whose B panel the others
-    // share at b = +inf.
+    // query with b finite on tile row 1 only, two-sided among one-sided
+    // queries.
     std::vector<std::vector<double>> lo, up;
     for (const i64 k : {i64{3}, i64{17}, n}) {
       lo.emplace_back(static_cast<std::size_t>(n), -kInf);

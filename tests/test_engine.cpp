@@ -1,7 +1,7 @@
 // Tests for the factor-once / evaluate-many engine layer: CholeskyFactor
 // construction and borrowing, the batched PmvnEngine's batch-transparency
 // contract (batched results bitwise-identical to single-query evaluation),
-// the skipped infinite-limit work checked bitwise against a full-sweep
+// the engine sweep checked bitwise against a literal mean-form Algorithm 2
 // oracle, and FactorCache LRU/keying semantics.
 #include <gtest/gtest.h>
 
@@ -38,6 +38,7 @@ namespace {
 using namespace parmvn;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 struct SpatialProblem {
   geo::LocationSet locs;
@@ -70,8 +71,8 @@ std::vector<i64> identity_order(i64 n) {
 
 // A batch whose queries constrain different extents (k = 3, 17, n: a is
 // finite on rows < k, -inf past them, b = +inf) plus one query whose b is
-// finite on tile row 2 only, so the batch carries a B panel the other
-// queries share at b = +inf. The vectors own what the LimitSets point into.
+// finite on tile row 2 only, two-sided among one-sided queries. The vectors
+// own what the LimitSets point into.
 struct MixedBatch {
   std::vector<std::vector<double>> a, b;
   std::vector<engine::LimitSet> queries;
@@ -179,8 +180,8 @@ TEST(PmvnEngine, BatchedMatchesSingleQueryBitwise) {
     batch.push_back({lows[0], b, 7, true});
     batch.push_back({lows[1], b, 7, false});   // same seed, different limits
     batch.push_back({lows[2], b, 123, true});  // different seed
-    // Mixed extents and one B panel shared at +inf: a query's swept extent
-    // and B panels differ between the batch and its single run.
+    // Mixed extents and one two-sided query: a query's swept extent differs
+    // between the batch and its single run.
     const MixedBatch mixed(n, 16);
     for (const std::vector<engine::LimitSet>& qs : {batch, mixed.queries}) {
       const std::vector<engine::QueryResult> fused = eng.evaluate(qs);
@@ -201,15 +202,16 @@ TEST(PmvnEngine, BatchedMatchesSingleQueryBitwise) {
   }
 }
 
-// The reduced-limit sweep with nothing skipped, spelled out for one query
-// on the dense or TLR arm: explicit A and B panels holding the limits on
-// all n rows, core::qmc_tile_kernel per (tile row, tile-wide column tile of
-// samples), and both propagation GEMMs per tile pair. The engine skips B
-// panels where b = +inf and tile rows past the last finite limit; every
-// result bit must still match this. `shifts` blocks are evaluated; with
-// `per_shift` the stream is cut into one range per shift block, as the
-// round loop sweeps it, else it is one range, as the fixed-budget path
-// sweeps it. Column tiles start at each range's first sample.
+// Algorithm 2 in mean form with nothing skipped, spelled out for one query
+// on the dense or TLR arm: per tile-wide column tile of samples, zeroed mean
+// panels M on all n rows, core::qmc_tile_kernel per tile row against the
+// query's limit spans, and M_i += Y_r L_ir^T for every later tile row. The
+// engine skips tile rows past the last finite limit and shares panels and
+// GEMMs across a batch; every result bit must still match this. `shifts`
+// blocks are evaluated; with `per_shift` the stream is cut into one range
+// per shift block, as the adaptive round loop sweeps it, else it is one
+// range, as the fixed-budget round sweeps it. Column tiles start at each
+// range's first sample.
 engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
                                  const engine::LimitSet& q,
                                  const engine::EngineOptions& opts, int shifts,
@@ -220,21 +222,26 @@ engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
   const i64 sps = opts.samples_per_shift;
   const i64 total = sps * shifts;
   const stats::PointSet pts(opts.sampler, n, sps, opts.shifts, q.seed);
+  const bool dense = f.kind() == engine::FactorKind::kDense;
+  const auto diag = [&](i64 r) {
+    return dense ? f.dense().tile(r, r) : f.tlr().diag(r);
+  };
   const auto update = [&](i64 i, i64 r, la::ConstMatrixView y,
-                          la::MatrixView a, la::MatrixView b) {
+                          la::MatrixView mean) {
     constexpr la::Trans kNo = la::Trans::kNo;
     constexpr la::Trans kYes = la::Trans::kYes;
-    if (f.kind() == engine::FactorKind::kDense) {
-      const la::ConstMatrixView lir = f.dense().tile(i, r);
-      la::gemm(kNo, kYes, -1.0, y, lir, 1.0, a);
-      la::gemm(kNo, kYes, -1.0, y, lir, 1.0, b);
+    if (dense) {
+      la::gemm(kNo, kYes, 1.0, y, f.dense().tile(i, r), 1.0, mean);
     } else {
       const tlr::LowRankTile& t = f.tlr().lr(i, r);
       la::Matrix yv(y.rows, t.rank());
       la::gemm(kNo, kNo, 1.0, y, t.v.view(), 0.0, yv.view());
-      la::gemm(kNo, kYes, -1.0, yv.view(), t.u.view(), 1.0, a);
-      la::gemm(kNo, kYes, -1.0, yv.view(), t.u.view(), 1.0, b);
+      la::gemm(kNo, kYes, 1.0, yv.view(), t.u.view(), 1.0, mean);
     }
+  };
+  const auto span_of = [&](std::span<const double> lim, i64 r) {
+    return lim.subspan(static_cast<std::size_t>(r * m),
+                       static_cast<std::size_t>(f.tile_rows(r)));
   };
 
   std::vector<double> p(static_cast<std::size_t>(total), 1.0);
@@ -244,28 +251,20 @@ engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
     std::vector<double> range_sum(static_cast<std::size_t>(n), 0.0);
     for (i64 c0 = s0; c0 < s0 + range; c0 += m) {
       const i64 w = std::min(m, s0 + range - c0);
-      std::vector<la::Matrix> A, B, Y;
+      std::vector<la::Matrix> M, Y;
       for (i64 r = 0; r < mt; ++r) {
-        const i64 mr = f.tile_rows(r);
-        A.emplace_back(w, mr);
-        B.emplace_back(w, mr);
-        Y.emplace_back(w, mr);
-        for (i64 i = 0; i < mr; ++i)
-          for (i64 j = 0; j < w; ++j) {
-            A.back()(j, i) = q.a[static_cast<std::size_t>(r * m + i)];
-            B.back()(j, i) = q.b[static_cast<std::size_t>(r * m + i)];
-          }
+        M.emplace_back(w, f.tile_rows(r));  // zero
+        Y.emplace_back(w, f.tile_rows(r));
       }
       std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
       for (i64 r = 0; r < mt; ++r) {
         const auto ru = static_cast<std::size_t>(r);
-        core::qmc_tile_kernel(f.backend().diag_view(r), pts, r * m, c0,
-                              A[ru].view(), B[ru].view(), Y[ru].view(),
+        core::qmc_tile_kernel(diag(r), pts, r * m, c0, span_of(q.a, r),
+                              span_of(q.b, r), M[ru].view(), Y[ru].view(),
                               p.data() + c0,
                               q.prefix ? acc.data() + r * m : nullptr);
         for (i64 i = r + 1; i < mt; ++i)
-          update(i, r, Y[ru].view(), A[static_cast<std::size_t>(i)].view(),
-                 B[static_cast<std::size_t>(i)].view());
+          update(i, r, Y[ru].view(), M[static_cast<std::size_t>(i)].view());
       }
       for (std::size_t i = 0; i < acc.size(); ++i) range_sum[i] += acc[i];
     }
@@ -290,8 +289,9 @@ engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
 }
 
 TEST(PmvnEngine, MatchesFullSweepOracleBitwise) {
-  // Skipping infinite limits must not move a bit: every query shape, on
-  // both reduced-limit arms, fixed and adaptive, equals the full sweep.
+  // Skipping infinite limits and fusing the sweep must not move a bit:
+  // every query shape, on both per-pair update arms, fixed and adaptive,
+  // equals the literal mean-form sweep.
   const SpatialProblem pb(8);  // n = 64: four tile rows of 16
   rt::Runtime rt(4);
   const i64 n = pb.n();
@@ -404,7 +404,11 @@ TEST(PmvnEngine, NanLimitThrowsTypedNamingTheQuery) {
 
 TEST(PmvnEngine, BatchedMatchesSingleUnderTightPanelBudget) {
   // Batch transparency must survive panelling: a tiny shared budget forces
-  // many rounds with per-query widths different from the single-query runs.
+  // many panels with per-query widths different from the single-query runs.
+  // The adaptive case retires two of three queries after two shift blocks,
+  // so the lone survivor's share of the budget (135 columns, floored to 130)
+  // outgrows the first rounds' panels (3 x 40 columns) and the engine's
+  // panel workspace has to grow mid-evaluate.
   const SpatialProblem pb(5);
   rt::Runtime rt(2);
   const i64 n = pb.n();
@@ -414,24 +418,44 @@ TEST(PmvnEngine, BatchedMatchesSingleUnderTightPanelBudget) {
   auto factor = std::make_shared<const engine::CholeskyFactor>(
       engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity, spec));
 
-  engine::EngineOptions tight = small_opts();
-  tight.panel_bytes = 1;  // floor: one tile of columns per query per round
-  engine::EngineOptions wide = small_opts();
-  const engine::PmvnEngine eng_tight(rt, factor, tight);
-  const engine::PmvnEngine eng_wide(rt, factor, wide);
-
   const std::vector<double> a(static_cast<std::size_t>(n), -0.5);
   const std::vector<double> b(static_cast<std::size_t>(n), 1.5);
-  std::vector<engine::LimitSet> batch;
-  batch.push_back({a, b, 3, true});
-  batch.push_back({a, b, 4, true});
-  const auto r_tight = eng_tight.evaluate(batch);
-  const auto r_wide = eng_wide.evaluate(batch);
-  for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-    EXPECT_DOUBLE_EQ(r_tight[qi].prob, r_wide[qi].prob) << qi;
-    for (std::size_t i = 0; i < r_wide[qi].prefix_prob.size(); ++i)
-      EXPECT_DOUBLE_EQ(r_tight[qi].prefix_prob[i], r_wide[qi].prefix_prob[i])
-          << "query=" << qi << " prefix=" << i;
+  for (const bool adaptive : {false, true}) {
+    engine::EngineOptions tight = small_opts();
+    tight.adaptive = adaptive;
+    // Fixed: the floor, one tile of columns per query per panel.
+    tight.panel_bytes = adaptive ? 2 * 8 * n * 135 : 1;
+    engine::EngineOptions wide = small_opts();
+    wide.adaptive = adaptive;
+    const engine::PmvnEngine eng_tight(rt, factor, tight);
+    const engine::PmvnEngine eng_wide(rt, factor, wide);
+
+    std::vector<engine::LimitSet> batch;
+    batch.push_back({a, b, 3, true, adaptive ? 0.9 : kNaN});
+    batch.push_back({a, b, 4, !adaptive, adaptive ? 0.9 : kNaN});
+    if (adaptive) batch.push_back({a, b, 5, true});  // runs every shift
+    const auto r_tight = eng_tight.evaluate(batch);
+    const auto r_wide = eng_wide.evaluate(batch);
+    if (adaptive) {
+      ASSERT_EQ(r_tight[0].shifts_used, 2);
+      ASSERT_EQ(r_tight[1].shifts_used, 2);
+      ASSERT_EQ(r_tight[2].shifts_used, tight.shifts);
+    }
+    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+      const engine::QueryResult alone = eng_tight.evaluate_one(batch[qi]);
+      const std::string where =
+          "adaptive=" + std::to_string(adaptive) + " query=" + std::to_string(qi);
+      EXPECT_DOUBLE_EQ(r_tight[qi].prob, r_wide[qi].prob) << where;
+      EXPECT_DOUBLE_EQ(r_tight[qi].prob, alone.prob) << where;
+      ASSERT_EQ(r_tight[qi].prefix_prob.size(), r_wide[qi].prefix_prob.size());
+      ASSERT_EQ(alone.prefix_prob.size(), r_wide[qi].prefix_prob.size());
+      for (std::size_t i = 0; i < r_wide[qi].prefix_prob.size(); ++i) {
+        EXPECT_DOUBLE_EQ(r_tight[qi].prefix_prob[i], r_wide[qi].prefix_prob[i])
+            << where << " prefix=" << i;
+        EXPECT_DOUBLE_EQ(alone.prefix_prob[i], r_wide[qi].prefix_prob[i])
+            << where << " prefix=" << i;
+      }
+    }
   }
 }
 

@@ -1,8 +1,7 @@
 // Failure-domain tests: every error path driven on purpose through the
 // deterministic fault-injection sites (common/fault.hpp). Covered sites:
-//   tile.potrf.pivot, tlr.potrf.pivot, engine.factor, engine.panel_init,
-//   engine.qmc, engine.submit, engine.register, ep.sweep, vecchia.fit,
-//   rt.trace
+//   tile.potrf.pivot, tlr.potrf.pivot, engine.factor, engine.qmc,
+//   engine.submit, engine.register, ep.sweep, vecchia.fit, rt.trace
 // plus the external cancel token, the query deadline, the per-query Status
 // of batched confidence-region detection, and the FactorCache in-flight
 // takeover under a failing factorization.
@@ -14,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -263,40 +263,57 @@ TEST(TlrFactor, PersistentNonPdFallsBackToDenseWhenOptedIn) {
 // -------------------------------------------- engine sweep failure paths
 
 TEST(EngineFaults, EverySweepSiteReleasesHandlesAndLeavesEngineReusable) {
-  // The four distinct failure surfaces of one sweep round: a task body
-  // (engine.qmc), an init task (engine.panel_init), a host-side submit
-  // (engine.submit), and handle registration itself (engine.register).
-  // After each injected failure the engine must still produce bit-identical
-  // results, and the round handles must have been returned.
+  // The distinct failure surfaces of one sweep round: the QMC task body
+  // (engine.qmc, every arm), and on the per-pair update arms a host-side
+  // submit (engine.submit) and handle registration itself
+  // (engine.register). After each injected failure the engine must still
+  // produce bit-identical results, and the round handles must have been
+  // returned.
   const SpatialProblem pb(6);
   rt::Runtime rt(2);
-  const auto factor = dense_factor(rt, pb);
-  const engine::PmvnEngine eng(rt, factor, small_opts());
+  std::vector<i64> identity(static_cast<std::size_t>(pb.n()));
+  std::iota(identity.begin(), identity.end(), i64{0});
+  engine::FactorSpec vspec{engine::FactorKind::kVecchia, 16, 0.0, -1};
+  vspec.vecchia_m = 6;
+  const auto vecchia = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity, vspec));
+  struct Arm {
+    std::shared_ptr<const engine::CholeskyFactor> factor;
+    std::vector<const char*> sites;
+  };
+  const std::vector<Arm> arms = {
+      {dense_factor(rt, pb), {"engine.qmc", "engine.submit", "engine.register"}},
+      {vecchia, {"engine.qmc"}}};
   const std::vector<double> a(static_cast<std::size_t>(pb.n()), -0.5);
   const std::vector<double> b(static_cast<std::size_t>(pb.n()), kInf);
   const engine::LimitSet query{a, b, 11, true};
-  const engine::QueryResult baseline = eng.evaluate_one(query);
 
-  for (const char* site :
-       {"engine.qmc", "engine.panel_init", "engine.submit",
-        "engine.register"}) {
-    const rt::DataHandle before = rt.register_data();
-    {
-      const fault::ScopedFault f(site);
-      EXPECT_THROW((void)eng.evaluate_one(query), Error) << site;
+  for (const Arm& arm : arms) {
+    const engine::PmvnEngine eng(rt, arm.factor, small_opts());
+    const engine::QueryResult baseline = eng.evaluate_one(query);
+    for (const char* site : arm.sites) {
+      const std::string where =
+          std::string(site) + " kind=" +
+          std::to_string(static_cast<int>(arm.factor->kind()));
+      const rt::DataHandle before = rt.register_data();
+      {
+        const fault::ScopedFault f(site);
+        EXPECT_THROW((void)eng.evaluate_one(query), Error) << where;
+      }
+      const engine::QueryResult after = eng.evaluate_one(query);
+      EXPECT_DOUBLE_EQ(after.prob, baseline.prob) << where;
+      EXPECT_DOUBLE_EQ(after.error3sigma, baseline.error3sigma) << where;
+      ASSERT_EQ(after.prefix_prob.size(), baseline.prefix_prob.size())
+          << where;
+      for (std::size_t i = 0; i < baseline.prefix_prob.size(); ++i)
+        EXPECT_DOUBLE_EQ(after.prefix_prob[i], baseline.prefix_prob[i])
+            << where << " prefix=" << i;
+      const rt::DataHandle end = rt.register_data();
+      EXPECT_LE(end.id(), before.id() + 64)
+          << where << ": round handles must be released on the error path";
+      rt.release_data(before);
+      rt.release_data(end);
     }
-    const engine::QueryResult after = eng.evaluate_one(query);
-    EXPECT_DOUBLE_EQ(after.prob, baseline.prob) << site;
-    EXPECT_DOUBLE_EQ(after.error3sigma, baseline.error3sigma) << site;
-    ASSERT_EQ(after.prefix_prob.size(), baseline.prefix_prob.size()) << site;
-    for (std::size_t i = 0; i < baseline.prefix_prob.size(); ++i)
-      EXPECT_DOUBLE_EQ(after.prefix_prob[i], baseline.prefix_prob[i])
-          << site << " prefix=" << i;
-    const rt::DataHandle end = rt.register_data();
-    EXPECT_LE(end.id(), before.id() + 64)
-        << site << ": round handles must be released on the error path";
-    rt.release_data(before);
-    rt.release_data(end);
   }
   EXPECT_EQ(rt.handles_leaked(), 0);
 }

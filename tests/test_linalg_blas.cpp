@@ -205,8 +205,8 @@ TEST(Gemm, ShapeMismatchThrows) {
 }
 
 TEST(Gemm, PropagatesInfinityInC) {
-  // PMVN keeps -inf limits inside the A/B tile matrices; the GEMM update
-  // C <- C - L*Y must keep them -inf.
+  // Reference-BLAS semantics: an infinite entry of C stays infinite under
+  // the update C <- C - L*Y.
   Matrix l = random_matrix(4, 4, 9);
   Matrix y = random_matrix(4, 4, 10);
   Matrix c = random_matrix(4, 4, 11);
