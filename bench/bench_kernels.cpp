@@ -1,6 +1,5 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: dense BLAS-3, the
-// QMC tile kernel, tile compression and the scalar normal functions. These
-// are the quantities the distributed cost model is calibrated against.
+// QMC tile kernel, tile compression and the scalar normal functions.
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -85,12 +85,4 @@ void qmc_tile_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
   }
 }
 
-double qmc_kernel_flops(i64 m, i64 mc) {
-  // Triangular dot products dominate: mc * m^2 multiply-adds, plus ~60 flops
-  // per entry for Phi / Phi^-1 evaluations.
-  return static_cast<double>(mc) * static_cast<double>(m) *
-             static_cast<double>(m) +
-         60.0 * static_cast<double>(mc) * static_cast<double>(m);
-}
-
 }  // namespace parmvn::core

@@ -53,9 +53,6 @@ void qmc_tile_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
                      std::span<const double> b, la::ConstMatrixView mean,
                      la::MatrixView y, double* p, double* prefix_acc);
 
-/// Flop estimate for one kernel call (for the distributed cost model).
-[[nodiscard]] double qmc_kernel_flops(i64 m, i64 mc);
-
 namespace detail {
 
 /// One chain row's working set over mc samples: mu (the conditional mean,

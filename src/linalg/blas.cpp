@@ -240,51 +240,6 @@ void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
   }
 }
 
-namespace {
-
-// Unblocked in-place B <- L B on a diagonal block, from the last column of L
-// to the first: when column k of L is applied, rows > k of B still hold
-// original values already updated by larger-k columns, and row k has not
-// been consumed yet.
-void trmm_lower_notrans_unblocked(ConstMatrixView l, MatrixView b) {
-  const i64 n = l.rows;
-  for (i64 j = 0; j < b.cols; ++j) {
-    double* __restrict bj = b.col(j);
-    for (i64 k = n - 1; k >= 0; --k) {
-      const double v = bj[k];
-      bj[k] = l(k, k) * v;
-      const double* __restrict lk = l.col(k);
-      for (i64 i = k + 1; i < n; ++i) bj[i] += v * lk[i];
-    }
-  }
-}
-
-constexpr i64 kTrmmBlock = 128;
-
-}  // namespace
-
-void trmm_lower_notrans(ConstMatrixView l, MatrixView b) {
-  PARMVN_EXPECTS(l.rows == l.cols);
-  PARMVN_EXPECTS(b.rows == l.rows);
-  const i64 n = l.rows;
-  // Blocked, bottom-up over block rows of B: B_k <- L_kk B_k (unblocked
-  // triangular multiply) + L(k, :k) B(:k, :) (GEMM against rows of B that a
-  // bottom-up sweep has not consumed yet). Only the lower triangle of L is
-  // referenced — the GEMM panel l.sub(k0, 0, kb, k0) sits strictly below the
-  // diagonal, so garbage in the upper triangle stays inert.
-  for (i64 k0 = ((n - 1) / kTrmmBlock) * kTrmmBlock; k0 >= 0;
-       k0 -= kTrmmBlock) {
-    const i64 kb = std::min(kTrmmBlock, n - k0);
-    MatrixView bk = b.sub(k0, 0, kb, b.cols);
-    trmm_lower_notrans_unblocked(l.sub(k0, k0, kb, kb), bk);
-    if (k0 > 0) {
-      gemm(Trans::kNo, Trans::kNo, 1.0, l.sub(k0, 0, kb, k0),
-           b.sub(0, 0, k0, b.cols), 1.0, bk);
-    }
-    if (k0 == 0) break;
-  }
-}
-
 double dot(i64 n, const double* x, const double* y) noexcept {
   return detail::dot_simd(n, x, y);
 }

@@ -4,7 +4,7 @@
 // lower-triangular variants throughout (Cholesky-world). All kernels are
 // sequential; parallelism lives one level up, in the task runtime.
 //
-// The BLAS-3 kernels (gemm, and through it syrk/trsm/trmm) run on the
+// The BLAS-3 kernels (gemm, and through it syrk/trsm) run on the
 // blocked, register-tiled microkernel in linalg/microkernel.hpp. Two
 // contracts hold everywhere:
 //  * Reference-BLAS NaN/Inf semantics: no value-dependent skips on any
@@ -44,10 +44,6 @@ void trsm(Side side, Trans trans, double alpha, ConstMatrixView l,
 /// y = alpha * op(A) x + beta * y.
 void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
           double beta, double* y);
-
-/// B <- L B in place, referencing only the lower triangle of L (the strict
-/// upper part may hold garbage, e.g. untouched input after potrf_lower).
-void trmm_lower_notrans(ConstMatrixView l, MatrixView b);
 
 /// Dot product of n-vectors. SIMD, with a fixed blocked reduction order
 /// that depends only on n (not the naive left-to-right sum).

@@ -103,9 +103,4 @@ PotrfTiledInfo potrf_tiled_safeguarded(rt::Runtime& rt, TileMatrix& a,
   }
 }
 
-double potrf_flops(i64 n) {
-  const double nd = static_cast<double>(n);
-  return nd * nd * nd / 3.0 + 0.5 * nd * nd + nd / 6.0;
-}
-
 }  // namespace parmvn::tile

@@ -29,8 +29,4 @@ struct PotrfTiledInfo {
 PotrfTiledInfo potrf_tiled_safeguarded(rt::Runtime& rt, TileMatrix& a,
                                        int max_retries);
 
-/// Flop count of a dense lower Cholesky (n^3/3 + lower order), used by the
-/// distributed-memory cost model and bench reporting.
-[[nodiscard]] double potrf_flops(i64 n);
-
 }  // namespace parmvn::tile

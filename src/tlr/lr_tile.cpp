@@ -97,18 +97,6 @@ void add_lowrank_inplace(LowRankTile& t, double alpha, la::ConstMatrixView u2,
   t = recompress(wide, accuracy, max_rank);
 }
 
-void lr_gemm_accum(double alpha, const LowRankTile& t, la::ConstMatrixView b,
-                   la::MatrixView c) {
-  PARMVN_EXPECTS(b.rows == t.cols());
-  PARMVN_EXPECTS(c.rows == t.rows() && c.cols == b.cols);
-  // tmp = V^T B (rank x n), then C += alpha * U tmp.
-  la::Matrix tmp(t.rank(), b.cols);
-  la::gemm(la::Trans::kYes, la::Trans::kNo, 1.0, t.v.view(), b, 0.0,
-           tmp.view());
-  la::gemm(la::Trans::kNo, la::Trans::kNo, alpha, t.u.view(), tmp.view(), 1.0,
-           c);
-}
-
 double lr_error_fro(const LowRankTile& t, la::ConstMatrixView a) {
   PARMVN_EXPECTS(a.rows == t.rows() && a.cols == t.cols());
   const la::Matrix d = t.to_dense();

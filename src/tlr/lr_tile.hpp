@@ -1,6 +1,6 @@
 // Low-rank tile representation A ~= U V^T and its algebra: compression,
 // recompression (the "SVD-recompress after addition" kernel of TLR
-// Cholesky), and applications against dense blocks.
+// Cholesky), and the error check against a dense block.
 #pragma once
 
 #include "common/types.hpp"
@@ -45,13 +45,6 @@ struct LowRankTile {
 /// must agree.
 void add_lowrank_inplace(LowRankTile& t, double alpha, la::ConstMatrixView u2,
                          la::ConstMatrixView v2, double accuracy, i64 max_rank);
-
-/// C (dense) += alpha * (t.u t.v^T) * B, with B dense (cols(t) x n).
-/// Cost O((rows+cols) * rank * n) instead of the dense O(rows*cols*n) —
-/// this is the kernel that accelerates the PMVN GEMM propagation when L is
-/// in TLR format.
-void lr_gemm_accum(double alpha, const LowRankTile& t, la::ConstMatrixView b,
-                   la::MatrixView c);
 
 /// Exact Frobenius error ||A - U V^T||_F against a dense reference.
 [[nodiscard]] double lr_error_fro(const LowRankTile& t, la::ConstMatrixView a);

@@ -138,33 +138,4 @@ PotrfTlrInfo potrf_tlr(rt::Runtime& rt, TlrMatrix& a, int max_retries) {
   }
 }
 
-double potrf_tlr_flops(const TlrMatrix& a) {
-  const auto grid = a.rank_grid();
-  const i64 nt = a.num_tiles();
-  double flops = 0.0;
-  auto rank_of = [&](i64 i, i64 j) {
-    return static_cast<double>(grid[static_cast<std::size_t>(i)]
-                                   [static_cast<std::size_t>(j)]);
-  };
-  for (i64 k = 0; k < nt; ++k) {
-    const double nb = static_cast<double>(a.tile_rows(k));
-    flops += nb * nb * nb / 3.0;  // diagonal POTRF
-    for (i64 i = k + 1; i < nt; ++i) {
-      const double r = rank_of(i, k);
-      const double m = static_cast<double>(a.tile_rows(i));
-      flops += nb * nb * r;            // TRSM on V
-      flops += 2.0 * m * r * (r + m);  // SYRK-shaped diagonal update
-      for (i64 j = k + 1; j < i; ++j) {
-        const double rj = rank_of(j, k);
-        const double rij = rank_of(i, j);
-        const double rsum = rij + rj;
-        // cross product, U construction, QR+SVD recompression (~c * m rsum^2)
-        flops += 2.0 * nb * r * rj + 2.0 * m * r * rj +
-                 6.0 * (m + nb) * rsum * rsum;
-      }
-    }
-  }
-  return flops;
-}
-
 }  // namespace parmvn::tlr

@@ -31,8 +31,4 @@ struct PotrfTlrInfo {
 /// is then genuinely far from SPD.
 PotrfTlrInfo potrf_tlr(rt::Runtime& rt, TlrMatrix& a, int max_retries = 4);
 
-/// Approximate flop count of the TLR factorization given the realised rank
-/// grid (used by the distributed cost model and bench reports).
-[[nodiscard]] double potrf_tlr_flops(const TlrMatrix& a);
-
 }  // namespace parmvn::tlr

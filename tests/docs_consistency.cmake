@@ -11,7 +11,10 @@
 #    section vs. the PARMVN_FAULT_POINT("...") literals in src/**/*.cpp;
 #  * the names in the "Runtime environment knobs:" paragraph vs. the
 #    "PARMVN_..." string literals in src/**/*.{cpp,hpp} (the variables the
-#    library reads).
+#    library reads);
+#  * the `src/<dir>` lines of the "## Layout" code block vs. the
+#    subdirectories of SRC_DIR (a deleted module still listed, or a new one
+#    left out).
 cmake_minimum_required(VERSION 3.20)
 
 foreach(_var README SRC_DIR SUITE_COUNT BENCH_LISTS)
@@ -134,11 +137,45 @@ foreach(_knob IN LISTS _knobs_documented)
   endif()
 endforeach()
 
+# ---- module layout: "src/<dir>" lines of the Layout code block
+string(REGEX MATCH "\n## Layout\n+```\n([^`]*)```" _m "${_readme}")
+set(_hits "")
+if(NOT _m)
+  string(APPEND _errors "\n  README has no \"## Layout\" code block")
+else()
+  string(REGEX MATCHALL "(^|\n)src/[A-Za-z0-9_]+" _hits "${CMAKE_MATCH_1}")
+endif()
+set(_dirs_documented "")
+foreach(_hit IN LISTS _hits)
+  string(REGEX REPLACE "^\n?src/" "" _dir "${_hit}")
+  list(APPEND _dirs_documented "${_dir}")
+endforeach()
+
+file(GLOB _entries LIST_DIRECTORIES true RELATIVE "${SRC_DIR}" "${SRC_DIR}/*")
+set(_dirs_coded "")
+foreach(_entry IN LISTS _entries)
+  if(IS_DIRECTORY "${SRC_DIR}/${_entry}")
+    list(APPEND _dirs_coded "${_entry}")
+  endif()
+endforeach()
+
+foreach(_dir IN LISTS _dirs_coded)
+  if(NOT _dir IN_LIST _dirs_documented)
+    string(APPEND _errors "\n  src/${_dir} is missing from README's Layout block")
+  endif()
+endforeach()
+foreach(_dir IN LISTS _dirs_documented)
+  if(NOT _dir IN_LIST _dirs_coded)
+    string(APPEND _errors "\n  README's Layout block lists src/${_dir}, which does not exist")
+  endif()
+endforeach()
+
 if(_errors)
   message(FATAL_ERROR "README.md disagrees with the code:${_errors}")
 endif()
 list(LENGTH _coded _nsites)
 list(LENGTH _knobs_coded _nknobs)
+list(LENGTH _dirs_coded _ndirs)
 message(STATUS "docs_consistency: ${SUITE_COUNT} GTest suites, "
                "${_bench_count} bench drivers, ${_nsites} fault sites, "
-               "${_nknobs} environment knobs")
+               "${_nknobs} environment knobs, ${_ndirs} src modules")

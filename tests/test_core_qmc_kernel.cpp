@@ -256,10 +256,4 @@ TEST(QmcKernel, RowOffsetSelectsSamplerDimensions) {
   EXPECT_TRUE(differs);
 }
 
-TEST(QmcKernel, FlopEstimatePositiveAndQuadratic) {
-  EXPECT_GT(core::qmc_kernel_flops(64, 64), 0.0);
-  EXPECT_GT(core::qmc_kernel_flops(256, 64),
-            3.0 * core::qmc_kernel_flops(128, 64));
-}
-
 }  // namespace

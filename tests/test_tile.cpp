@@ -129,10 +129,4 @@ TEST(TiledPotrf, NonSpdThrowsThroughRuntime) {
   EXPECT_THROW(tile::potrf_tiled(rt, t), Error);
 }
 
-TEST(TiledPotrf, FlopCountFormula) {
-  EXPECT_NEAR(tile::potrf_flops(1), 1.0, 1.0);
-  // n^3/3 dominates.
-  EXPECT_NEAR(tile::potrf_flops(1000) / (1e9 / 3.0), 1.0, 0.01);
-}
-
 }  // namespace

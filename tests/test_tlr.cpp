@@ -397,25 +397,6 @@ TEST(LowRankTile, AddLowRankMatchesDenseArithmetic) {
   EXPECT_LE(t.rank(), 5);
 }
 
-TEST(LowRankTile, LrGemmAccumMatchesDense) {
-  stats::Xoshiro256pp g(5);
-  auto rand_mat = [&](i64 m, i64 n) {
-    Matrix a(m, n);
-    for (i64 j = 0; j < n; ++j)
-      for (i64 i = 0; i < m; ++i) a(i, j) = g.next_normal();
-    return a;
-  };
-  LowRankTile t{rand_mat(32, 4), rand_mat(24, 4)};
-  const Matrix y = rand_mat(24, 10);
-  Matrix c1 = rand_mat(32, 10);
-  Matrix c2 = la::to_matrix(c1.view());
-  tlr::lr_gemm_accum(-1.0, t, y.view(), c1.view());
-  const Matrix dense = t.to_dense();
-  la::gemm(Trans::kNo, Trans::kNo, -1.0, dense.view(), y.view(), 1.0,
-           c2.view());
-  EXPECT_LT(la::frobenius_diff(c1.view(), c2.view()), 1e-11);
-}
-
 TEST(Aca, MatchesRrqrAccuracyOnKernelBlocks) {
   auto gen = grid_cov(20, 20, 0.1);
   const i64 nb = 100;
@@ -547,15 +528,6 @@ TEST_P(TlrPotrfSweep, FactorReconstructsWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(Tols, TlrPotrfSweep,
                          ::testing::Values(1e-3, 1e-5, 1e-7, 1e-9));
-
-TEST(TlrPotrf, TlrFlopsBelowDenseForSmoothKernels) {
-  rt::Runtime rt(2);
-  auto gen = grid_cov(24, 24, 0.234);
-  TlrMatrix m = TlrMatrix::compress(rt, *gen, 96, 1e-3, -1);
-  tlr::potrf_tlr(rt, m);
-  const double dense_flops = 576.0 * 576.0 * 576.0 / 3.0;
-  EXPECT_LT(tlr::potrf_tlr_flops(m), dense_flops);
-}
 
 TEST(TlrPotrf, NonSpdThrows) {
   rt::Runtime rt(2);
