@@ -140,21 +140,24 @@ void BM_trsm(benchmark::State& state) {
     benchmark::DoNotOptimize(b.data());
   }
 }
-BENCHMARK(BM_trsm)->Arg(128)->Arg(256);
+BENCHMARK(BM_trsm)->Arg(128)->Arg(256)->Arg(512);
 
-// The sample-contiguous panel sweep (rows = samples); square nb x nb panels,
-// so the counter is integrand entries (chain steps x samples) per second.
-// bench_qmc_sweep has the full before/after series against the seed's
-// sample-major scalar kernel.
+// The sample-contiguous panel sweep (rows = samples) of an m x m tile over
+// mc samples, Arg pair (m, mc); the counter is integrand entries (chain
+// steps x samples) per second. Square panels at m = 128/256/512, then the
+// column tiles the e2e workloads run: crd_tlr (512, 500), crd_dense
+// (256, 256) and serve_open (128, 100). bench_qmc_sweep has the full
+// before/after series against the seed's sample-major scalar kernel.
 void BM_qmc_kernel(benchmark::State& state) {
   const i64 nb = state.range(0);
+  const i64 mc = state.range(1);
   const la::Matrix l = spd_lower(nb);
-  const stats::PointSet pts(stats::SamplerKind::kPseudoMC, nb, nb, 1, 7);
+  const stats::PointSet pts(stats::SamplerKind::kPseudoMC, nb, mc, 1, 7);
   const std::vector<double> a(static_cast<std::size_t>(nb), -1.0);
   const std::vector<double> b(static_cast<std::size_t>(nb), 1.0);
-  const la::Matrix mean(nb, nb);  // a first tile row: no external mean
-  la::Matrix y(nb, nb);
-  std::vector<double> p(static_cast<std::size_t>(nb), 1.0);
+  const la::Matrix mean(mc, nb);  // a first tile row: no external mean
+  la::Matrix y(mc, nb);
+  std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
   for (auto _ : state) {
     std::fill(p.begin(), p.end(), 1.0);
     core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
@@ -162,10 +165,15 @@ void BM_qmc_kernel(benchmark::State& state) {
     benchmark::DoNotOptimize(p.data());
   }
   state.counters["entries/s"] = benchmark::Counter(
-      static_cast<double>(nb * nb) * state.iterations(),
+      static_cast<double>(nb * mc) * state.iterations(),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_qmc_kernel)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_qmc_kernel)
+    ->Args({128, 128})
+    ->Args({256, 256})
+    ->Args({512, 512})
+    ->Args({512, 500})
+    ->Args({128, 100});
 
 void BM_norm_cdf_batch(benchmark::State& state) {
   const i64 n = 4096;

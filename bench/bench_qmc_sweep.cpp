@@ -1,7 +1,7 @@
 // Before/after series for the sample-contiguous QMC integrand rewrite:
 // entries/sec of core::qmc_tile_kernel (row-major panel sweep + batched
 // SIMD Phi / Phi^-1) against a frozen copy of the seed's sample-major
-// scalar kernel, at m in {128, 512} x mc in {64, 256}.
+// scalar kernel, at m in {128, 256, 512} x mc in {64, 256, 500}.
 //
 // The numbers land in BENCH_qmc_sweep.json at the repo root (regenerate
 // with:  ./bench_qmc_sweep --json > ../BENCH_qmc_sweep.json ).
@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
   const double min_s = args.quick ? 0.05 : 0.5;
 
-  const std::vector<i64> ms = {128, 512};
-  const std::vector<i64> mcs = {64, 256};
+  const std::vector<i64> ms = {128, 256, 512};
+  const std::vector<i64> mcs = {64, 256, 500};
   std::vector<Row> rows;
 
   for (const i64 m : ms) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/microkernel.hpp"
 #include "stats/normal.hpp"
 
@@ -10,6 +11,11 @@ namespace parmvn::core {
 
 namespace {
 constexpr double kUEps = 1e-16;
+
+// Rows per group of the blocked in-tile chain: one GEMM per group carries
+// the earlier groups' terms, a strided gemv the in-group ones. Chosen by
+// BM_qmc_kernel at m = 128/256/512 (16, 32 and 64 tried).
+constexpr i64 kGroup = 32;
 }  // namespace
 
 namespace detail {
@@ -70,18 +76,29 @@ void qmc_tile_kernel(la::ConstMatrixView l, const stats::PointSet& pts,
 
   detail::RowScratch& rs = detail::row_scratch(mc);
   const la::ConstMatrixView yc = y;  // read view of the growing panel
-  for (i64 i = 0; i < m; ++i) {
-    // s = Y(:, 0:i) * L(i, 0:i)^T over the whole sample panel: one
-    // unit-stride SIMD axpy per previous chain step, reading the factor row
-    // straight out of the column-major tile (stride l.ld). The per-sample
-    // reduction order is ascending k — a function of i only.
-    std::fill_n(rs.mu, mc, 0.0);
-    la::detail::gemv_notrans_strided_simd(1.0, yc.sub(0, 0, mc, i),
-                                          l.data + i, l.ld, rs.mu);
-    const auto k = static_cast<std::size_t>(i);
-    detail::chain_row(rs, pts, row0 + i, col0, mc, mean.col(i), a[k], b[k],
-                      l(i, i), y.col(i), p,
-                      prefix_acc != nullptr ? prefix_acc + i : nullptr);
+  for (i64 g0 = 0; g0 < m; g0 += kGroup) {
+    const i64 gb = std::min(kGroup, m - g0);
+    // Y(:, 0:g0) * L(g0:g0+gb, 0:g0)^T: every earlier group's share of
+    // this group's means, as one GEMM. It lands in the group's own Y
+    // columns, which stay unwritten until their row's draw replaces them.
+    la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, yc.sub(0, 0, mc, g0),
+             l.sub(g0, 0, gb, g0), 0.0, y.sub(0, g0, mc, gb));
+    for (i64 i = g0; i < g0 + gb; ++i) {
+      // The in-group rest, k = g0..i-1 ascending: one unit-stride SIMD
+      // axpy per step, reading the factor row out of the column-major tile
+      // (stride l.ld). Per sample the reduction order (GEMM over k < g0,
+      // then ascending in-group k) is a function of i only, never of the
+      // panel height. While g0 <= kKC the microkernel also sums from zero
+      // in ascending k, so those rows round exactly as a per-row chain.
+      std::copy_n(yc.col(i), mc, rs.mu);
+      la::detail::gemv_notrans_strided_simd(1.0, yc.sub(0, g0, mc, i - g0),
+                                            l.data + i + g0 * l.ld, l.ld,
+                                            rs.mu);
+      const auto k = static_cast<std::size_t>(i);
+      detail::chain_row(rs, pts, row0 + i, col0, mc, mean.col(i), a[k], b[k],
+                        l(i, i), y.col(i), p,
+                        prefix_acc != nullptr ? prefix_acc + i : nullptr);
+    }
   }
 }
 

@@ -5,15 +5,19 @@
 // Panel layout: the mean and Y panels are stored samples-contiguous — an
 // (mc x m) column-major matrix whose row index is the sample and whose
 // column index is the tile-local dimension, so column i holds the mc
-// samples of chain step i at unit stride. Per row i the kernel accumulates
-// the in-tile conditional mean s_j = sum_{k<i} L(i,k) Y(j,k) across the
-// whole panel with unit-stride SIMD axpy updates, adds the external mean
-// that earlier tile rows left in the mean panel (s += M(:, i)), standardises
-// the row's original limits against it, a' = (a_i - s) / l_ii, and
-// evaluates Phi / Phi^-1 / the CDF difference over all mc samples at once
-// through the batched stats::*_batch primitives. The engine's wide
-// multi-query panels use the same layout, so its mean-accumulation GEMMs
-// (M += Y L_ir^T) and this integrand share one panel format.
+// samples of chain step i at unit stride.
+//
+// The in-tile conditional mean s_j = sum_{k<i} L(i,k) Y(j,k) is blocked
+// like a left-looking factorisation: the rows are walked in groups of 32,
+// one GEMM Y(:, 0:g0) L(g0:g0+32, 0:g0)^T gives every earlier group's share
+// of a group's means, and each row i adds its in-group terms k = g0..i-1 by
+// unit-stride SIMD axpy updates. The row then adds the external mean that
+// earlier tile rows left in the mean panel (s += M(:, i)), standardises the
+// row's original limits against it, a' = (a_i - s) / l_ii, and evaluates
+// Phi / Phi^-1 / the CDF difference over all mc samples at once through the
+// batched stats::*_batch primitives. The engine's wide multi-query panels
+// use the same layout, so its mean-accumulation GEMMs (M += Y L_ir^T) and
+// this integrand share one panel format.
 //
 // Fidelity note: the paper's listing writes
 // Y = Phi^-1[R * (Phi(B') - Phi(A'))], dropping the Phi(A') offset; the

@@ -82,42 +82,53 @@ Matrix mean_panel(i64 mc, i64 m) {
   return mean;
 }
 
+// Tile orders for the chain tests: inside the first 32-row group of the
+// blocked in-tile chain (12, 24), one short of a group, exactly one, one
+// past, and a ragged multi-group tile whose later rows take most of their
+// mean from the group GEMM.
+constexpr i64 kTileOrders[] = {12, 24, 31, 32, 33, 97};
+
 TEST(QmcKernel, MatchesScalarRecursionPerChain) {
   // A nonzero external mean shifts every sample's limits differently:
   // a' = (a_i - mean(j, i) - s) / l_ii.
-  const i64 m = 12;
-  const i64 mc = 5;
-  const Matrix l = lower_factor(m, 3);
-  const stats::PointSet pts(stats::SamplerKind::kPseudoMC, m, 64, 1, 9);
-  std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
-  for (i64 i = 0; i < m; ++i) {
-    a[static_cast<std::size_t>(i)] = -1.2 - 0.05 * static_cast<double>(i);
-    b[static_cast<std::size_t>(i)] = 0.8 + 0.03 * static_cast<double>(i % 4);
-  }
-  const Matrix mean = mean_panel(mc, m);
-  Matrix y(mc, m);
-  std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
-  core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
-                        p.data(), nullptr);
+  for (const i64 m : kTileOrders) {
+    const i64 mc = 5;
+    const Matrix l = lower_factor(m, 3);
+    const stats::PointSet pts(stats::SamplerKind::kPseudoMC, m, 64, 1, 9);
+    std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
+    for (i64 i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(i)] =
+          -1.2 - 0.05 * static_cast<double>(i % 12);
+      b[static_cast<std::size_t>(i)] = 0.8 + 0.03 * static_cast<double>(i % 4);
+    }
+    const Matrix mean = mean_panel(mc, m);
+    Matrix y(mc, m);
+    std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
+    core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
+                          p.data(), nullptr);
 
-  // Scalar re-derivation of chain j = 2.
-  const i64 j = 2;
-  std::vector<double> yref(static_cast<std::size_t>(m));
-  double pref = 1.0;
-  for (i64 i = 0; i < m; ++i) {
-    double s = mean(j, i);
-    for (i64 k = 0; k < i; ++k) s += l(i, k) * yref[static_cast<std::size_t>(k)];
-    const double ai = (a[static_cast<std::size_t>(i)] - s) / l(i, i);
-    const double bi = (b[static_cast<std::size_t>(i)] - s) / l(i, i);
-    const double d = stats::norm_cdf_diff(ai, bi);
-    pref *= d;
-    const double u = std::clamp(stats::norm_cdf(ai) + pts.value(i, j) * d,
-                                1e-16, 1.0 - 1e-16);
-    yref[static_cast<std::size_t>(i)] = stats::norm_quantile(u);
+    // Scalar re-derivation of chain j = 2.
+    const i64 j = 2;
+    std::vector<double> yref(static_cast<std::size_t>(m));
+    double pref = 1.0;
+    for (i64 i = 0; i < m; ++i) {
+      double s = mean(j, i);
+      for (i64 k = 0; k < i; ++k)
+        s += l(i, k) * yref[static_cast<std::size_t>(k)];
+      const double ai = (a[static_cast<std::size_t>(i)] - s) / l(i, i);
+      const double bi = (b[static_cast<std::size_t>(i)] - s) / l(i, i);
+      const double d = stats::norm_cdf_diff(ai, bi);
+      pref *= d;
+      const double u = std::clamp(stats::norm_cdf(ai) + pts.value(i, j) * d,
+                                  1e-16, 1.0 - 1e-16);
+      yref[static_cast<std::size_t>(i)] = stats::norm_quantile(u);
+    }
+    EXPECT_NEAR(p[static_cast<std::size_t>(j)], pref, 1e-13) << "m=" << m;
+    EXPECT_NEAR(p[static_cast<std::size_t>(j)] / pref, 1.0, 1e-12) << "m=" << m;
+    for (i64 i = 0; i < m; ++i)
+      EXPECT_NEAR(y(j, i), yref[static_cast<std::size_t>(i)], 1e-11)
+          << "m=" << m << " row=" << i;
   }
-  EXPECT_NEAR(p[static_cast<std::size_t>(j)], pref, 1e-13);
-  for (i64 i = 0; i < m; ++i)
-    EXPECT_NEAR(y(j, i), yref[static_cast<std::size_t>(i)], 1e-11) << i;
 }
 
 // Old-vs-new equivalence: the panel sweep against the seed's sample-major
@@ -127,47 +138,104 @@ TEST(QmcKernel, MatchesScalarRecursionPerChain) {
 // and the native batched transcendentals (<= ~1e-14 relative per
 // evaluation; chains amplify through the quantile feedback).
 TEST(QmcKernel, MatchesSampleMajorSeedKernelAcrossWidths) {
-  const i64 m = 24;
-  for (const bool one_sided : {false, true}) {
-    for (const i64 mc : {i64{1}, i64{7}, i64{64}}) {
-      const Matrix l = lower_factor(m, 17);
-      const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m,
-                                std::max<i64>(mc, 8), 2, 31);
-      std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
-      for (i64 i = 0; i < m; ++i) {
-        a[static_cast<std::size_t>(i)] =
-            -1.5 - 0.04 * static_cast<double>((i * 5) % 7);
-        b[static_cast<std::size_t>(i)] =
-            one_sided ? kInf : 0.6 + 0.05 * static_cast<double>(i % 5);
-      }
-      const Matrix mean = mean_panel(mc, m);
-      Matrix y_new(mc, m), y_old(mc, m);
-      std::vector<double> p_new(static_cast<std::size_t>(mc), 1.0);
-      std::vector<double> p_old(static_cast<std::size_t>(mc), 1.0);
-      std::vector<double> acc_new(static_cast<std::size_t>(m), 0.0);
-      std::vector<double> acc_old(static_cast<std::size_t>(m), 0.0);
-      core::qmc_tile_kernel(l.view(), pts, m, 0, a, b, mean.view(),
-                            y_new.view(), p_new.data(), acc_new.data());
-      reference_kernel(l.view(), pts, m, 0, a, b, mean.view(), y_old.view(),
-                       p_old.data(), acc_old.data());
-      const std::string where = "one_sided=" + std::to_string(one_sided) +
-                                " mc=" + std::to_string(mc);
-      for (i64 j = 0; j < mc; ++j) {
-        EXPECT_NEAR(p_new[static_cast<std::size_t>(j)] /
-                        p_old[static_cast<std::size_t>(j)],
-                    1.0, 1e-10)
-            << where << " chain=" << j;
+  for (const i64 m : kTileOrders) {
+    for (const bool one_sided : {false, true}) {
+      for (const i64 mc : {i64{1}, i64{7}, i64{64}}) {
+        const Matrix l = lower_factor(m, 17);
+        const stats::PointSet pts(stats::SamplerKind::kRichtmyer, 2 * m,
+                                  std::max<i64>(mc, 8), 2, 31);
+        std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
+        for (i64 i = 0; i < m; ++i) {
+          a[static_cast<std::size_t>(i)] =
+              -1.5 - 0.04 * static_cast<double>((i * 5) % 7);
+          b[static_cast<std::size_t>(i)] =
+              one_sided ? kInf : 0.6 + 0.05 * static_cast<double>(i % 5);
+        }
+        const Matrix mean = mean_panel(mc, m);
+        Matrix y_new(mc, m), y_old(mc, m);
+        std::vector<double> p_new(static_cast<std::size_t>(mc), 1.0);
+        std::vector<double> p_old(static_cast<std::size_t>(mc), 1.0);
+        std::vector<double> acc_new(static_cast<std::size_t>(m), 0.0);
+        std::vector<double> acc_old(static_cast<std::size_t>(m), 0.0);
+        core::qmc_tile_kernel(l.view(), pts, m, 0, a, b, mean.view(),
+                              y_new.view(), p_new.data(), acc_new.data());
+        reference_kernel(l.view(), pts, m, 0, a, b, mean.view(), y_old.view(),
+                         p_old.data(), acc_old.data());
+        const std::string where = "m=" + std::to_string(m) +
+                                  " one_sided=" + std::to_string(one_sided) +
+                                  " mc=" + std::to_string(mc);
+        for (i64 j = 0; j < mc; ++j) {
+          EXPECT_NEAR(p_new[static_cast<std::size_t>(j)] /
+                          p_old[static_cast<std::size_t>(j)],
+                      1.0, 1e-10)
+              << where << " chain=" << j;
+          for (i64 i = 0; i < m; ++i)
+            EXPECT_NEAR(y_new(j, i), y_old(j, i),
+                        1e-9 * (1.0 + std::fabs(y_old(j, i))))
+                << where << " chain=" << j << " row=" << i;
+        }
         for (i64 i = 0; i < m; ++i)
-          EXPECT_NEAR(y_new(j, i), y_old(j, i),
-                      1e-9 * (1.0 + std::fabs(y_old(j, i))))
-              << where << " chain=" << j << " row=" << i;
+          EXPECT_NEAR(acc_new[static_cast<std::size_t>(i)],
+                      acc_old[static_cast<std::size_t>(i)],
+                      1e-10 * static_cast<double>(mc))
+              << where << " prefix row=" << i;
       }
-      for (i64 i = 0; i < m; ++i)
-        EXPECT_NEAR(acc_new[static_cast<std::size_t>(i)],
-                    acc_old[static_cast<std::size_t>(i)],
-                    1e-10 * static_cast<double>(mc))
-            << where << " prefix row=" << i;
     }
+  }
+}
+
+// The batched==single and worker-count contracts rest on this: a sample's
+// chain does not depend on which other samples share its panel. One
+// 64-sample panel must equal, bitwise, the same samples run as stacked
+// sub-panels of 1, 7 and 56 rows, the prefix sums included (sub-panels fed
+// ascending into one accumulator). m = 97 is a ragged multi-group tile;
+// m = 257 also has groups whose GEMM reduction (k > 192) spans more than
+// one of the microkernel's kKC blocks, the only place where the group GEMM
+// and the in-group chain round differently, so a panel-height-dependent
+// group width or GEMM split shows there.
+TEST(QmcKernel, RowsBitwiseIndependentOfPanelHeight) {
+  for (const i64 m : {i64{97}, i64{257}}) {
+    const i64 mc = 64;
+    const Matrix l = lower_factor(m, 23);
+    const stats::PointSet pts(stats::SamplerKind::kRichtmyer, m, mc, 1, 5);
+    std::vector<double> a(static_cast<std::size_t>(m)), b(a.size());
+    for (i64 i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(i)] = -2.0 + 0.03 * static_cast<double>(i % 9);
+      b[static_cast<std::size_t>(i)] =
+          i % 3 == 0 ? kInf : 1.5 + 0.05 * static_cast<double>(i % 5);
+    }
+    const Matrix mean = mean_panel(mc, m);
+
+    Matrix y_whole(mc, m);
+    std::vector<double> p_whole(static_cast<std::size_t>(mc), 1.0);
+    std::vector<double> acc_whole(static_cast<std::size_t>(m), 0.0);
+    core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(),
+                          y_whole.view(), p_whole.data(), acc_whole.data());
+
+    Matrix y_stacked(mc, m);
+    std::vector<double> p_stacked(static_cast<std::size_t>(mc), 1.0);
+    std::vector<double> acc_stacked(static_cast<std::size_t>(m), 0.0);
+    i64 r0 = 0;
+    for (const i64 h : {i64{1}, i64{7}, i64{56}}) {
+      core::qmc_tile_kernel(l.view(), pts, 0, r0, a, b, mean.sub(r0, 0, h, m),
+                            y_stacked.view().sub(r0, 0, h, m),
+                            p_stacked.data() + r0, acc_stacked.data());
+      r0 += h;
+    }
+    ASSERT_EQ(r0, mc);
+
+    for (i64 j = 0; j < mc; ++j) {
+      EXPECT_EQ(p_stacked[static_cast<std::size_t>(j)],
+                p_whole[static_cast<std::size_t>(j)])
+          << "m=" << m << " chain=" << j;
+      for (i64 i = 0; i < m; ++i)
+        ASSERT_EQ(y_stacked(j, i), y_whole(j, i))
+            << "m=" << m << " chain=" << j << " row=" << i;
+    }
+    for (i64 i = 0; i < m; ++i)
+      EXPECT_EQ(acc_stacked[static_cast<std::size_t>(i)],
+                acc_whole[static_cast<std::size_t>(i)])
+          << "m=" << m << " prefix row=" << i;
   }
 }
 

@@ -418,29 +418,38 @@ TEST(Gemm, RowsBitwiseIndependentOfPanelHeight) {
   struct Shape {
     i64 m, n, k;
     Trans tb;
+    double alpha, beta;
   };
   // C -= Y * L^T at the shape of a crd_dense update (tile 256), then a square
-  // NN shape whose B panel spans more than one kKC block.
-  const Shape shapes[] = {{8000, 256, 256, Trans::kYes},
-                          {600, 300, 600, Trans::kNo}};
+  // NN shape whose B panel spans more than one kKC block, then the QMC tile
+  // kernel's group GEMM S = Y(:, 0:g0) * L(g0:g0+gb, 0:g0)^T over a 500-sample
+  // panel: one 32-row group with k below and above kKC, and a ragged last
+  // group (m = 97: one row after k = 96).
+  const Shape shapes[] = {{8000, 256, 256, Trans::kYes, -1.0, 1.0},
+                          {600, 300, 600, Trans::kNo, -1.0, 1.0},
+                          {500, 32, 32, Trans::kYes, 1.0, 0.0},
+                          {500, 32, 480, Trans::kYes, 1.0, 0.0},
+                          {500, 1, 96, Trans::kYes, 1.0, 0.0}};
   for (const Shape& sh : shapes) {
     const Matrix y = random_matrix(sh.m, sh.k, 60);
     const Matrix l = sh.tb == Trans::kYes ? random_matrix(sh.n, sh.k, 61)
                                           : random_matrix(sh.k, sh.n, 61);
     const Matrix c0 = random_matrix(sh.m, sh.n, 62);
     Matrix whole = c0;
-    la::gemm(Trans::kNo, sh.tb, -1.0, y.view(), l.view(), 1.0, whole.view());
+    la::gemm(Trans::kNo, sh.tb, sh.alpha, y.view(), l.view(), sh.beta,
+             whole.view());
     for (const i64 h : {i64{1}, i64{17}, i64{128}, i64{1000}}) {
       Matrix stacked = c0;
       for (i64 r0 = 0; r0 < sh.m; r0 += h) {
         const i64 rows = std::min(h, sh.m - r0);
-        la::gemm(Trans::kNo, sh.tb, -1.0, y.sub(r0, 0, rows, sh.k),
-                 l.view(), 1.0, stacked.sub(r0, 0, rows, sh.n));
+        la::gemm(Trans::kNo, sh.tb, sh.alpha, y.sub(r0, 0, rows, sh.k),
+                 l.view(), sh.beta, stacked.sub(r0, 0, rows, sh.n));
       }
       for (i64 j = 0; j < sh.n; ++j)
         for (i64 i = 0; i < sh.m; ++i)
           ASSERT_EQ(stacked(i, j), whole(i, j))
-              << "m=" << sh.m << " h=" << h << " (" << i << "," << j << ")";
+              << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k << " h=" << h
+              << " (" << i << "," << j << ")";
     }
   }
 }
