@@ -6,9 +6,8 @@
 //
 // The field has constant marginal variance, so every threshold induces the
 // same marginal ordering and the whole batch shares one factor: the batched
-// cost is one factorization plus k fused sweeps whose propagation GEMMs and
-// factor-tile reads amortize across queries, while the loop pays k
-// factorizations. Expectation: 16 batched thresholds land well under 3x the
+// cost is one factorization plus k fused sweeps whose per-column-tile chains
+// run side by side on the workers, while the loop pays k factorizations. Expectation: 16 batched thresholds land well under 3x the
 // single-query time at n >= 2048, against ~16x for the loop.
 //
 // An adaptive-vs-fixed sweep rides along: the same 16 thresholds evaluated

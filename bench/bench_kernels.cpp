@@ -2,6 +2,8 @@
 // QMC tile kernel, tile compression and the scalar normal functions.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -148,13 +150,16 @@ BENCHMARK(BM_trsm)->Arg(128)->Arg(256)->Arg(512);
 // column tiles the e2e workloads run: crd_tlr (512, 500), crd_dense
 // (256, 256) and serve_open (128, 100). bench_qmc_sweep has the full
 // before/after series against the seed's sample-major scalar kernel.
-void BM_qmc_kernel(benchmark::State& state) {
+void run_qmc_kernel(benchmark::State& state, stats::SamplerKind kind,
+                    i64 samples_per_shift, double upper) {
   const i64 nb = state.range(0);
   const i64 mc = state.range(1);
   const la::Matrix l = spd_lower(nb);
-  const stats::PointSet pts(stats::SamplerKind::kPseudoMC, nb, mc, 1, 7);
+  const int shifts =
+      static_cast<int>((mc + samples_per_shift - 1) / samples_per_shift);
+  const stats::PointSet pts(kind, nb, samples_per_shift, shifts, 7);
   const std::vector<double> a(static_cast<std::size_t>(nb), -1.0);
-  const std::vector<double> b(static_cast<std::size_t>(nb), 1.0);
+  const std::vector<double> b(static_cast<std::size_t>(nb), upper);
   const la::Matrix mean(mc, nb);  // a first tile row: no external mean
   la::Matrix y(mc, nb);
   std::vector<double> p(static_cast<std::size_t>(mc), 1.0);
@@ -163,10 +168,16 @@ void BM_qmc_kernel(benchmark::State& state) {
     core::qmc_tile_kernel(l.view(), pts, 0, 0, a, b, mean.view(), y.view(),
                           p.data(), nullptr);
     benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
   }
   state.counters["entries/s"] = benchmark::Counter(
       static_cast<double>(nb * mc) * state.iterations(),
       benchmark::Counter::kIsRate);
+}
+
+// Pseudo-MC points, two-sided limits [-1, 1].
+void BM_qmc_kernel(benchmark::State& state) {
+  run_qmc_kernel(state, stats::SamplerKind::kPseudoMC, state.range(1), 1.0);
 }
 BENCHMARK(BM_qmc_kernel)
     ->Args({128, 128})
@@ -174,6 +185,15 @@ BENCHMARK(BM_qmc_kernel)
     ->Args({512, 512})
     ->Args({512, 500})
     ->Args({128, 100});
+
+// The crd_* and serve_open shape: Richtmyer points at 50 samples per shift
+// and one-sided limits [-1, +inf), so the row tail takes the one-erfc path
+// and fill_row's per-shift offset. crd_tlr (512, 500), crd_dense (256, 256).
+void BM_qmc_kernel_one_sided(benchmark::State& state) {
+  run_qmc_kernel(state, stats::SamplerKind::kRichtmyer, 50,
+                 std::numeric_limits<double>::infinity());
+}
+BENCHMARK(BM_qmc_kernel_one_sided)->Args({512, 500})->Args({256, 256});
 
 void BM_norm_cdf_batch(benchmark::State& state) {
   const i64 n = 4096;

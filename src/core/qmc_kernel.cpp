@@ -44,7 +44,8 @@ void chain_row(RowScratch& rs, const stats::PointSet& pts, i64 dim, i64 col0,
   for (i64 j = 0; j < mc; ++j) rs.bv[j] = (b - rs.mu[j]) / sd;
 
   // Batched transcendentals: Phi(a') and Phi(b') - Phi(a') fused (two
-  // erfc evaluations per entry), then the whole row's quantiles.
+  // erfc evaluations per entry, one where b = +inf), then the whole row's
+  // quantiles.
   stats::norm_cdf_and_diff_batch(mc, rs.av, rs.bv, rs.phi, rs.d);
   pts.fill_row(dim, col0, mc, rs.w);
   for (i64 j = 0; j < mc; ++j)

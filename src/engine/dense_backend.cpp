@@ -6,14 +6,14 @@
 namespace parmvn::engine {
 
 void DenseBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                                la::MatrixView mean) const {
-  // Panels are sample-contiguous (samples x dims): M += Y L_ir^T over the
-  // (possibly wide, multi-query) panel. Each output element's reduction
-  // order in the microkernel depends only on the k extent, so per-sample
-  // rows stay bitwise independent of the panel width (the batched==single
-  // contract; tests/test_linalg_blas.cpp's
-  // Gemm.RowsBitwiseIndependentOfPanelHeight pins it).
-  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y, l_->tile(i, r), 1.0,
+                                la::MatrixView mean, double beta) const {
+  // Panels are sample-contiguous (samples x dims): M += Y L_ir^T over one
+  // column tile of the batch. Each output element's reduction order in the
+  // microkernel depends only on the k extent, so per-sample rows stay
+  // bitwise independent of the panel height (the batched==single contract;
+  // tests/test_linalg_blas.cpp's Gemm.RowsBitwiseIndependentOfPanelHeight
+  // pins it).
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y, l_->tile(i, r), beta,
            mean);
 }
 

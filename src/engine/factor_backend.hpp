@@ -26,8 +26,9 @@
 // chain task?
 //
 //  * Per-pair update tasks (dense, TLR): every (i, r) tile pair carries a
-//    factor block, so the engine submits one apply_update() task per pair,
-//    M_i += Y_r L_ir^T, one wide GEMM over the whole batch.
+//    factor block, so the engine submits one apply_update() task per pair
+//    and column tile, M_i += Y_r L_ir^T on that column tile's samples; each
+//    column tile's chain thus waits only on its own updates.
 //
 //  * Folded into the chain task (Vecchia): conditioning sets are sparse, so
 //    per-pair GEMM tasks would drown in task/handle overhead. Row r's chain
@@ -81,16 +82,20 @@ class FactorBackend {
     return true;
   }
 
-  /// M += Y * L_ir^T over (possibly wide, multi-query) sample-contiguous
-  /// panels (rows = samples, columns = dimensions): folds tile row r's
-  /// conditioning values `y` into tile row i's mean panel. Called once per
-  /// (i, r) pair, i > r, in ascending r for each i.
+  /// M = beta * M + Y * L_ir^T over sample-contiguous panels (rows =
+  /// samples, columns = dimensions; the engine passes one column tile):
+  /// folds tile row r's conditioning values `y` into tile row i's mean
+  /// panel. Called once per (i, r) pair and column tile, i > r, in
+  /// ascending r for each i. beta is 1, or 0 for the tile's first writer,
+  /// whose `mean` is uninitialised: la::gemm zero-fills it before
+  /// accumulating, so the bits are those of accumulating into zeros.
   virtual void apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                            la::MatrixView mean) const {
+                            la::MatrixView mean, double beta) const {
     (void)i;
     (void)r;
     (void)y;
     (void)mean;
+    (void)beta;
     PARMVN_ASSERT(!"apply_update: backend folds updates into chain tasks");
   }
 
@@ -103,9 +108,9 @@ class FactorBackend {
   /// width-independent. `y_panels` is the engine's per-tile-row
   /// conditioning panel array; only rows r' < r are read, which the
   /// caller's task chain has completed.
-  virtual void accumulate_external(i64 r, std::span<const la::Matrix> y_panels,
-                                   i64 row_off, i64 nrows,
-                                   la::MatrixView mean_tile) const {
+  virtual void accumulate_external(
+      i64 r, std::span<const la::ConstMatrixView> y_panels, i64 row_off,
+      i64 nrows, la::MatrixView mean_tile) const {
     (void)r;
     (void)y_panels;
     (void)row_off;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "common/aligned.hpp"
 #include "common/contracts.hpp"
 #include "common/fault.hpp"
 #include "ep/ep_screen.hpp"
@@ -37,6 +39,42 @@ bool clears_decision(double mean, double err, double decision) {
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// One tile row's M or Y panel of the sweep workspace (rows = samples,
+// columns = the tile row's dimensions), 64-byte aligned. Its storage is
+// never filled on the host — at crd sizes the panels run to hundreds of MB,
+// and zeroing them there held every worker idle. The sweep's tasks write
+// each tile before they read it, so the first touch happens in them. Debug
+// builds fill it with quiet NaN instead, so a read before write poisons the
+// results the bitwise engine tests compare (fresh pages read as zero and
+// would hide it).
+class Panel {
+ public:
+  Panel(i64 rows, i64 cols)
+      : buf_(AlignedAllocator<double>().allocate(
+            static_cast<std::size_t>(rows * cols))),
+        rows_(rows),
+        cols_(cols) {
+#ifndef NDEBUG
+    std::fill_n(buf_.get(), rows * cols,
+                std::numeric_limits<double>::quiet_NaN());
+#endif
+  }
+
+  [[nodiscard]] la::MatrixView view() const noexcept {
+    return {buf_.get(), rows_, cols_, rows_};
+  }
+
+ private:
+  struct Free {
+    void operator()(double* ptr) const noexcept {
+      AlignedAllocator<double>().deallocate(ptr, 0);
+    }
+  };
+  std::unique_ptr<double[], Free> buf_;
+  i64 rows_;
+  i64 cols_;
+};
 
 // Shape and NaN check for every query of a batch, before any screen or
 // sweep.
@@ -244,13 +282,16 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
           static_cast<std::size_t>(n * rounds), 0.0);
 
   // The panel workspace, allocated by the first panel and reused by the
-  // rest: per swept tile row a mean panel M (the external conditional mean,
-  // zeroed for every panel) and a conditioning panel Y, each `cap` samples
-  // tall and sample-contiguous (rows = samples of the whole batch, columns =
-  // the tile row's dimensions — the layout the QMC kernel sweeps), plus one
+  // rest: per swept tile row a mean panel M (the external conditional mean)
+  // and a conditioning panel Y, each `cap` samples tall and
+  // sample-contiguous (rows = samples of the whole batch, columns = the
+  // tile row's dimensions — the layout the QMC kernel sweeps), plus one
   // length-n prefix accumulator per column tile. A later panel reallocates
   // only if it needs more: fewer active queries may each get wider panels.
-  std::vector<la::Matrix> M, Y;
+  // M and Y are never filled on the host (see Panel): the tasks of every
+  // panel write each tile before they read it.
+  std::vector<Panel> M, Y;
+  std::vector<la::ConstMatrixView> yall;  // Y's views, for folded backends
   std::vector<std::vector<double>> prefix_acc;
   i64 cap = 0;
 
@@ -306,15 +347,12 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         cap = std::max(cap, width);
         M.clear();
         Y.clear();
+        yall.clear();
         for (i64 r = 0; r < mts; ++r) {
           M.emplace_back(cap, f.tile_rows(r));
           Y.emplace_back(cap, f.tile_rows(r));
+          yall.push_back(Y.back().view());
         }
-      } else {
-        for (i64 r = 0; r < mts; ++r)
-          for (i64 i = 0; i < f.tile_rows(r); ++i)
-            std::fill_n(M[static_cast<std::size_t>(r)].view().col(i), width,
-                        0.0);
       }
       if (nct > static_cast<i64>(prefix_acc.size()))
         prefix_acc.resize(static_cast<std::size_t>(nct));
@@ -330,8 +368,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       // table) still reaches release_handles for the handles already taken.
       // The vectors are reserved up front, so push_back never throws and
       // every registered handle is recorded. M and Y of one (row, column
-      // tile) are always touched together, so they share one handle; only
-      // per-pair update tasks need them.
+      // tile) share one handle; only per-pair update tasks need them.
       std::vector<rt::DataHandle> panel_handles;
       panel_handles.reserve(static_cast<std::size_t>(mts * nct));
       const auto handle = [&](i64 r, i64 t) {
@@ -361,19 +398,29 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
           }
         for (i64 t = 0; t < nct; ++t) p_handles.push_back(rt_.register_data());
 
-        // The sweep: QMC on tile row r per column tile, then (per-pair
-        // backends) one wide mean-update GEMM per (i, r) pair spanning the
-        // whole batch.
-        const std::span<const la::Matrix> yall = Y;
+        // The sweep: one independent pipeline per column tile. Tile row r's
+        // QMC task on column tile t, then (per-pair backends) one update
+        // task per later tile row i, M_i += Y_r L_ir^T on that column tile
+        // alone, so tile row r+1 of column tile t waits only for its own
+        // updates, never for a slower sibling tile. Per-sample GEMM rows do
+        // not depend on the panel height (Gemm.RowsBitwiseIndependentOf-
+        // PanelHeight), so no result bit depends on the column tiling.
+        // The mean tile's first writer zeroes it: the QMC task on tile row
+        // 0 (and on every tile row for folded backends, whose external
+        // terms accumulate into it in the same task); the (i, 0) update on
+        // the other tile rows, which overwrites it (beta = 0).
+        const std::span<const la::ConstMatrixView> ys = yall;
         for (i64 r = 0; r < mts; ++r) {
           const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
             const la::MatrixView mtile =
-                M[static_cast<std::size_t>(r)].sub(ct.col0, 0, ct.width, mr);
+                M[static_cast<std::size_t>(r)].view().sub(ct.col0, 0, ct.width,
+                                                          mr);
             const la::MatrixView yt =
-                Y[static_cast<std::size_t>(r)].sub(ct.col0, 0, ct.width, mr);
+                Y[static_cast<std::size_t>(r)].view().sub(ct.col0, 0, ct.width,
+                                                          mr);
             const stats::PointSet* ps =
                 &pts[static_cast<std::size_t>(ct.query)];
             double* pk =
@@ -390,44 +437,49 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
             const i64 sample0 = ct.sample0;
             const i64 col0 = ct.col0;
             const i64 cw = ct.width;
+            const bool zero_mean = !pair_tasks || r == 0;
             accesses.clear();
             if (pair_tasks)
               accesses.push_back({handle(r, t), rt::Access::kReadWrite});
             accesses.push_back({p_handles[static_cast<std::size_t>(t)],
                                 rt::Access::kReadWrite});
             rt_.submit("qmc", accesses,
-                       [fb, pair_tasks, r, ps, sample0, qa, qb, mtile, yt, pk,
-                        acc, yall, col0, cw] {
+                       [fb, pair_tasks, zero_mean, r, ps, sample0, qa, qb,
+                        mtile, yt, pk, acc, ys, col0, cw] {
                          PARMVN_FAULT_POINT("engine.qmc");
+                         if (zero_mean)
+                           for (i64 c = 0; c < mtile.cols; ++c)
+                             std::fill_n(mtile.col(c), mtile.rows, 0.0);
                          // Folded backends read earlier Y tiles of the same
                          // column tile, completed by this chain.
                          if (!pair_tasks)
-                           fb->accumulate_external(r, yall, col0, cw, mtile);
+                           fb->accumulate_external(r, ys, col0, cw, mtile);
                          fb->chain_step(r, *ps, sample0, qa, qb, mtile, yt, pk,
                                         acc);
                        },
                        rt::kPrioSweep);
-          }
-          for (i64 i = r + 1; pair_tasks && i < mts; ++i) {
-            const la::ConstMatrixView yw =
-                Y[static_cast<std::size_t>(r)].sub(0, 0, width, mr);
-            const la::MatrixView mw = M[static_cast<std::size_t>(i)].sub(
-                0, 0, width, f.tile_rows(i));
-            accesses.clear();
-            for (i64 t = 0; t < nct; ++t) {
+            for (i64 i = r + 1; pair_tasks && i < mts; ++i) {
+              const la::MatrixView mi = M[static_cast<std::size_t>(i)].view();
+              const la::MatrixView mw =
+                  mi.sub(ct.col0, 0, ct.width, f.tile_rows(i));
+              accesses.clear();
               accesses.push_back({handle(r, t), rt::Access::kRead});
               accesses.push_back({handle(i, t), rt::Access::kReadWrite});
+              // Host-side submit failure with earlier tasks already in
+              // flight: the catch below must drain them before releasing
+              // handles.
+              PARMVN_FAULT_POINT("engine.submit");
+              // The i == r+1 update feeds the next tile row's QMC task
+              // directly — the sweep's critical path — so it shares the QMC
+              // lane; the remaining updates trail (same weighting as the
+              // factorizations, see runtime/priority.hpp).
+              const double beta = r == 0 ? 0.0 : 1.0;
+              rt_.submit("pmvn_update", accesses,
+                         [fb, i, r, yt, mw, beta] {
+                           fb->apply_update(i, r, yt, mw, beta);
+                         },
+                         i == r + 1 ? rt::kPrioSweep : rt::kPrioUpdate);
             }
-            // Host-side submit failure with earlier tasks already in flight:
-            // the catch below must drain them before releasing handles.
-            PARMVN_FAULT_POINT("engine.submit");
-            // The i == r+1 update feeds the next tile row's QMC tasks
-            // directly — the sweep's critical path — so it shares the QMC
-            // lane; the remaining updates trail (same weighting as the
-            // factorizations, see runtime/priority.hpp).
-            rt_.submit("pmvn_update", accesses,
-                       [fb, i, r, yw, mw] { fb->apply_update(i, r, yw, mw); },
-                       i == r + 1 ? rt::kPrioSweep : rt::kPrioUpdate);
           }
         }
         rt_.wait_all();

@@ -5,12 +5,10 @@
 // (queries) against it in a single fused task graph: the sample panels of
 // all queries are packed end to end into shared wide sample-contiguous
 // panels (rows = samples of the whole batch, columns = dimensions — the
-// same layout the QMC tile kernel sweeps), so
-// each mean-update step is one GEMM over the whole batch — every
-// off-diagonal factor tile is read once per (tile-row pair, panel round)
-// instead of once per query — and the QMC kernels of different queries run
-// as independent tasks that fill the worker pool even when a single query's
-// diagonal chain would leave it idle.
+// same layout the QMC tile kernel sweeps), cut into tile-width column
+// tiles. Each column tile is an independent pipeline of QMC and mean-update
+// tasks, so the chains of different queries (and of one query's column
+// tiles) fill the worker pool even when a single chain would leave it idle.
 //
 // Two contracts, enforced by tests/test_determinism.cpp:
 //  * schedule independence: results are bitwise identical across worker

@@ -7,13 +7,13 @@
 namespace parmvn::engine {
 
 void TlrBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                              la::MatrixView mean) const {
+                              la::MatrixView mean, double beta) const {
   // L_ir = U V^T, so M += (Y V) U^T: two skinny GEMMs through the rank.
   const tlr::LowRankTile& t = l_->lr(i, r);
   la::Matrix tmp(y.rows, t.rank());
   la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, y, t.v.view(), 0.0,
            tmp.view());
-  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(), t.u.view(), 1.0,
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(), t.u.view(), beta,
            mean);
 }
 

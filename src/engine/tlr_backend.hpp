@@ -31,8 +31,8 @@ class TlrBackend final : public FactorBackend {
     return l_->tile_rows(r);
   }
 
-  void apply_update(i64 i, i64 r, la::ConstMatrixView y,
-                    la::MatrixView mean) const override;
+  void apply_update(i64 i, i64 r, la::ConstMatrixView y, la::MatrixView mean,
+                    double beta) const override;
   void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
                   std::span<const double> a, std::span<const double> b,
                   la::ConstMatrixView mean, la::MatrixView y, double* p,

@@ -62,7 +62,9 @@ void norm_quantile_batch(i64 n, const double* p, double* out) noexcept;
 /// Fused row transform of the QMC integrand: phi[i] = Phi(a[i]) and
 /// diff[i] = Phi(b[i]) - Phi(a[i]) in one pass. Phi(a) falls out of the
 /// diff's own erfc evaluations through the reflection erfc(-t) = 2 - erfc(t),
-/// so the row costs two erfc evaluations instead of three. The phi lane is
+/// so the row costs two erfc evaluations instead of three — one on the
+/// native path for an 8-lane chunk whose b are all +inf, where the second
+/// is a constant (bitwise the same results). The phi lane is
 /// bitwise identical to norm_cdf_batch whenever the two take the same path
 /// for the chunk — always on the fallback build, and on the native build
 /// except when an extreme *b* (finite |b| > 26 or NaN) pushes the fused

@@ -295,6 +295,20 @@ void cdf_and_diff_chunk(const double* a, const double* b, double* phi,
     return;
   }
   const v8di a_pos = (va >= splat(0.0));
+  if (all_true(vb == splat(kInf))) {
+    // One-sided chunk (b = +inf on every lane, the shape of every
+    // confidence-region query): ev = erfc(+inf) = 0 on a >= 0 lanes and
+    // eu = erfc(-inf) = 2 on the rest, so only E = erfc(|a| c) is live —
+    // eu on a >= 0 lanes (a c == |a| c, and erfc(-0) == erfc(+0)), ev on
+    // a < 0 lanes. The expressions below are the two-sided ones with the
+    // constant operand substituted (eu - 0 == eu exactly), so every bit
+    // matches; NormBatch.OneSidedChunksMatchTheTwoSidedPathBitwise pins it.
+    const v8df e = erfc_limits(aa * splat(kInvSqrt2));
+    const v8df d = splat(0.5) * select(a_pos, e, splat(2.0) - e);
+    store8(diff, select(va < vb, d, splat(0.0)));
+    store8(phi, splat(0.5) * select(a_pos, splat(2.0) - e, e));
+    return;
+  }
   const v8df u = select(a_pos, va, -vb) * splat(kInvSqrt2);
   const v8df v = select(a_pos, vb, -va) * splat(kInvSqrt2);
   const v8df eu = erfc_limits(u);
@@ -387,8 +401,8 @@ void run_batch1(i64 n, const double* x, double* out, Chunk1 chunk,
 
 // Shared driver for the two-input entry points: `phi` may be null (the
 // diff-only primitive), in which case the fused chunk writes Phi into a
-// discarded stack lane. Tail pads (a=0, b=1) are vector-eligible, so the
-// final chunk's path depends only on its real lanes.
+// discarded stack lane. Tail pads (a=0, b=+inf) are vector-eligible and
+// one-sided, so the final chunk's path depends only on its real lanes.
 void run_cdf_diff(i64 n, const double* a, const double* b, double* phi,
                   double* diff) noexcept {
   alignas(64) double phi_scratch[simd::kLanes];
@@ -403,7 +417,7 @@ void run_cdf_diff(i64 n, const double* a, const double* b, double* phi,
     alignas(64) double da[simd::kLanes];
     for (int l = 0; l < simd::kLanes; ++l) {
       aa[l] = (i + l < n) ? a[i + l] : 0.0;
-      ba[l] = (i + l < n) ? b[i + l] : 1.0;
+      ba[l] = (i + l < n) ? b[i + l] : kInf;
     }
     cdf_and_diff_chunk(aa, ba, pa, da);
     for (int l = 0; i + l < n; ++l) {

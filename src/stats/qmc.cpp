@@ -1,5 +1,6 @@
 #include "stats/qmc.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -59,6 +60,22 @@ double scrambled_radical_inverse(i64 index, i64 base, u64 seed) {
     n /= base;
   }
   return value;
+}
+
+// Split the samples [sample0, sample0 + count) into runs inside one shift
+// block: fn(j, local0, run, shift) covers out[j, j + run), whose first
+// sample is local index local0 of block `shift`. The block's random offset
+// is constant over a run, so fill_row hashes it once per run, not per entry.
+template <class Fn>
+void for_each_shift_run(i64 sample0, i64 count, i64 samples_per_shift, Fn fn) {
+  for (i64 j = 0; j < count;) {
+    const i64 s = sample0 + j;
+    const i64 shift = s / samples_per_shift;
+    const i64 local0 = s - shift * samples_per_shift;
+    const i64 run = std::min(count - j, samples_per_shift - local0);
+    fn(j, local0, run, static_cast<int>(shift));
+    j += run;
+  }
 }
 
 }  // namespace
@@ -126,27 +143,27 @@ void PointSet::fill_row(i64 dim_index, i64 sample0, i64 count,
       return;
     case SamplerKind::kRichtmyer: {
       const double a = alpha_[static_cast<std::size_t>(dim_index)];
-      for (i64 j = 0; j < count; ++j) {
-        const int shift = shift_of(sample0 + j);
-        const i64 local =
-            sample0 + j - static_cast<i64>(shift) * samples_per_shift_;
+      const auto run_fn = [&](i64 j, i64 local0, i64 run, int shift) {
         const double shift_u =
             counter_u01(seed_ ^ 0x7ac3591bd1e8a2c4ULL, dim_index, shift);
-        out[j] = frac(static_cast<double>(local + 1) * a + shift_u);
-      }
+        for (i64 k = 0; k < run; ++k)
+          out[j + k] = frac(static_cast<double>(local0 + k + 1) * a + shift_u);
+      };
+      for_each_shift_run(sample0, count, samples_per_shift_, run_fn);
       return;
     }
     case SamplerKind::kHalton: {
       const i64 base = halton_base_[static_cast<std::size_t>(dim_index)];
-      for (i64 j = 0; j < count; ++j) {
-        const int shift = shift_of(sample0 + j);
-        const i64 local =
-            sample0 + j - static_cast<i64>(shift) * samples_per_shift_;
+      const auto run_fn = [&](i64 j, i64 local0, i64 run, int shift) {
         const double shift_u =
             counter_u01(seed_ ^ 0x2cb9ae11f53dc049ULL, dim_index, shift);
-        const double h = scrambled_radical_inverse(local + 1, base, seed_);
-        out[j] = frac(h + shift_u);
-      }
+        for (i64 k = 0; k < run; ++k) {
+          const double h =
+              scrambled_radical_inverse(local0 + k + 1, base, seed_);
+          out[j + k] = frac(h + shift_u);
+        }
+      };
+      for_each_shift_run(sample0, count, samples_per_shift_, run_fn);
       return;
     }
   }

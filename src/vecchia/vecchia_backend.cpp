@@ -5,10 +5,9 @@
 
 namespace parmvn::vecchia {
 
-void VecchiaBackend::accumulate_external(i64 r,
-                                         std::span<const la::Matrix> y_panels,
-                                         i64 row_off, i64 nrows,
-                                         la::MatrixView mean_tile) const {
+void VecchiaBackend::accumulate_external(
+    i64 r, std::span<const la::ConstMatrixView> y_panels, i64 row_off,
+    i64 nrows, la::MatrixView mean_tile) const {
   // mean(:, li) += w * Y[k / tile](:, k % tile) over the column tile's
   // sample rows for each cross-tile neighbour k of row li: the ascending
   // set's prefix below the tile, one unit-stride axpy per weight, rows in
@@ -25,7 +24,7 @@ void VecchiaBackend::accumulate_external(i64 r,
         f.weights().data() + sets.offsets[static_cast<std::size_t>(i)];
     for (std::size_t q = 0; q < nb.size() && nb[q] < row0; ++q) {
       const la::ConstMatrixView src =
-          y_panels[static_cast<std::size_t>(nb[q] / tile)].view();
+          y_panels[static_cast<std::size_t>(nb[q] / tile)];
       la::axpy(nrows, w[q], src.col(nb[q] % tile) + row_off,
                mean_tile.col(li));
     }

@@ -35,7 +35,8 @@ class VecchiaBackend final : public engine::FactorBackend {
     return false;  // cross-tile weights fold into the chain task
   }
 
-  void accumulate_external(i64 r, std::span<const la::Matrix> y_panels,
+  void accumulate_external(i64 r,
+                           std::span<const la::ConstMatrixView> y_panels,
                            i64 row_off, i64 nrows,
                            la::MatrixView mean_tile) const override;
   void chain_step(i64 r, const stats::PointSet& pts, i64 col0,

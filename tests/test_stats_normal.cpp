@@ -272,6 +272,45 @@ TEST(NormBatch, FusedCdfAndDiffMatchesSeparatePrimitivesBitwise) {
   }
 }
 
+TEST(NormBatch, OneSidedChunksMatchTheTwoSidedPathBitwise) {
+  // An 8-lane chunk whose b are all +inf evaluates one erfc instead of two
+  // on the native path. Every (a, +inf) lane must match the same lane in a
+  // chunk that also carries one finite-b lane (which takes the two-sided
+  // path), over the whole vector range of a, signed zeros and infinities.
+  std::vector<double> as;
+  for (int i = -4000; i <= 4000; ++i)
+    as.push_back(26.0 * static_cast<double>(i) / 4000.0);
+  for (double v : {0.0, -0.0, kInf, -kInf}) as.push_back(v);
+  const i64 n = static_cast<i64>(as.size());
+
+  // All one-sided, ragged tail included.
+  const std::vector<double> b1(as.size(), kInf);
+  std::vector<double> phi1(as.size()), d1(as.size());
+  norm_cdf_and_diff_batch(n, as.data(), b1.data(), phi1.data(), d1.data());
+
+  // Seven of the same lanes per chunk, then one finite-b lane; padded with
+  // a = 0 so every chunk is whole and carries its finite lane.
+  std::vector<double> a2, b2;
+  std::vector<std::size_t> at;  // position of as[k] in a2
+  for (std::size_t k = 0; k < as.size(); k += 7) {
+    for (std::size_t l = k; l < k + 7; ++l) {
+      if (l < as.size()) at.push_back(a2.size());
+      a2.push_back(l < as.size() ? as[l] : 0.0);
+      b2.push_back(kInf);
+    }
+    a2.push_back(0.0);
+    b2.push_back(1.0);
+  }
+  std::vector<double> phi2(a2.size()), d2(a2.size());
+  norm_cdf_and_diff_batch(static_cast<i64>(a2.size()), a2.data(), b2.data(),
+                          phi2.data(), d2.data());
+
+  for (std::size_t k = 0; k < as.size(); ++k) {
+    EXPECT_TRUE(bitwise_equal(phi1[k], phi2[at[k]])) << "phi a=" << as[k];
+    EXPECT_TRUE(bitwise_equal(d1[k], d2[at[k]])) << "diff a=" << as[k];
+  }
+}
+
 TEST(NormBatch, ResultsArePositionIndependent) {
   // A value's batch result must not depend on where it sits in the array
   // (chunking must not couple lanes): evaluate a rotated copy and compare

@@ -2,6 +2,7 @@
 // scrambled Halton, pseudo-MC) plus the block error-estimate combiner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -109,20 +110,29 @@ TEST(Richtmyer, ShiftBlocksAreDistinct) {
 TEST(PointSet, FillRowBitwiseMatchesPerCallValue) {
   // The sample-contiguous sweep reads whole rows; fill_row must reproduce
   // value() bit for bit for every sampler kind, including across shift
-  // block boundaries and at ragged offsets.
+  // block boundaries and at ragged offsets. The shifted kinds take the
+  // block's offset once per run inside a block, so the runs below start
+  // and end mid-block, cross several block boundaries, and are empty.
   for (SamplerKind kind : {SamplerKind::kPseudoMC, SamplerKind::kRichtmyer,
                            SamplerKind::kHalton}) {
-    PointSet ps(kind, 6, 20, 3, 777);
-    std::vector<double> row(static_cast<std::size_t>(ps.num_samples()));
+    PointSet ps(kind, 6, 20, 5, 777);
+    std::vector<double> row(static_cast<std::size_t>(ps.num_samples() + 1));
     for (i64 dim = 0; dim < 6; ++dim) {
-      for (const auto& [s0, count] : {std::pair<i64, i64>{0, 60},
+      for (const auto& [s0, count] : {std::pair<i64, i64>{0, 100},
                                      {17, 25},  // straddles a shift boundary
-                                     {59, 1}}) {
+                                     {99, 1},
+                                     {23, 14},  // mid-block to mid-block
+                                     {5, 72},   // crosses 3 boundaries
+                                     {40, 0}}) {
+        std::fill(row.begin(), row.end(), -1.0);
         ps.fill_row(dim, s0, count, row.data());
         for (i64 j = 0; j < count; ++j)
           EXPECT_EQ(row[static_cast<std::size_t>(j)], ps.value(dim, s0 + j))
               << "kind=" << static_cast<int>(kind) << " dim=" << dim
               << " s0=" << s0 << " j=" << j;
+        // Nothing past the run is written (for count = 0, nothing at all).
+        EXPECT_EQ(row[static_cast<std::size_t>(count)], -1.0)
+            << "kind=" << static_cast<int>(kind) << " s0=" << s0;
       }
     }
   }
