@@ -57,6 +57,65 @@ void BM_gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_gemm)->Arg(128)->Arg(256)->Arg(512);
 
+// The shapes the library's GEMMs actually run, cycling through a pool of
+// operand sets larger than L2 (8 x 1.5 MiB here) so each call starts from
+// L3, as a sweep task does. BM_gemm_update is the dense sweep's
+// M(250x256) += Y(250x256) * L_ir(256x256)^T: NT, beta = 1, k = 256 split
+// into kKC blocks of 192 + 64.
+constexpr int kPool = 8;
+
+void BM_gemm_update(benchmark::State& state) {
+  const i64 mc = 250;
+  const i64 nb = 256;
+  std::vector<la::Matrix> y, l, m;
+  for (int q = 0; q < kPool; ++q) {
+    y.push_back(random_matrix(mc, nb, 10 + q));
+    l.push_back(random_matrix(nb, nb, 30 + q));
+    m.push_back(random_matrix(mc, nb, 50 + q));
+  }
+  int q = 0;
+  for (auto _ : state) {
+    la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y[q].view(), l[q].view(),
+             1.0, m[q].view());
+    benchmark::DoNotOptimize(m[q].data());
+    q = (q + 1) % kPool;
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * mc * nb * nb * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_gemm_update);
+
+// The TLR sweep's update M(500x512) += (Y V) U^T through a rank-30 tile
+// L_ir = U V^T (tile 512, crd_tlr's 500-sample column tile): an NN GEMM
+// with n = 30 into a scratch, then an NT GEMM with k = 30.
+void BM_gemm_lowrank(benchmark::State& state) {
+  const i64 mc = 500;
+  const i64 nb = 512;
+  const i64 rank = 30;
+  std::vector<la::Matrix> y, u, v, m;
+  for (int q = 0; q < kPool; ++q) {
+    y.push_back(random_matrix(mc, nb, 10 + q));
+    u.push_back(random_matrix(nb, rank, 30 + q));
+    v.push_back(random_matrix(nb, rank, 50 + q));
+    m.push_back(random_matrix(mc, nb, 70 + q));
+  }
+  la::Matrix tmp(mc, rank);
+  int q = 0;
+  for (auto _ : state) {
+    la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, y[q].view(), v[q].view(),
+             0.0, tmp.view());
+    la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(), u[q].view(),
+             1.0, m[q].view());
+    benchmark::DoNotOptimize(m[q].data());
+    q = (q + 1) % kPool;
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      4.0 * mc * nb * rank * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_gemm_lowrank);
+
 // The seed's unblocked axpy-sweep GEMM (four C columns per pass), kept as
 // the baseline for the blocked/register-tiled kernel that replaced it —
 // modulo the column-remainder `if (blj == 0.0) continue;` zero-skip, a

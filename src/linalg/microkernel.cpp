@@ -9,8 +9,37 @@ namespace parmvn::la::detail {
 
 namespace {
 
+// Register microtile: a kMR x kNR block of C is held in registers across the
+// k loop; per k step the kernel loads kMR/8 A vectors and broadcasts kNR B
+// values. The shape is chosen per target ISA here, inside the one TU built
+// with the native flags, so no other TU ever sees a different value:
+//  * AVX-512 (32 zmm): 32 x 6 = 24 accumulator vectors, 4 A loads and 6
+//    broadcasts per k step. Of the 24-accumulator shapes it ran fastest on
+//    bench_kernels' BM_gemm_update and BM_gemm_lowrank (16 x 12 and 24 x 8
+//    tried), and its 6 columns tile the TLR ranks' n = 30 with no padding.
+//  * Everything else: 16 x 4 = 8 accumulator vectors (16 ymm on AVX2); 24
+//    v8df accumulators would spill on 16-register ISAs.
+// The shape never changes a result bit: every C entry is summed from zero in
+// ascending k within each kKC block, then C += alpha * acc, whatever the tile.
+#if defined(__AVX512F__)
+constexpr i64 kMR = 32;
+constexpr i64 kNR = 6;
+#else
+constexpr i64 kMR = 16;
+constexpr i64 kNR = 4;
+#endif
+
+// Cache blocking around the register tile: the largest multiples of the
+// tile within 128 rows and 1024 columns. apack is kMC x kKC (192 KiB,
+// L2-resident), bpack is kKC x kNC (~1.5 MiB, streamed from L3); the bpack
+// row-panel (kKC x kNR, 9 KiB at kNR = 6) stays L1-resident across the ir
+// loop while the apack column-panels stream from L2.
+constexpr i64 kMC = kMR * (128 / kMR);
+constexpr i64 kNC = kNR * (1024 / kNR);
+
 static_assert(kMC % kMR == 0, "A block must tile into full micro-panels");
 static_assert(kNC % kNR == 0, "B block must tile into full micro-panels");
+static_assert(kMR % 8 == 0, "A micro-panel must be whole 8-lane vectors");
 
 // Per-thread packing scratch. Worker threads of the task runtime each get
 // their own copy, so concurrent tile GEMMs never share panels; contents are
@@ -91,59 +120,64 @@ void pack_b(Trans trans, ConstMatrixView b, i64 p0, i64 j0, i64 kc, i64 nc,
 //
 // The accumulator tile must live in registers across the whole k loop — one
 // spilled accumulator turns every FMA into load+op+store and costs an order
-// of magnitude. A 16 x 4 double tile (8 zmm / 16 ymm vectors) is past what
-// compilers will reliably scalar-replace out of a plain local array, so on
-// GCC/Clang the eight accumulators are explicit vector-extension values
-// (lowered to the best ISA the TU is compiled for, AVX-512 down to SSE2);
-// elsewhere a scalar fallback keeps the identical reduction order.
+// of magnitude. On GCC/Clang the accumulators are vector-extension values
+// (lowered to the best ISA the TU is compiled for, AVX-512 down to SSE2) in
+// a fixed-size array whose loops are fully unrolled, so each element is
+// scalar-replaced into its own register; elsewhere a scalar fallback keeps
+// the identical reduction order.
 #if defined(PARMVN_SIMD_VECTOR_EXT)
 
 // Lane type and helpers shared with the other native-flag TUs (the batched
-// stats primitives); apack panels start and stride at multiples of 128 bytes
-// (kMR doubles), so load8 compiles to a single vmovapd here.
+// stats primitives); apack panels start and stride at multiples of kMR
+// doubles, whole 64-byte lines, so load8 is a single aligned vector load.
 using simd::load8;
 using simd::splat;
 using simd::store8;
 using simd::v8df;
 
+constexpr i64 kMV = kMR / 8;  // A vectors per k step
+
 void micro_kernel(i64 kc, const double* __restrict ap,
                   const double* __restrict bp, double alpha,
                   double* __restrict c, i64 ldc, i64 mr, i64 nr) {
-  static_assert(kMR == 16 && kNR == 4,
-                "vector microkernel is written for a 16x4 tile");
-  v8df c00 = splat(0.0), c01 = splat(0.0);  // rows 0:8 / 8:16 of column 0
-  v8df c10 = splat(0.0), c11 = splat(0.0);
-  v8df c20 = splat(0.0), c21 = splat(0.0);
-  v8df c30 = splat(0.0), c31 = splat(0.0);
+  v8df acc[kNR][kMV];  // acc[j][v] = rows 8v:8v+8 of column j
+#pragma GCC unroll 32
+  for (i64 j = 0; j < kNR; ++j)
+#pragma GCC unroll 8
+    for (i64 v = 0; v < kMV; ++v) acc[j][v] = splat(0.0);
   for (i64 l = 0; l < kc; ++l) {
-    const v8df a0 = load8(ap + l * kMR);
-    const v8df a1 = load8(ap + l * kMR + 8);
+    v8df a[kMV];
+#pragma GCC unroll 8
+    for (i64 v = 0; v < kMV; ++v) a[v] = load8(ap + l * kMR + 8 * v);
     const double* __restrict bl = bp + l * kNR;
-    const v8df b0 = splat(bl[0]);
-    const v8df b1 = splat(bl[1]);
-    const v8df b2 = splat(bl[2]);
-    const v8df b3 = splat(bl[3]);
-    c00 += a0 * b0;
-    c01 += a1 * b0;
-    c10 += a0 * b1;
-    c11 += a1 * b1;
-    c20 += a0 * b2;
-    c21 += a1 * b2;
-    c30 += a0 * b3;
-    c31 += a1 * b3;
+#pragma GCC unroll 32
+    for (i64 j = 0; j < kNR; ++j) {
+      const v8df bj = splat(bl[j]);
+#pragma GCC unroll 8
+      for (i64 v = 0; v < kMV; ++v) acc[j][v] += a[v] * bj;
+    }
   }
-  alignas(64) double acc[kMR * kNR];
-  __builtin_memcpy(acc + 0 * kMR, &c00, sizeof(c00));
-  __builtin_memcpy(acc + 0 * kMR + 8, &c01, sizeof(c01));
-  __builtin_memcpy(acc + 1 * kMR, &c10, sizeof(c10));
-  __builtin_memcpy(acc + 1 * kMR + 8, &c11, sizeof(c11));
-  __builtin_memcpy(acc + 2 * kMR, &c20, sizeof(c20));
-  __builtin_memcpy(acc + 2 * kMR + 8, &c21, sizeof(c21));
-  __builtin_memcpy(acc + 3 * kMR, &c30, sizeof(c30));
-  __builtin_memcpy(acc + 3 * kMR + 8, &c31, sizeof(c31));
+  if (mr == kMR && nr == kNR) {
+    // Full tile: C goes through vector registers, one lane per entry, with
+    // the same per-entry expression c + alpha * acc as the ragged path.
+    const v8df va = splat(alpha);
+#pragma GCC unroll 32
+    for (i64 j = 0; j < kNR; ++j)
+#pragma GCC unroll 8
+      for (i64 v = 0; v < kMV; ++v) {
+        double* cj = c + j * ldc + 8 * v;
+        store8(cj, load8(cj) + va * acc[j][v]);
+      }
+    return;
+  }
+  alignas(64) double tile[kMR * kNR];
+#pragma GCC unroll 32
+  for (i64 j = 0; j < kNR; ++j)
+#pragma GCC unroll 8
+    for (i64 v = 0; v < kMV; ++v) store8(tile + j * kMR + 8 * v, acc[j][v]);
   for (i64 j = 0; j < nr; ++j) {
     double* __restrict cj = c + j * ldc;
-    for (i64 i = 0; i < mr; ++i) cj[i] += alpha * acc[j * kMR + i];
+    for (i64 i = 0; i < mr; ++i) cj[i] += alpha * tile[j * kMR + i];
   }
 }
 

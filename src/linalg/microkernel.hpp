@@ -10,20 +10,27 @@
 //         pack op(A)(ic:, pc:) into apack   (column-panels of kMR rows)
 //         for each (kMR x kNR) microtile:
 //           acc  = sum_l apack_panel(:, l) * bpack_panel(l, :)
-//           C   += alpha * acc              (masked at ragged edges)
+//           C   += alpha * acc              (vector write-back of a full
+//                                            tile, a scalar loop at ragged
+//                                            edges)
 //
 // The microtile accumulator lives in registers across the whole k loop, the
 // packed panels are contiguous and 64-byte aligned, and transposition is
-// folded into packing, so no transposed operand is ever materialised.
+// folded into packing, so no transposed operand is ever materialised. The
+// tile is 32 x 6 (24 of the 32 zmm registers) where the kernel TU is built
+// for AVX-512, 16 x 4 elsewhere; see microkernel.cpp.
 //
 // Two contracts every change here must keep (see tests/test_determinism.cpp
 // and tests/test_linalg_blas.cpp):
 //
-//  * Determinism: the reduction order depends only on (m, n, k) — never on
-//    the data, the thread count, or which worker runs the task. Partial
-//    panels are zero-padded to full microtile width; the padded lanes
-//    multiply real data but land in accumulator slots that are never written
-//    back, so padding cannot perturb (or un-NaN) a visible result.
+//  * Determinism: the reduction order depends only on k — never on m or n,
+//    the register tile, the data, the thread count, or which worker runs
+//    the task. Partial panels are zero-padded to full microtile width; the
+//    padded lanes multiply real data but land in accumulator slots that are
+//    never written back, so padding cannot perturb (or un-NaN) a visible
+//    result. The full-tile and ragged write-backs compute the same
+//    c + alpha * acc per entry (Gemm.ColsBitwiseIndependentOfPanelWidth,
+//    Gemm.RowsBitwiseIndependentOfPanelHeight).
 //  * BLAS-style NaN/Inf semantics: no value-dependent skips on the
 //    accumulation path. 0 * Inf contributes NaN, exactly like the reference
 //    BLAS, and identically in every column position.
@@ -37,23 +44,14 @@
 
 namespace parmvn::la::detail {
 
-/// Register microtile: a kMR x kNR block of C is held in registers across
-/// the k loop. 16 x 4 doubles = 8 AVX-512 (16 AVX2) accumulator vectors —
-/// enough independent FMA chains to cover the 4-cycle FMA latency on two
-/// issue ports; per k step the kernel loads one 16-row A column and
-/// broadcasts 4 B values.
-inline constexpr i64 kMR = 16;
-inline constexpr i64 kNR = 4;
-
-/// Cache blocking. apack is kMC x kKC (192 KiB, L2-resident), bpack is
-/// kKC x kNC (1.5 MiB, streamed from L3); one apack column-panel
-/// (kMR x kKC = 24 KiB) plus one bpack row-panel (kKC x kNR = 6 KiB) stay
-/// L1-resident across the jr loop. Retuning: kMC must be a multiple of kMR
-/// and kNC a multiple of kNR; the scratch in microkernel.cpp sizes itself
-/// from these constants.
-inline constexpr i64 kMC = 128;
+/// Reduction block: each C entry is summed from zero in ascending k within
+/// each kKC-long block of k, then C += alpha * acc, so a result's bits
+/// depend on k and the operands only (and on whether the build contracts
+/// multiply-adds) — not on m, n, the register tile or the A/B cache blocks.
+/// The register tile (kMR x kNR) and the A/B blocks (kMC, kNC) depend on
+/// the target ISA, so they live in microkernel.cpp, the one TU compiled
+/// with the native flags: a header constant would differ between TUs.
 inline constexpr i64 kKC = 192;
-inline constexpr i64 kNC = 1024;
 
 /// C += alpha * op(A) * op(B), with op(A) m x k, op(B) k x n, C m x n.
 /// Operand transposition is handled while packing panels. The caller

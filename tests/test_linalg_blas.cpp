@@ -454,4 +454,59 @@ TEST(Gemm, RowsBitwiseIndependentOfPanelHeight) {
   }
 }
 
+// The column counterpart: a C entry's bits do not depend on how many columns
+// the call holds, so a microtile written back whole (vector load, c + alpha *
+// acc, store) rounds like one written back through the ragged-edge loop.
+// Each input is run whole, then in column blocks of 1, 5, 13 and 100, for
+// alpha in {1, -1, 0.75} and beta in {0, 1}. The shapes are those of
+// RowsBitwiseIndependentOfPanelHeight, with 500 and 200 rows for the first
+// two (rows play no part in a column slicing, and ragged row counts keep
+// both write-back paths in every column block), then the TLR update's
+// products at tile 512: Y * V through rank n = 1 and 30 and through
+// n = 3, 5, 7, 11, 13, one column either side of the 4- and 6-column register
+// tiles (and of 12), then tmp * U^T.
+TEST(Gemm, ColsBitwiseIndependentOfPanelWidth) {
+  struct Shape {
+    i64 m, n, k;
+    Trans tb;
+  };
+  const Shape shapes[] = {
+      {500, 256, 256, Trans::kYes}, {200, 300, 600, Trans::kNo},
+      {500, 32, 32, Trans::kYes},   {500, 32, 480, Trans::kYes},
+      {500, 1, 96, Trans::kYes},    {500, 1, 512, Trans::kNo},
+      {500, 3, 512, Trans::kYes},   {500, 5, 512, Trans::kNo},
+      {500, 7, 512, Trans::kYes},   {500, 11, 512, Trans::kNo},
+      {500, 13, 512, Trans::kYes},  {500, 30, 512, Trans::kNo},
+      {500, 512, 30, Trans::kYes}};
+  for (const Shape& sh : shapes) {
+    const Matrix y = random_matrix(sh.m, sh.k, 70);
+    const Matrix l = sh.tb == Trans::kYes ? random_matrix(sh.n, sh.k, 71)
+                                          : random_matrix(sh.k, sh.n, 71);
+    const Matrix c0 = random_matrix(sh.m, sh.n, 72);
+    for (const double alpha : {1.0, -1.0, 0.75})
+      for (const double beta : {0.0, 1.0}) {
+        Matrix whole = c0;
+        la::gemm(Trans::kNo, sh.tb, alpha, y.view(), l.view(), beta,
+                 whole.view());
+        for (const i64 w : {i64{1}, i64{5}, i64{13}, i64{100}}) {
+          Matrix sliced = c0;
+          for (i64 j0 = 0; j0 < sh.n; j0 += w) {
+            const i64 cols = std::min(w, sh.n - j0);
+            const ConstMatrixView lj = sh.tb == Trans::kYes
+                                           ? l.sub(j0, 0, cols, sh.k)
+                                           : l.sub(0, j0, sh.k, cols);
+            la::gemm(Trans::kNo, sh.tb, alpha, y.view(), lj, beta,
+                     sliced.sub(0, j0, sh.m, cols));
+          }
+          for (i64 j = 0; j < sh.n; ++j)
+            for (i64 i = 0; i < sh.m; ++i)
+              ASSERT_EQ(sliced(i, j), whole(i, j))
+                  << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k
+                  << " alpha=" << alpha << " beta=" << beta << " w=" << w
+                  << " (" << i << "," << j << ")";
+        }
+      }
+  }
+}
+
 }  // namespace
