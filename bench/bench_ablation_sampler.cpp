@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   }
   bench::row_comment(
       "expect richtmyer ~1 order of magnitude below mc at the largest "
-      "budget; this is why the library defaults to Richtmyer even though "
-      "the paper's listing uses plain U(0,1)");
+      "budget; this is why SovOptions defaults to Richtmyer, while "
+      "EngineOptions keeps the paper listing's plain U(0,1) by default");
   return 0;
 }

@@ -12,9 +12,11 @@ void DenseBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
   // microkernel depends only on the k extent, so per-sample rows stay
   // bitwise independent of the panel height (the batched==single contract;
   // tests/test_linalg_blas.cpp's Gemm.RowsBitwiseIndependentOfPanelHeight
-  // pins it).
-  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y, l_->tile(i, r), beta,
-           mean);
+  // pins it). A partial last tile row takes L_ir's leading mean.cols rows;
+  // no C entry depends on the call's column count either
+  // (Gemm.ColsBitwiseIndependentOfPanelWidth).
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, y,
+           l_->tile(i, r).sub(0, 0, mean.cols, y.cols), beta, mean);
 }
 
 void DenseBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
@@ -22,8 +24,12 @@ void DenseBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
                               std::span<const double> b,
                               la::ConstMatrixView mean, la::MatrixView y,
                               double* p, double* prefix_acc) const {
-  core::qmc_tile_kernel(l_->tile(r, r), pts, r * l_->tile_size(), col0, a, b,
-                        mean, y, p, prefix_acc);
+  // A partial last tile row (a.size() < tile_rows(r)) sweeps the diagonal
+  // tile's leading block.
+  const i64 rows = static_cast<i64>(a.size());
+  core::qmc_tile_kernel(l_->tile(r, r).sub(0, 0, rows, rows), pts,
+                        r * l_->tile_size(), col0, a, b, mean, y, p,
+                        prefix_acc);
 }
 
 double DenseBackend::ep_row(

@@ -16,10 +16,14 @@
 // standardises the query's original limits against it row by row,
 // a' = (a_i - M(:, i) - s) / d_i with s the in-tile contribution. The
 // limits reach the kernel as per-dimension spans; infinite limits need no
-// special case, and the engine stops the sweep at the constrained extent —
-// the tile row holding the last row where some query has a > -inf or
+// special case, and the engine stops each query's sweep at its own
+// constrained extent e — 1 + the last row where that query has a > -inf or
 // b < +inf — since later rows multiply every sample's probability by
-// exactly 1.
+// exactly 1. A query's last swept tile row is therefore often partial: its
+// chain step and the updates into it cover only the tile's leading
+// e - r * tile rows, and every call below takes that row count from the
+// spans and views it is given (a.size(), mean.cols), never from
+// tile_rows().
 //
 // The arms differ in one question only, pair_update_tasks(): are the
 // cross-tile contributions separate per-pair tasks, or folded into the
@@ -89,6 +93,10 @@ class FactorBackend {
   /// ascending r for each i. beta is 1, or 0 for the tile's first writer,
   /// whose `mean` is uninitialised: la::gemm zero-fills it before
   /// accumulating, so the bits are those of accumulating into zeros.
+  /// `y` holds all tile_rows(r) columns; `mean` may hold fewer than
+  /// tile_rows(i) — tile row i is then the query's partial last one, and
+  /// only L_ir's leading mean.cols rows apply. Each output entry sums over
+  /// the same k either way, so the narrowing moves no bit.
   virtual void apply_update(i64 i, i64 r, la::ConstMatrixView y,
                             la::MatrixView mean, double beta) const {
     (void)i;
@@ -101,7 +109,7 @@ class FactorBackend {
 
   /// Fold every external (earlier-tile) regression contribution into tile
   /// row r's mean panel: mean(:, c) += w * Y[k / tile](:, k % tile) for each
-  /// cross-tile neighbour k of row c, over panel rows
+  /// cross-tile neighbour k of row c < mean_tile.cols, over panel rows
   /// [row_off, row_off + nrows). Applied in a fixed order (ascending target
   /// column, then ascending global neighbour), so the arithmetic is
   /// deterministic and — being a per-sample-row independent axpy sequence —
@@ -124,7 +132,10 @@ class FactorBackend {
   /// tile's mean panel, `a`/`b` the row's original query limits, `y`
   /// receives the conditioning values, `p` the running per-sample products
   /// (updated), `prefix_acc` (optional) the per-row running-product sums.
-  /// `col0` is the column tile's first global sample.
+  /// `col0` is the column tile's first global sample. The step covers the
+  /// tile's leading a.size() rows (== b.size() == mean.cols == y.cols,
+  /// at most tile_rows(r)); fewer than tile_rows(r) on a query's partial
+  /// last tile row, whose later rows it never reads or writes.
   virtual void chain_step(i64 r, const stats::PointSet& pts, i64 col0,
                           std::span<const double> a, std::span<const double> b,
                           la::ConstMatrixView mean, la::MatrixView y, double* p,

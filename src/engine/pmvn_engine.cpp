@@ -29,6 +29,7 @@ struct ColTile {
   i64 sample0 = 0;  // global sample offset within that query's stream
   i64 col0 = 0;     // column offset inside the wide panel
   i64 width = 0;
+  i64 extent = 0;   // the query's swept rows, [0, extent)
 };
 
 // Decision clearance: the interval mean +/- err lies entirely on one side
@@ -243,14 +244,14 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const bool pair_tasks = fb->pair_update_tasks();
 
   // Where each query's limits constrain anything: extent[q] is 1 + the last
-  // row with a > -inf or b < +inf (0 if none). Unconstrained rows multiply
-  // every sample's probability by exactly Phi(+inf) - Phi(-inf) == 1.0, so
-  // the sweep skips them (see sweep_range).
+  // row with a > -inf or b < +inf, floored at 1 (row 0 is always swept).
+  // Unconstrained rows multiply every sample's probability by exactly
+  // Phi(+inf) - Phi(-inf) == 1.0, so the sweep skips them (see sweep_range).
   std::vector<i64> extent(static_cast<std::size_t>(nq), 0);
   for (i64 q = 0; q < nq; ++q) {
     const LimitSet& ls = queries[static_cast<std::size_t>(q)];
     i64 e = n;
-    while (e > 0 && ls.a[static_cast<std::size_t>(e - 1)] == -kInf &&
+    while (e > 1 && ls.a[static_cast<std::size_t>(e - 1)] == -kInf &&
            ls.b[static_cast<std::size_t>(e - 1)] == kInf)
       --e;
     extent[static_cast<std::size_t>(q)] = e;
@@ -303,17 +304,20 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const auto sweep_range = [&](std::span<const i64> active, int slot,
                                i64 s_begin, i64 s_end) {
     const i64 nact = static_cast<i64>(active.size());
-    // The sweep stops at the batch's constrained extent: tile rows [0, mts)
-    // are swept, and the n_swept rows they hold cover every active query's
-    // last finite limit (at least one tile row is always swept). Rows past
-    // it stay untouched — their factors are exactly 1, so they change no
-    // probability and no prefix sum (the prefix fold below fills them from
-    // the last swept row).
-    i64 ext = 0;
+    // Each query sweeps only its own rows [0, e) with e = extent[q]: its
+    // column tiles get tasks on tile rows r < ceil(e / m) alone, and on the
+    // last of them the chain step and the updates into it cover rows < e
+    // only (swept_rows). Rows past e stay untouched — their factors are
+    // exactly 1, so they change no probability and no prefix sum (the
+    // prefix fold below fills them from row e - 1). The workspace holds
+    // tile rows [0, mts), those of the active query with the largest e.
+    const auto row_tiles_of = [m](i64 e) { return (e + m - 1) / m; };
+    const auto swept_rows = [m](i64 e, i64 r) {
+      return std::min(m, e - r * m);
+    };
+    i64 mts = 0;
     for (const i64 q : active)
-      ext = std::max(ext, extent[static_cast<std::size_t>(q)]);
-    const i64 mts = std::max<i64>(1, (ext + m - 1) / m);
-    const i64 n_swept = std::min(n, mts * m);
+      mts = std::max(mts, row_tiles_of(extent[static_cast<std::size_t>(q)]));
     // Per-query panel width: the sweep shares the panel budget, counted as
     // 2 matrices (M, Y) of n rows, 8 bytes each — an upper bound, since rows
     // past the extent get no panels. Floored at one tile width per query and
@@ -336,7 +340,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       for (const i64 q : active) {
         for (i64 c = 0; c < pc; c += m) {
           const i64 w = std::min(m, pc - c);
-          tiles.push_back({q, panel0 + c, width, w});
+          tiles.push_back(
+              {q, panel0 + c, width, w, extent[static_cast<std::size_t>(q)]});
           width += w;
         }
       }
@@ -400,21 +405,25 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
 
         // The sweep: one independent pipeline per column tile. Tile row r's
         // QMC task on column tile t, then (per-pair backends) one update
-        // task per later tile row i, M_i += Y_r L_ir^T on that column tile
-        // alone, so tile row r+1 of column tile t waits only for its own
-        // updates, never for a slower sibling tile. Per-sample GEMM rows do
-        // not depend on the panel height (Gemm.RowsBitwiseIndependentOf-
-        // PanelHeight), so no result bit depends on the column tiling.
+        // task per later tile row i of its query, M_i += Y_r L_ir^T on that
+        // column tile alone, so tile row r+1 of column tile t waits only for
+        // its own updates, never for a slower sibling tile. Per-sample GEMM
+        // rows do not depend on the panel height (Gemm.RowsBitwiseIndepend-
+        // entOfPanelHeight), and every output entry's sum runs over the
+        // same k whatever the number of output columns, so neither the
+        // column tiling nor the narrowed last tile row moves a result bit.
         // The mean tile's first writer zeroes it: the QMC task on tile row
         // 0 (and on every tile row for folded backends, whose external
         // terms accumulate into it in the same task); the (i, 0) update on
         // the other tile rows, which overwrites it (beta = 0).
         const std::span<const la::ConstMatrixView> ys = yall;
         for (i64 r = 0; r < mts; ++r) {
-          const i64 mr = f.tile_rows(r);
           const i64 row0 = r * m;
           for (i64 t = 0; t < nct; ++t) {
             const ColTile& ct = tiles[static_cast<std::size_t>(t)];
+            const i64 qts = row_tiles_of(ct.extent);
+            if (r >= qts) continue;
+            const i64 mr = swept_rows(ct.extent, r);
             const la::MatrixView mtile =
                 M[static_cast<std::size_t>(r)].view().sub(ct.col0, 0, ct.width,
                                                           mr);
@@ -458,10 +467,10 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                                         acc);
                        },
                        rt::kPrioSweep);
-            for (i64 i = r + 1; pair_tasks && i < mts; ++i) {
+            for (i64 i = r + 1; pair_tasks && i < qts; ++i) {
               const la::MatrixView mi = M[static_cast<std::size_t>(i)].view();
               const la::MatrixView mw =
-                  mi.sub(ct.col0, 0, ct.width, f.tile_rows(i));
+                  mi.sub(ct.col0, 0, ct.width, swept_rows(ct.extent, i));
               accesses.clear();
               accesses.push_back({handle(r, t), rt::Access::kRead});
               accesses.push_back({handle(i, t), rt::Access::kReadWrite});
@@ -498,14 +507,15 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
       // Fold this panel's prefix sums into the queries' round slots,
       // in ascending column-tile (== ascending sample) order so the
       // accumulation order is independent of the panelling. Rows past the
-      // swept extent hold the same running products as the last swept row,
-      // so their per-tile sums are that row's sum, bit for bit.
+      // query's extent hold the same running products as its last swept
+      // row, so their per-tile sums are that row's sum, bit for bit.
       for (i64 t = 0; t < nct; ++t) {
-        const i64 q = tiles[static_cast<std::size_t>(t)].query;
+        const ColTile& ct = tiles[static_cast<std::size_t>(t)];
+        const i64 q = ct.query;
         if (!queries[static_cast<std::size_t>(q)].prefix) continue;
         std::vector<double>& acc = prefix_acc[static_cast<std::size_t>(t)];
-        std::fill(acc.begin() + n_swept, acc.end(),
-                  acc[static_cast<std::size_t>(n_swept - 1)]);
+        std::fill(acc.begin() + ct.extent, acc.end(),
+                  acc[static_cast<std::size_t>(ct.extent - 1)]);
         double* total =
             prefix_store[static_cast<std::size_t>(q)].data() + slot * n;
         for (i64 i = 0; i < n; ++i) total[i] += acc[static_cast<std::size_t>(i)];

@@ -42,8 +42,10 @@ namespace parmvn::engine {
 struct EngineOptions {
   i64 samples_per_shift = 1000;
   int shifts = 10;
-  /// The paper's Algorithm 2 fills R with i.i.d. U(0,1); Richtmyer QMC is
-  /// what Genz recommends and converges faster (see the sampler ablation).
+  /// Defaults to pseudo-MC, the paper's Algorithm 2 (R filled with i.i.d.
+  /// U(0,1)). Richtmyer QMC, which Genz recommends and which converges
+  /// faster in the sampler ablation, is core::SovOptions' default; the
+  /// server and bench_e2e set it explicitly.
   stats::SamplerKind sampler = stats::SamplerKind::kPseudoMC;
   /// Memory budget for the batch's M (conditional mean) and Y
   /// (conditioning value) panels, shared across all queries; floored at one

@@ -8,13 +8,14 @@ namespace parmvn::engine {
 
 void TlrBackend::apply_update(i64 i, i64 r, la::ConstMatrixView y,
                               la::MatrixView mean, double beta) const {
-  // L_ir = U V^T, so M += (Y V) U^T: two skinny GEMMs through the rank.
+  // L_ir = U V^T, so M += (Y V) U^T: two skinny GEMMs through the rank. A
+  // partial last tile row takes U's leading mean.cols rows.
   const tlr::LowRankTile& t = l_->lr(i, r);
   la::Matrix tmp(y.rows, t.rank());
   la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, y, t.v.view(), 0.0,
            tmp.view());
-  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(), t.u.view(), beta,
-           mean);
+  la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, tmp.view(),
+           t.u.view().sub(0, 0, mean.cols, t.rank()), beta, mean);
 }
 
 void TlrBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
@@ -22,8 +23,12 @@ void TlrBackend::chain_step(i64 r, const stats::PointSet& pts, i64 col0,
                             std::span<const double> b, la::ConstMatrixView mean,
                             la::MatrixView y, double* p,
                             double* prefix_acc) const {
-  core::qmc_tile_kernel(l_->diag(r), pts, r * l_->tile_size(), col0, a, b,
-                        mean, y, p, prefix_acc);
+  // A partial last tile row (a.size() < tile_rows(r)) sweeps the diagonal
+  // tile's leading block.
+  const i64 rows = static_cast<i64>(a.size());
+  core::qmc_tile_kernel(l_->diag(r).sub(0, 0, rows, rows), pts,
+                        r * l_->tile_size(), col0, a, b, mean, y, p,
+                        prefix_acc);
 }
 
 double TlrBackend::ep_row(i64 k,

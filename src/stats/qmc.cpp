@@ -40,7 +40,13 @@ std::vector<i64> first_primes(i64 count) {
 
 namespace {
 
-inline double frac(double x) noexcept { return x - std::floor(x); }
+// Fractional part for 0 <= x < 2^53, where every draw's argument lies: the
+// truncating conversion is exact there, so this equals x - std::floor(x)
+// bit for bit (PointSet.FillRowMatchesFloorDefinition pins it) without a
+// libm call per draw.
+inline double frac(double x) noexcept {
+  return x - static_cast<double>(static_cast<i64>(x));
+}
 
 // Scrambled radical inverse of `index` in base `base` with a multiplicative
 // digit permutation derived from `seed` (Faure-style linear scrambling).

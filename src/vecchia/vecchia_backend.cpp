@@ -12,12 +12,13 @@ void VecchiaBackend::accumulate_external(
   // sample rows for each cross-tile neighbour k of row li: the ascending
   // set's prefix below the tile, one unit-stride axpy per weight, rows in
   // ascending order. Per-sample independence keeps fused batches bitwise
-  // equal to single-query runs.
+  // equal to single-query runs. A partial last tile row folds only its
+  // mean_tile.cols leading rows.
   const VecchiaFactor& f = *v_;
   const i64 tile = f.tile_size();
   const i64 row0 = r * tile;
   const ConditioningSets& sets = f.sets();
-  for (i64 li = 0; li < f.tile_rows(r); ++li) {
+  for (i64 li = 0; li < mean_tile.cols; ++li) {
     const i64 i = row0 + li;
     const std::span<const i64> nb = sets.of(i);
     const double* w =

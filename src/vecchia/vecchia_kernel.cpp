@@ -13,10 +13,10 @@ void vecchia_tile_kernel(const VecchiaFactor& f, i64 r,
                          std::span<const double> a, std::span<const double> b,
                          la::ConstMatrixView mean, la::MatrixView y, double* p,
                          double* prefix_acc) {
-  const i64 m = f.tile_rows(r);
+  const i64 m = static_cast<i64>(a.size());
   const i64 row0 = r * f.tile_size();
   const i64 mc = mean.rows;
-  PARMVN_EXPECTS(static_cast<i64>(a.size()) == m &&
+  PARMVN_EXPECTS(m >= 1 && m <= f.tile_rows(r) &&
                  static_cast<i64>(b.size()) == m);
   PARMVN_EXPECTS(mean.cols == m && y.cols == m);
   PARMVN_EXPECTS(y.rows == mc);

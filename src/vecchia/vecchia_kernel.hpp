@@ -36,7 +36,9 @@ namespace parmvn::vecchia {
 ///              r * tile + i)
 /// @param pts   sample set; sample index = col0 + local row
 /// @param col0  global sample offset of this tile column
-/// @param a,b   m-length spans of this tile's lower/upper limits
+/// @param a,b   m-length spans of the lower/upper limits of this tile's
+///              leading m rows, m <= f.tile_rows(r) (the engine passes
+///              fewer on a query's partial last tile row)
 /// @param mean  mc x m external conditional mean tile (read-only)
 /// @param y     mc x m output tile of realized values, sample-contiguous
 /// @param p     mc running per-sample probability products (updated)

@@ -291,7 +291,9 @@ engine::QueryResult oracle_sweep(const engine::CholeskyFactor& f,
 TEST(PmvnEngine, MatchesFullSweepOracleBitwise) {
   // Skipping infinite limits and fusing the sweep must not move a bit:
   // every query shape, on both per-pair update arms, fixed and adaptive,
-  // equals the literal mean-form sweep.
+  // alone and as one fused batch of mixed extents (each query swept to its
+  // own last finite limit, mid tile row for k = 21 and the band), equals
+  // the literal mean-form sweep.
   const SpatialProblem pb(8);  // n = 64: four tile rows of 16
   rt::Runtime rt(4);
   const i64 n = pb.n();
@@ -325,21 +327,112 @@ TEST(PmvnEngine, MatchesFullSweepOracleBitwise) {
       opts.adaptive = adaptive;
       opts.abs_tol = adaptive ? 0.02 : 0.0;
       const engine::PmvnEngine eng(rt, factor, opts);
+      const std::vector<engine::QueryResult> fused = eng.evaluate(shapes);
       for (std::size_t qi = 0; qi < shapes.size(); ++qi) {
-        const engine::QueryResult got = eng.evaluate_one(shapes[qi]);
-        const engine::QueryResult want = oracle_sweep(
-            *factor, shapes[qi], opts, got.shifts_used, adaptive);
-        const std::string where = "kind=" +
-                                  std::to_string(static_cast<int>(kind)) +
-                                  " adaptive=" + std::to_string(adaptive) +
-                                  " query=" + std::to_string(qi);
-        EXPECT_EQ(got.prob, want.prob) << where;
-        EXPECT_EQ(got.error3sigma, want.error3sigma) << where;
-        ASSERT_EQ(got.prefix_prob.size(), want.prefix_prob.size()) << where;
-        for (std::size_t i = 0; i < want.prefix_prob.size(); ++i)
-          EXPECT_EQ(got.prefix_prob[i], want.prefix_prob[i])
-              << where << " prefix=" << i;
+        const engine::QueryResult alone = eng.evaluate_one(shapes[qi]);
+        for (const engine::QueryResult* got : {&alone, &fused[qi]}) {
+          const engine::QueryResult want = oracle_sweep(
+              *factor, shapes[qi], opts, got->shifts_used, adaptive);
+          const std::string where =
+              "kind=" + std::to_string(static_cast<int>(kind)) +
+              " adaptive=" + std::to_string(adaptive) +
+              " query=" + std::to_string(qi) +
+              (got == &alone ? " alone" : " fused");
+          EXPECT_EQ(got->prob, want.prob) << where;
+          EXPECT_EQ(got->error3sigma, want.error3sigma) << where;
+          ASSERT_EQ(got->prefix_prob.size(), want.prefix_prob.size())
+              << where;
+          for (std::size_t i = 0; i < want.prefix_prob.size(); ++i)
+            EXPECT_EQ(got->prefix_prob[i], want.prefix_prob[i])
+                << where << " prefix=" << i;
+        }
       }
+    }
+  }
+}
+
+TEST(PmvnEngine, EachQuerySweepsOnlyItsOwnTileRows) {
+  // The task graph follows each query's own extent, not the batch's: at
+  // n = 64 and tile 16, top-k k = 21 takes tile rows 0-1 (2 QMC tasks, the
+  // (1, 0) update) and the one-sided query all four (4 QMC tasks, 6
+  // updates) — 6 and 7 per round, where a batch-wide extent gives 8 and 12.
+  const SpatialProblem pb(8);
+  rt::Runtime rt(2, /*enable_trace=*/true);
+  const i64 n = pb.n();
+  const auto nz = static_cast<std::size_t>(n);
+  const std::vector<double> inf_b(nz, kInf);
+  const std::vector<double> one_sided(nz, -0.4);
+  std::vector<double> topk(nz, -kInf);
+  std::fill_n(topk.begin(), 21, 0.3);
+  const std::vector<engine::LimitSet> batch = {{topk, inf_b, 1, true},
+                                               {one_sided, inf_b, 2, false}};
+  for (const engine::FactorKind kind :
+       {engine::FactorKind::kDense, engine::FactorKind::kTlr}) {
+    const engine::FactorSpec spec{kind, 16, 1e-7, -1};
+    auto factor = std::make_shared<const engine::CholeskyFactor>(
+        engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
+                                               spec));
+    for (const bool adaptive : {false, true}) {
+      // 16 samples per query: one column tile each, in one round (fixed)
+      // or two rounds of one shift block (adaptive, no early stop).
+      engine::EngineOptions opts;
+      opts.samples_per_shift = 8;
+      opts.shifts = 2;
+      opts.adaptive = adaptive;
+      const int rounds = adaptive ? 2 : 1;
+      const std::size_t before = rt.trace().size();
+      const engine::PmvnEngine eng(rt, factor, opts);
+      (void)eng.evaluate(batch);
+      i64 qmc = 0;
+      i64 update = 0;
+      for (std::size_t i = before; i < rt.trace().size(); ++i) {
+        qmc += rt.trace()[i].name == "qmc";
+        update += rt.trace()[i].name == "pmvn_update";
+      }
+      const std::string where = "kind=" +
+                                std::to_string(static_cast<int>(kind)) +
+                                " adaptive=" + std::to_string(adaptive);
+      EXPECT_EQ(qmc, 6 * rounds) << where;
+      EXPECT_EQ(update, 7 * rounds) << where;
+    }
+  }
+}
+
+TEST(PmvnEngine, RowsPastTheExtentMatchAFullSweepBitwise) {
+  // A query and its twin whose infinite lower limits past the extent are
+  // replaced by -1e300 (finite, so the twin is swept over all n rows, each
+  // extra row's factor Phi(+inf) - Phi(-1e300 / d) being exactly 1) give
+  // the same bits on every arm, the Vecchia one included, alone and fused.
+  // The extents end mid tile row (3, 17) and on the last row (n).
+  const SpatialProblem pb(8);
+  rt::Runtime rt(3);
+  const i64 n = pb.n();
+  const MixedBatch mixed(n, 16);
+  std::vector<std::vector<double>> far_a = mixed.a;
+  for (std::vector<double>& a : far_a)
+    std::replace(a.begin(), a.end(), -kInf, -1e300);
+  std::vector<engine::LimitSet> twins = mixed.queries;
+  for (std::size_t q = 0; q < twins.size(); ++q) twins[q].a = far_a[q];
+  for (const engine::FactorKind kind :
+       {engine::FactorKind::kDense, engine::FactorKind::kTlr,
+        engine::FactorKind::kVecchia}) {
+    const engine::FactorSpec spec{kind, 16, 1e-7, -1};
+    auto factor = std::make_shared<const engine::CholeskyFactor>(
+        engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
+                                               spec));
+    const engine::PmvnEngine eng(rt, factor, small_opts());
+    const std::vector<engine::QueryResult> got = eng.evaluate(mixed.queries);
+    for (std::size_t q = 0; q < twins.size(); ++q) {
+      const engine::QueryResult want = eng.evaluate_one(twins[q]);
+      const std::string where = "kind=" +
+                                std::to_string(static_cast<int>(kind)) +
+                                " query=" + std::to_string(q);
+      EXPECT_EQ(got[q].prob, want.prob) << where;
+      EXPECT_EQ(got[q].error3sigma, want.error3sigma) << where;
+      ASSERT_EQ(got[q].prefix_prob.size(), want.prefix_prob.size()) << where;
+      for (std::size_t i = 0; i < want.prefix_prob.size(); ++i)
+        EXPECT_EQ(got[q].prefix_prob[i], want.prefix_prob[i])
+            << where << " prefix=" << i;
     }
   }
 }

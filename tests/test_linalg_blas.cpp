@@ -420,12 +420,14 @@ TEST(Gemm, RowsBitwiseIndependentOfPanelHeight) {
     Trans tb;
     double alpha, beta;
   };
-  // C -= Y * L^T at the shape of a crd_dense update (tile 256), then a square
-  // NN shape whose B panel spans more than one kKC block, then the QMC tile
-  // kernel's group GEMM S = Y(:, 0:g0) * L(g0:g0+gb, 0:g0)^T over a 500-sample
-  // panel: one 32-row group with k below and above kKC, and a ragged last
-  // group (m = 97: one row after k = 96).
-  const Shape shapes[] = {{8000, 256, 256, Trans::kYes, -1.0, 1.0},
+  // C -= Y * L^T at the tile shape of a crd_dense update (tile 256) over
+  // 1100 sample rows — past eight kMC row blocks, with a ragged 100-row
+  // piece left by h = 1000 — then a square NN shape whose B panel spans
+  // more than one kKC block, then the QMC tile kernel's group GEMM
+  // S = Y(:, 0:g0) * L(g0:g0+gb, 0:g0)^T over a 500-sample panel: one
+  // 32-row group with k below and above kKC, and a ragged last group
+  // (m = 97: one row after k = 96).
+  const Shape shapes[] = {{1100, 256, 256, Trans::kYes, -1.0, 1.0},
                           {600, 300, 600, Trans::kNo, -1.0, 1.0},
                           {500, 32, 32, Trans::kYes, 1.0, 0.0},
                           {500, 32, 480, Trans::kYes, 1.0, 0.0},

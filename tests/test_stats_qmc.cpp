@@ -8,6 +8,7 @@
 
 #include "common/contracts.hpp"
 #include "stats/qmc.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -134,6 +135,58 @@ TEST(PointSet, FillRowBitwiseMatchesPerCallValue) {
         EXPECT_EQ(row[static_cast<std::size_t>(count)], -1.0)
             << "kind=" << static_cast<int>(kind) << " s0=" << s0;
       }
+    }
+  }
+}
+
+// The shifted samplers from their definitions, with the fractional part
+// taken as x - floor(x): Richtmyer w = frac((local + 1) * frac(sqrt(p_d)) +
+// U_shift), Halton w = frac(h(local + 1) + U_shift) with h the radical
+// inverse in base p_d under the seed's linear digit scrambling.
+// Dimension `dim` takes the prime p = first_primes(dim + 1).back().
+double reference_point(SamplerKind kind, i64 dim, i64 p, i64 sps, u64 seed,
+                       i64 sample) {
+  const auto frac = [](double x) { return x - std::floor(x); };
+  const i64 shift = sample / sps;
+  const i64 local = sample - shift * sps;
+  if (kind == SamplerKind::kRichtmyer) {
+    const double alpha = frac(std::sqrt(static_cast<double>(p)));
+    const double u = stats::counter_u01(seed ^ 0x7ac3591bd1e8a2c4ULL, dim, shift);
+    return frac(static_cast<double>(local + 1) * alpha + u);
+  }
+  const i64 mult = 1 + static_cast<i64>(stats::mix64(seed ^ static_cast<u64>(p)) %
+                                        static_cast<u64>(p - 1));
+  const double inv_base = 1.0 / static_cast<double>(p);
+  double scale = inv_base;
+  double h = 0.0;
+  for (i64 k = local + 1; k > 0; k /= p) {
+    h += static_cast<double>((k % p * mult) % p) * scale;
+    scale *= inv_base;
+  }
+  const double u = stats::counter_u01(seed ^ 0x2cb9ae11f53dc049ULL, dim, shift);
+  return frac(h + u);
+}
+
+TEST(PointSet, FillRowMatchesFloorDefinition) {
+  // fill_row takes the fractional part by an integer truncation instead of
+  // libm floor; over long runs (large lattice multiples, high-dimension
+  // primes, several shift blocks) every draw must equal the floor form bit
+  // for bit.
+  constexpr i64 kDim = 4000;
+  constexpr i64 kSps = 60000;
+  for (const SamplerKind kind : {SamplerKind::kRichtmyer, SamplerKind::kHalton}) {
+    const PointSet ps(kind, kDim, kSps, 3, 2718);
+    const std::vector<i64> primes = first_primes(kDim);
+    std::vector<double> row(static_cast<std::size_t>(ps.num_samples()));
+    for (const i64 dim : {i64{0}, i64{1}, i64{57}, kDim - 1}) {
+      const i64 p = primes[static_cast<std::size_t>(dim)];
+      ps.fill_row(dim, 0, ps.num_samples(), row.data());
+      i64 mismatches = 0;
+      for (i64 s = 0; s < ps.num_samples(); ++s)
+        mismatches += row[static_cast<std::size_t>(s)] !=
+                      reference_point(kind, dim, p, kSps, 2718, s);
+      EXPECT_EQ(mismatches, 0)
+          << "kind=" << static_cast<int>(kind) << " dim=" << dim;
     }
   }
 }
