@@ -85,7 +85,10 @@ struct ServeOptions {
   std::size_t queue_capacity = 64;
   /// Dynamic-batching latency budget: an open batch waits up to this long
   /// (wall clock) for more same-field requests before evaluating. 0 = no
-  /// coalescing wait (each batch takes only what is already queued).
+  /// coalescing wait (each batch takes only what is already queued). A
+  /// batch may stay open past the window while the previous batch still
+  /// runs, since it could not start earlier; it keeps taking same-key
+  /// requests (up to max_batch) until the executor frees up.
   i64 batch_window_ms = 2;
   /// Most requests fused into one engine batch.
   int max_batch = 16;
@@ -109,8 +112,9 @@ struct ServeOptions {
   i64 breaker_cooldown_ms = 250;
 
   /// Overload degradation ladder, as fractions of queue_capacity: queue
-  /// depth at batch close >= degrade_tiered_at * capacity forces the EP
-  /// tier (DegradeRung::kTiered); >= degrade_shift_cap_at * capacity
+  /// depth at batch close (read when the batch is handed to the executor)
+  /// >= degrade_tiered_at * capacity forces the EP tier
+  /// (DegradeRung::kTiered); >= degrade_shift_cap_at * capacity
   /// additionally caps shifts at degraded_shifts (DegradeRung::kShiftCap).
   double degrade_tiered_at = 0.5;
   double degrade_shift_cap_at = 0.75;
@@ -140,6 +144,7 @@ struct ServerStats {
   i64 expired_in_queue = 0;     // kDeadline before touching the engine
   i64 failed = 0;               // kFactorFailed / kEvalFailed after admission
   i64 batches = 0;              // engine batches evaluated
+  i64 pipelined_batches = 0;    // …of which closed while another evaluated
   i64 batched_queries = 0;      // requests summed over those batches
   i64 max_batch_size = 0;
   i64 max_queue_depth = 0;

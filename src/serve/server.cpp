@@ -53,7 +53,18 @@ Server::Server(ServeOptions opts, int runtime_threads)
   opts_.validate();
   rt_ = std::make_unique<rt::Runtime>(runtime_threads);
   cache_ = std::make_unique<engine::FactorCache>(opts_.cache_capacity);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  executor_ = std::thread([this] { execute_loop(); });
+  try {
+    dispatcher_ = std::thread([this] { dispatch_loop(); });
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      dispatcher_done_ = true;
+    }
+    exec_cv_.notify_one();
+    executor_.join();
+    throw;
+  }
 }
 
 Server::~Server() { drain(); }
@@ -182,10 +193,7 @@ void Server::dispatch_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     cv_.wait(lk, [&] { return !queue_.empty() || draining_; });
-    if (queue_.empty()) {
-      if (draining_) return;
-      continue;
-    }
+    if (queue_.empty()) break;  // draining, and nothing left to hand over
 
     // Open a batch with the oldest request; (field, has-deadline) is the
     // coalescing key. Splitting on deadline presence keeps a neighbour's
@@ -195,13 +203,11 @@ void Server::dispatch_loop() {
     queue_.pop_front();
     Field* const key_field = batch.front().field;
     const bool key_deadline = batch.front().req.deadline_ms > 0;
-
-    const auto window_end =
-        Clock::now() + milliseconds(opts_.batch_window_ms);
-    while (static_cast<int>(batch.size()) < opts_.max_batch) {
-      for (auto it = queue_.begin();
-           it != queue_.end() &&
-           static_cast<int>(batch.size()) < opts_.max_batch;) {
+    const auto full = [&] {
+      return static_cast<int>(batch.size()) >= opts_.max_batch;
+    };
+    const auto take = [&] {
+      for (auto it = queue_.begin(); it != queue_.end() && !full();) {
         if (it->field == key_field &&
             (it->req.deadline_ms > 0) == key_deadline) {
           batch.push_back(std::move(*it));
@@ -210,18 +216,46 @@ void Server::dispatch_loop() {
           ++it;
         }
       }
-      if (static_cast<int>(batch.size()) >= opts_.max_batch) break;
-      // Draining must not dawdle on the coalescing window — the queue is
-      // finite and admission closed, so just take what is there.
-      if (draining_ || opts_.batch_window_ms == 0) break;
-      if (Clock::now() >= window_end) break;
+    };
+
+    // Draining must not dawdle on the coalescing window — the queue is
+    // finite and admission closed, so just take what is there.
+    const auto window_end =
+        Clock::now() + milliseconds(opts_.batch_window_ms);
+    take();
+    while (!full() && !draining_ && opts_.batch_window_ms > 0 &&
+           Clock::now() < window_end) {
       cv_.wait_until(lk, window_end);
+      take();
+    }
+    // A batch the executor cannot start yet stays open: it keeps taking
+    // same-key requests until the executor frees up.
+    const bool pipelined = executor_busy_;
+    while (executor_busy_) {
+      cv_.wait(lk);
+      take();
     }
 
-    const std::size_t depth_at_close = queue_.size();
+    handoff_ = Batch{std::move(batch), queue_.size(), pipelined};
+    executor_busy_ = true;
+    exec_cv_.notify_one();
+  }
+  dispatcher_done_ = true;
+  exec_cv_.notify_one();
+}
+
+void Server::execute_loop() {
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    exec_cv_.wait(lk, [&] { return handoff_.has_value() || dispatcher_done_; });
+    if (!handoff_) return;
+    Batch batch = std::move(*handoff_);
+    handoff_.reset();
     lk.unlock();
-    process_batch(std::move(batch), depth_at_close);
+    process_batch(std::move(batch));
     lk.lock();
+    executor_busy_ = false;
+    cv_.notify_one();
   }
 }
 
@@ -242,20 +276,21 @@ std::vector<Server::Pending> Server::retire_expired(std::vector<Pending> batch,
   return live;
 }
 
-void Server::process_batch(std::vector<Pending> batch,
-                           std::size_t depth_at_close) {
+void Server::process_batch(Batch formed) {
   // Requests that spent their whole budget queued retire right here with
   // Status::kDeadline — the engine never sees them.
-  batch = retire_expired(std::move(batch), Clock::now());
+  std::vector<Pending> batch =
+      retire_expired(std::move(formed.members), Clock::now());
   if (batch.empty()) return;
   Field* const field = batch.front().field;
 
   // ---- degradation rung from queue pressure at batch close
   DegradeRung rung = DegradeRung::kNone;
   const double cap = static_cast<double>(opts_.queue_capacity);
-  if (static_cast<double>(depth_at_close) >= opts_.degrade_shift_cap_at * cap)
+  const auto depth = static_cast<double>(formed.depth_at_close);
+  if (depth >= opts_.degrade_shift_cap_at * cap)
     rung = DegradeRung::kShiftCap;
-  else if (static_cast<double>(depth_at_close) >= opts_.degrade_tiered_at * cap)
+  else if (depth >= opts_.degrade_tiered_at * cap)
     rung = DegradeRung::kTiered;
 
   engine::EngineOptions eff = opts_.engine;
@@ -268,6 +303,7 @@ void Server::process_batch(std::vector<Pending> batch,
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ++counters_.batches;
+    if (formed.pipelined) ++counters_.pipelined_batches;
     counters_.batched_queries += static_cast<i64>(batch.size());
     counters_.max_batch_size = std::max(counters_.max_batch_size,
                                         static_cast<i64>(batch.size()));
@@ -364,7 +400,7 @@ void Server::backoff_sleep(int attempt) {
   }
   if (opts_.retry_backoff_ms <= 0) return;
   // Exponential base with multiplicative jitter in [0.5, 1.5), capped so a
-  // deep retry ladder cannot stall the dispatcher for long.
+  // deep retry ladder cannot stall the executor for long.
   const double base = static_cast<double>(opts_.retry_backoff_ms) *
                       static_cast<double>(i64{1} << std::min(attempt - 1, 10));
   std::uniform_real_distribution<double> jitter(0.5, 1.5);
@@ -409,10 +445,13 @@ void Server::drain() {
     draining_ = true;
   }
   cv_.notify_all();
-  // Serialise concurrent drain() calls around the join itself.
+  // Serialise concurrent drain() calls around the joins themselves. The
+  // dispatcher ends first (nothing left to hand over); the executor then
+  // finishes the last handed-off batch and ends too.
   {
     const std::lock_guard<std::mutex> lock(drain_mu_);
     if (dispatcher_.joinable()) dispatcher_.join();
+    if (executor_.joinable()) executor_.join();
   }
 }
 

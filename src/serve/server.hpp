@@ -28,15 +28,22 @@
 //  * an overload degradation ladder — under queue pressure the server
 //    first forces tiered EP screening, then caps the QMC shift budget, and
 //    only then sheds at admission; every response reports its rung;
-//  * graceful drain — shutdown stops admission, completes or
-//    deadline-retires everything admitted, joins the dispatcher and
-//    asserts zero leaked runtime handles.
+//  * graceful drain — shutdown stops admission, lets the executor finish
+//    the batch it runs, completes or deadline-retires everything else
+//    admitted, joins both server threads and asserts zero leaked runtime
+//    handles.
 //
 // Concurrency model: client threads call submit() (or the blocking
-// evaluate()) from anywhere; one dispatcher thread forms batches and runs
-// them on the server's own Runtime + FactorCache. Engine entry points
-// serialise their epochs through Runtime::exclusive_epoch(), so external
-// callers may additionally share the server's runtime.
+// evaluate()) from anywhere. Two server threads form a pipeline: the
+// dispatcher only forms batches, and the executor runs them, one at a
+// time, on the server's own Runtime + FactorCache. While the executor runs
+// batch k the dispatcher forms batch k+1: after its window it keeps
+// taking same-key requests until the executor frees up or the batch is
+// full, and hands it over the moment the executor is idle. Only the
+// dispatcher forms batches, so a window's requests never split between
+// two formers. Engine entry points serialise their epochs through
+// Runtime::exclusive_epoch(), so external callers may additionally share
+// the server's runtime.
 #pragma once
 
 #include <chrono>
@@ -45,6 +52,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -74,7 +82,7 @@ class Server {
  public:
   /// Validates `opts` (typed errors), builds the serving Runtime (with
   /// `runtime_threads` workers) and the FactorCache, and starts the
-  /// dispatcher thread.
+  /// executor and dispatcher threads.
   explicit Server(ServeOptions opts, int runtime_threads = 2);
 
   Server(const Server&) = delete;
@@ -99,8 +107,10 @@ class Server {
   [[nodiscard]] Response evaluate(Request req);
 
   /// Graceful shutdown: stop admission (subsequent submits are rejected
-  /// kOverloaded), let the dispatcher complete or deadline-retire every
-  /// admitted request, then join it. Idempotent; called by the destructor.
+  /// kOverloaded), let the executor finish the batch it runs and the
+  /// dispatcher hand over every admitted request still queued (each one
+  /// completes or deadline-retires), then join both threads. Idempotent;
+  /// called by the destructor.
   void drain();
 
   [[nodiscard]] ServerStats stats() const;
@@ -135,8 +145,16 @@ class Server {
     Clock::time_point arrival;
   };
 
+  /// A formed batch on its way from the dispatcher to the executor.
+  struct Batch {
+    std::vector<Pending> members;
+    std::size_t depth_at_close = 0;  // queue depth at handoff
+    bool pipelined = false;  // closed while another batch was evaluating
+  };
+
   void dispatch_loop();
-  void process_batch(std::vector<Pending> batch, std::size_t depth_at_close);
+  void execute_loop();
+  void process_batch(Batch batch);
   /// Deliver exactly one response (counting it), absorbing respond-path
   /// faults into a typed failure rather than a lost request.
   void respond(Pending& p, Response r);
@@ -145,24 +163,29 @@ class Server {
   std::vector<Pending> retire_expired(std::vector<Pending> batch,
                                       Clock::time_point now);
   /// Count a retry and sleep the jittered exponential backoff for this
-  /// (1-based) attempt. Dispatcher thread only.
+  /// (1-based) attempt. Executor thread only.
   void backoff_sleep(int attempt);
 
   ServeOptions opts_;
   std::unique_ptr<rt::Runtime> rt_;
   std::unique_ptr<engine::FactorCache> cache_;
 
-  mutable std::mutex mu_;          // queue + counters + draining flag
-  std::condition_variable cv_;     // queue producers -> dispatcher
+  mutable std::mutex mu_;  // queue + handoff + counters + flags below
+  std::condition_variable cv_;       // producers, executor -> dispatcher
+  std::condition_variable exec_cv_;  // dispatcher -> executor
   std::deque<Pending> queue_;
+  std::optional<Batch> handoff_;  // formed, not yet taken by the executor
+  bool executor_busy_ = false;    // a batch is handed off or evaluating
+  bool dispatcher_done_ = false;  // drained: no further handoffs
   bool draining_ = false;
-  ServerStats counters_;           // cache/queue_depth/… filled by stats()
+  ServerStats counters_;          // cache/queue_depth/… filled by stats()
 
   mutable std::mutex fields_mu_;
   std::unordered_map<std::string, std::unique_ptr<Field>> fields_;
 
-  std::mt19937_64 backoff_rng_{0x5eedf00d};  // dispatcher-only (jitter)
+  std::mt19937_64 backoff_rng_{0x5eedf00d};  // executor-only (jitter)
   std::mutex drain_mu_;  // serialises concurrent drain() joins
+  std::thread executor_;
   std::thread dispatcher_;
 };
 

@@ -2,17 +2,20 @@
 // backpressure, dynamic batching with the bitwise batched==single contract
 // extended through the server, queue-expired deadlines, retry + circuit
 // breaker, the overload degradation ladder, graceful drain with zero
-// leaked handles, the serve.* fault sites, and concurrent
+// leaked handles, the dispatcher/executor pipeline (a batch forms while
+// the previous one evaluates), the serve.* fault sites, and concurrent
 // detect_confidence_regions callers sharing one Runtime + FactorCache
 // (Runtime::exclusive_epoch).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -458,6 +461,202 @@ TEST(Server, DegradationLadderReportsRungAndCapsShifts) {
   const serve::ServerStats s = server.stats();
   EXPECT_EQ(s.degraded_shift_capped, 1);
   EXPECT_EQ(s.completed_ok, 4);
+}
+
+// ---------------------------------------------------------------- pipeline
+
+// Wraps a covariance generator so a factorisation can be held in place:
+// once armed, the first matrix access signals `entered` and every access
+// blocks until release(). A batch routed to the field then occupies the
+// server's executor for exactly as long as the test wants, with no
+// wall-clock assumption, so the pipeline tests below stay count-based.
+class GatedGenerator final : public la::MatrixGenerator {
+ public:
+  explicit GatedGenerator(std::shared_ptr<const la::MatrixGenerator> inner)
+      : inner_(std::move(inner)), released_(release_.get_future().share()) {}
+
+  void arm() { armed_.store(true); }
+  void wait_entered() { entered_.get_future().wait(); }
+  void release() {
+    if (!release_sent_.exchange(true)) release_.set_value();
+  }
+
+  [[nodiscard]] i64 rows() const override { return inner_->rows(); }
+  [[nodiscard]] i64 cols() const override { return inner_->cols(); }
+  [[nodiscard]] std::string cache_key() const override {
+    return "gated:" + inner_->cache_key();
+  }
+  [[nodiscard]] double entry(i64 i, i64 j) const override {
+    gate();
+    return inner_->entry(i, j);
+  }
+  void fill(i64 row0, i64 col0, la::MatrixView out) const override {
+    gate();
+    inner_->fill(row0, col0, out);
+  }
+
+ private:
+  void gate() const {
+    if (!armed_.load()) return;
+    if (!signalled_.exchange(true)) entered_.set_value();
+    released_.wait();
+  }
+
+  std::shared_ptr<const la::MatrixGenerator> inner_;
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  std::atomic<bool> release_sent_{false};
+  mutable std::promise<void> entered_;
+  mutable std::atomic<bool> signalled_{false};
+  std::atomic<bool> armed_{false};
+};
+
+// A server with a gated field "slow" beside the plain field "gp". With no
+// coalescing window, the dispatcher tests the executor's state as soon as
+// a batch opens, so whether a batch is pipelined depends on the gate only.
+struct HeldServer {
+  SpatialProblem pb{6};
+  std::shared_ptr<GatedGenerator> gated =
+      std::make_shared<GatedGenerator>(pb.cov);
+  serve::Server server;
+  std::future<serve::Response> slow;
+
+  explicit HeldServer(int max_batch) : server(options(max_batch), 2) {
+    server.register_field("gp", field_for(pb));
+    serve::FieldSpec spec = field_for(pb);
+    spec.cov = gated;
+    server.register_field("slow", std::move(spec));
+    gated->arm();
+    serve::Request req = level_request(pb, 0.0);
+    req.field = "slow";
+    slow = server.submit(std::move(req));
+    gated->wait_entered();  // the slow batch now occupies the executor
+  }
+  // A test that stops early must not leave drain() waiting on the gate.
+  ~HeldServer() { gated->release(); }
+
+  static serve::ServeOptions options(int max_batch) {
+    serve::ServeOptions opts;
+    opts.engine = small_opts();
+    opts.batch_window_ms = 0;
+    opts.max_batch = max_batch;
+    return opts;
+  }
+
+  // True once the dispatcher has taken requests out of the queue until
+  // only `depth` remain: the batch it forms behind the slow one is open.
+  // The minute's cap only turns a broken pipeline into a failure, not a
+  // hang.
+  [[nodiscard]] bool await_queue_depth(std::size_t depth) {
+    const auto give_up = std::chrono::steady_clock::now() + 60s;
+    while (server.stats().queue_depth != depth) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+};
+
+TEST(ServerPipeline, NextBatchFormsWhileCurrentEvaluates) {
+  HeldServer h(/*max_batch=*/8);
+  std::vector<std::future<serve::Response>> futs;
+  const auto submit = [&](int q) {
+    futs.push_back(h.server.submit(level_request(h.pb, -0.3 + 0.2 * q, 50 + q)));
+  };
+  submit(0);
+  ASSERT_TRUE(h.await_queue_depth(0));
+  // The batch's window is over, but it cannot start: it stays open and
+  // takes the requests that arrive while the slow one evaluates.
+  for (int q = 1; q < 4; ++q) submit(q);
+  ASSERT_TRUE(h.await_queue_depth(0));
+  h.gated->release();
+
+  ASSERT_TRUE(h.slow.get().status.ok());
+  std::vector<serve::Response> got;
+  for (auto& f : futs) got.push_back(f.get());
+  const serve::ServerStats s = h.server.stats();
+  EXPECT_EQ(s.batches, 2) << "the four requests coalesce into one batch";
+  EXPECT_EQ(s.pipelined_batches, 1)
+      << "that batch closed while the slow one was evaluating";
+  EXPECT_EQ(s.max_batch_size, 4);
+  EXPECT_EQ(s.completed_ok, 5);
+
+  // Pipelining changes when a batch runs, never what it computes.
+  rt::Runtime rt(2);
+  std::vector<i64> identity(static_cast<std::size_t>(h.pb.n()));
+  std::iota(identity.begin(), identity.end(), i64{0});
+  const auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor_ordered(rt, *h.pb.cov, identity,
+                                             field_for(h.pb).factor));
+  const engine::PmvnEngine eng(rt, factor, small_opts());
+  for (int q = 0; q < 4; ++q) {
+    const std::vector<double> a(static_cast<std::size_t>(h.pb.n()),
+                                -0.3 + 0.2 * q);
+    const std::vector<double> b(a.size(),
+                                std::numeric_limits<double>::infinity());
+    const engine::QueryResult direct = eng.evaluate_one(engine::LimitSet{
+        a, b, 50 + static_cast<u64>(q), false,
+        std::numeric_limits<double>::quiet_NaN()});
+    const serve::Response& r = got[static_cast<std::size_t>(q)];
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+    EXPECT_EQ(r.result.prob, direct.prob) << "query " << q;
+    EXPECT_EQ(r.result.error3sigma, direct.error3sigma);
+    EXPECT_EQ(r.result.samples_used, direct.samples_used);
+  }
+}
+
+TEST(ServerPipeline, FullBatchWaitsAndLaterRequestsFormTheNext) {
+  HeldServer h(/*max_batch=*/4);
+  std::vector<std::future<serve::Response>> futs;
+  for (int q = 0; q < 6; ++q)
+    futs.push_back(h.server.submit(level_request(h.pb, 0.1 * q, 60 + q)));
+  // The open batch fills at four and stops taking; two stay queued.
+  ASSERT_TRUE(h.await_queue_depth(2));
+  EXPECT_EQ(h.server.stats().batches, 1) << "only the held batch has started";
+  h.gated->release();
+
+  ASSERT_TRUE(h.slow.get().status.ok());
+  for (auto& f : futs) ASSERT_TRUE(f.get().status.ok());
+  const serve::ServerStats s = h.server.stats();
+  EXPECT_EQ(s.batches, 3);
+  EXPECT_GE(s.pipelined_batches, 1);
+  EXPECT_EQ(s.max_batch_size, 4);
+  EXPECT_EQ(s.batched_queries, 7);
+  EXPECT_EQ(s.completed_ok, 7);
+}
+
+TEST(ServerPipeline, DrainFinishesRunningAndFormedBatches) {
+  HeldServer h(/*max_batch=*/8);
+  std::vector<std::future<serve::Response>> futs;
+  for (int q = 0; q < 3; ++q)
+    futs.push_back(h.server.submit(level_request(h.pb, 0.1 * q, 70 + q)));
+  ASSERT_TRUE(h.await_queue_depth(0));
+  // A different coalescing key: still queued behind the formed batch.
+  serve::Request queued = level_request(h.pb, 0.0, 80);
+  queued.deadline_ms = 600000;
+  futs.push_back(h.server.submit(std::move(queued)));
+
+  std::thread drainer([&] { h.server.drain(); });
+  while (!h.server.stats().draining) std::this_thread::yield();
+  EXPECT_EQ(h.server.evaluate(level_request(h.pb, 0.0)).status.code,
+            StatusCode::kOverloaded);
+  h.gated->release();
+  drainer.join();
+
+  EXPECT_EQ(h.slow.wait_for(0s), std::future_status::ready);
+  ASSERT_TRUE(h.slow.get().status.ok());
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(0s), std::future_status::ready)
+        << "drain returns only after every admitted request is answered";
+    EXPECT_TRUE(f.get().status.ok());
+  }
+  const serve::ServerStats s = h.server.stats();
+  EXPECT_EQ(s.admitted, 5);
+  EXPECT_EQ(s.completed_ok, 5) << "each admitted request answered once";
+  EXPECT_EQ(s.expired_in_queue + s.failed, 0);
+  EXPECT_EQ(s.batches, 3);
+  EXPECT_EQ(s.queue_depth, 0u);
+  EXPECT_EQ(h.server.handles_leaked(), 0);
 }
 
 // --------------------------------------------------------------- saturation

@@ -179,8 +179,10 @@ int main(int argc, char** argv) {
   std::printf("  expired in queue : %lld\n",
               static_cast<long long>(s.expired_in_queue));
   std::printf("  failed           : %lld\n", static_cast<long long>(s.failed));
-  std::printf("  batches          : %lld (max size %lld, %.2f queries/batch)\n",
+  std::printf("  batches          : %lld (pipelined %lld, max size %lld, "
+              "%.2f queries/batch)\n",
               static_cast<long long>(s.batches),
+              static_cast<long long>(s.pipelined_batches),
               static_cast<long long>(s.max_batch_size),
               s.batches > 0 ? static_cast<double>(s.batched_queries) /
                                   static_cast<double>(s.batches)
