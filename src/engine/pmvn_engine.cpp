@@ -258,13 +258,15 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   }
   const i64 sps = opts_.samples_per_shift;
 
-  // Rounds: a stop can happen between rounds only on the adaptive and
-  // deadline paths, so there a round is one shift block; otherwise the
-  // whole budget is one round. Prefix sums are stored one slot (n rows) per
-  // round and folded in ascending round order.
+  // Prefix slots: a stop can happen between rounds only on the adaptive and
+  // deadline paths, so there each shift block keeps its own slot (n rows)
+  // of prefix sums; otherwise the whole budget is one slot. Slots are
+  // folded in ascending order, and column tiles never straddle a slot, so
+  // how the rounds partition the shifts moves no bit (see the round loop).
   const bool stepped = opts_.adaptive || opts_.deadline_ms > 0;
-  const int round_shifts = stepped ? 1 : opts_.shifts;
-  const int rounds = opts_.shifts / round_shifts;
+  const int slot_shifts = stepped ? 1 : opts_.shifts;
+  const int slots = opts_.shifts / slot_shifts;
+  const i64 slot_samples = slot_shifts * sps;
 
   // One deterministic point set per query, keyed by the query's seed.
   std::vector<stats::PointSet> pts;
@@ -280,29 +282,32 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   for (i64 q = 0; q < nq; ++q)
     if (queries[static_cast<std::size_t>(q)].prefix)
       prefix_store[static_cast<std::size_t>(q)].assign(
-          static_cast<std::size_t>(n * rounds), 0.0);
+          static_cast<std::size_t>(n * slots), 0.0);
 
   // The panel workspace, allocated by the first panel and reused by the
-  // rest: per swept tile row a mean panel M (the external conditional mean)
-  // and a conditioning panel Y, each `cap` samples tall and
+  // rest: per swept tile row r a mean panel M (the external conditional
+  // mean) and a conditioning panel Y, each cap[r] samples tall and
   // sample-contiguous (rows = samples of the whole batch, columns = the
   // tile row's dimensions — the layout the QMC kernel sweeps), plus one
-  // length-n prefix accumulator per column tile. A later panel reallocates
-  // only if it needs more: fewer active queries may each get wider panels.
-  // M and Y are never filled on the host (see Panel): the tasks of every
-  // panel write each tile before they read it.
+  // length-n prefix accumulator per column tile. Tile row r's panels hold
+  // only the column tiles that reach it (see the tile map below), so rows
+  // past the shorter queries' extents stay narrow. A later panel
+  // reallocates only if it needs more: fewer active queries may each get
+  // wider panels. M and Y are never filled on the host (see Panel): the
+  // tasks of every panel write each tile before they read it.
   std::vector<Panel> M, Y;
   std::vector<la::ConstMatrixView> yall;  // Y's views, for folded backends
   std::vector<std::vector<double>> prefix_acc;
-  i64 cap = 0;
+  std::vector<i64> cap;
 
   std::vector<rt::DataAccess> accesses;  // reused across submits
 
-  // One fused sweep of the sample range [s_begin, s_end) for the queries in
-  // `active`. Per-sample probability products land in p[q]; prefix sums land
-  // in round slot `slot` of prefix_store[q].
-  const auto sweep_range = [&](std::span<const i64> active, int slot,
-                               i64 s_begin, i64 s_end) {
+  // One fused sweep of the sample range [s_begin, s_end) (whole prefix
+  // slots) for the queries in `active`. Per-sample probability products
+  // land in p[q]; each column tile's prefix sums land in its own slot of
+  // prefix_store[q].
+  const auto sweep_range = [&](std::span<const i64> active, i64 s_begin,
+                               i64 s_end) {
     const i64 nact = static_cast<i64>(active.size());
     // Each query sweeps only its own rows [0, e) with e = extent[q]: its
     // column tiles get tasks on tile rows r < ceil(e / m) alone, and on the
@@ -329,33 +334,63 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
     panel_cols = std::max(panel_cols, m);
     panel_cols = (panel_cols / m) * m;
 
-    for (i64 panel0 = s_begin; panel0 < s_end; panel0 += panel_cols) {
-      const i64 pc = std::min(panel_cols, s_end - panel0);
+    // Panels: the whole range when it fits the budget; otherwise panel_cols
+    // slices of each slot, the cuts a one-slot round makes.
+    std::vector<std::pair<i64, i64>> panels;
+    if (s_end - s_begin <= panel_cols) {
+      panels.emplace_back(s_begin, s_end);
+    } else {
+      for (i64 g = s_begin; g < s_end; g += slot_samples)
+        for (i64 p0 = g; p0 < g + slot_samples; p0 += panel_cols)
+          panels.emplace_back(p0, std::min(p0 + panel_cols, g + slot_samples));
+    }
 
+    for (const auto& [panel0, panel1] : panels) {
       // Column-tile map for this panel: every active query contributes the
-      // same sample range [panel0, panel0 + pc), sliced into tile-width
-      // columns.
+      // same sample range [panel0, panel1), sliced into tile-width columns
+      // that restart at every slot boundary. Tiles are then stably sorted
+      // by descending extent and packed in that order, so the tiles that
+      // reach tile row r are the leading ones and row r's panels need only
+      // their columns; each query's tiles stay contiguous and in ascending
+      // sample order.
       std::vector<ColTile> tiles;
-      i64 width = 0;
       for (const i64 q : active) {
-        for (i64 c = 0; c < pc; c += m) {
-          const i64 w = std::min(m, pc - c);
-          tiles.push_back(
-              {q, panel0 + c, width, w, extent[static_cast<std::size_t>(q)]});
-          width += w;
+        for (i64 c = panel0; c < panel1;) {
+          const i64 slot_end = (c / slot_samples + 1) * slot_samples;
+          const i64 w = std::min({m, slot_end - c, panel1 - c});
+          tiles.push_back({q, c, 0, w, extent[static_cast<std::size_t>(q)]});
+          c += w;
         }
+      }
+      std::stable_sort(tiles.begin(), tiles.end(),
+                       [](const ColTile& x, const ColTile& y) {
+                         return x.extent > y.extent;
+                       });
+      std::vector<i64> need(static_cast<std::size_t>(mts), 0);
+      i64 width = 0;
+      for (ColTile& ct : tiles) {
+        ct.col0 = width;
+        width += ct.width;
+        for (i64 r = 0; r < row_tiles_of(ct.extent); ++r)
+          need[static_cast<std::size_t>(r)] = width;
       }
       const i64 nct = static_cast<i64>(tiles.size());
 
       // The active set only shrinks, so no later panel sweeps more tile rows.
-      if (width > cap || mts > static_cast<i64>(M.size())) {
-        cap = std::max(cap, width);
+      bool grow = mts > static_cast<i64>(M.size());
+      for (i64 r = 0; r < mts && !grow; ++r)
+        grow = need[static_cast<std::size_t>(r)] >
+               cap[static_cast<std::size_t>(r)];
+      if (grow) {
+        cap.resize(static_cast<std::size_t>(mts), 0);
         M.clear();
         Y.clear();
         yall.clear();
         for (i64 r = 0; r < mts; ++r) {
-          M.emplace_back(cap, f.tile_rows(r));
-          Y.emplace_back(cap, f.tile_rows(r));
+          i64& cr = cap[static_cast<std::size_t>(r)];
+          cr = std::max(cr, need[static_cast<std::size_t>(r)]);
+          M.emplace_back(cr, f.tile_rows(r));
+          Y.emplace_back(cr, f.tile_rows(r));
           yall.push_back(Y.back().view());
         }
       }
@@ -504,11 +539,12 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         throw;
       }
 
-      // Fold this panel's prefix sums into the queries' round slots,
-      // in ascending column-tile (== ascending sample) order so the
-      // accumulation order is independent of the panelling. Rows past the
-      // query's extent hold the same running products as its last swept
-      // row, so their per-tile sums are that row's sum, bit for bit.
+      // Fold this panel's prefix sums into each tile's own slot, in
+      // ascending column-tile (== ascending sample, per query) order so the
+      // accumulation order is independent of the panelling and of how the
+      // rounds partition the shifts. Rows past the query's extent hold the
+      // same running products as its last swept row, so their per-tile sums
+      // are that row's sum, bit for bit.
       for (i64 t = 0; t < nct; ++t) {
         const ColTile& ct = tiles[static_cast<std::size_t>(t)];
         const i64 q = ct.query;
@@ -516,8 +552,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
         std::vector<double>& acc = prefix_acc[static_cast<std::size_t>(t)];
         std::fill(acc.begin() + ct.extent, acc.end(),
                   acc[static_cast<std::size_t>(ct.extent - 1)]);
-        double* total =
-            prefix_store[static_cast<std::size_t>(q)].data() + slot * n;
+        double* total = prefix_store[static_cast<std::size_t>(q)].data() +
+                        ct.sample0 / slot_samples * n;
         for (i64 i = 0; i < n; ++i) total[i] += acc[static_cast<std::size_t>(i)];
       }
       release_handles();
@@ -542,8 +578,8 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   // flip with more samples inside the error model. The true prefix sequence
   // is non-increasing (each SOV factor is a probability in [0,1]), so the
   // first row whose interval lies cleanly *below* the decision decides
-  // every later row at once. Adaptive rounds are one shift block, so slot s
-  // holds shift s.
+  // every later row at once. On the adaptive path each shift block has
+  // its own slot (slot s holds shift s), whichever round swept it.
   const auto prefix_decided = [&](i64 q, int done) {
     const double decision = queries[static_cast<std::size_t>(q)].decision;
     const std::vector<double>& store =
@@ -570,7 +606,13 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   // when the deadline expires. All stop decisions run here on the host
   // thread from deterministic block sums, so the adaptive round schedule
   // (and therefore every result bit) is identical across worker counts;
-  // deadline stops are time-dependent and exempt (see ROADMAP).
+  // deadline stops are time-dependent and exempt (see ROADMAP). The fixed
+  // budget is one round. The adaptive path checks nothing before
+  // min_shifts blocks, so its first round sweeps those blocks as one fused
+  // pass (one wait for the workers instead of min_shifts) and every later
+  // round one block; a deadline-only run sweeps one block per round.
+  // Column tiles and prefix slots do not depend on the round boundaries,
+  // so neither does any result bit.
   const bool deadline_on = opts_.deadline_ms > 0;
   const double deadline_s = static_cast<double>(opts_.deadline_ms) / 1000.0;
   std::vector<i64> active(static_cast<std::size_t>(nq));
@@ -579,17 +621,23 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   std::vector<char> converged(static_cast<std::size_t>(nq), 0);
   std::vector<char> deadline_hit(static_cast<std::size_t>(nq), 0);
 
+  int swept = 0;  // shift blocks behind every still-active query
   for (int round = 0; !active.empty(); ++round) {
     // Deadline check between rounds — but only after the first round, so
-    // every query retires with at least one shift block behind its estimate
-    // (a deadline result is a partial answer, never an empty one).
+    // every query retires with at least one shift block (min_shifts on the
+    // adaptive path) behind its estimate (a deadline result is a partial
+    // answer, never an empty one).
     if (deadline_on && round > 0 && timer.seconds() + elapsed_s >= deadline_s) {
       for (const i64 qi : active)
         deadline_hit[static_cast<std::size_t>(qi)] = 1;
       break;
     }
-    const i64 s_begin = static_cast<i64>(round) * round_shifts * sps;
-    sweep_range(active, round, s_begin, s_begin + round_shifts * sps);
+    const int round_shifts =
+        !stepped ? opts_.shifts
+                 : (opts_.adaptive && round == 0 ? opts_.min_shifts : 1);
+    const i64 s_begin = static_cast<i64>(swept) * sps;
+    sweep_range(active, s_begin, s_begin + round_shifts * sps);
+    swept += round_shifts;
     std::vector<i64> still;
     still.reserve(active.size());
     for (const i64 qi : active) {
@@ -633,12 +681,12 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
                      ? EvalMethod::kDeadline
                      : EvalMethod::kQmc;
     if (queries[static_cast<std::size_t>(q)].prefix) {
-      // Fold the round slots in ascending round order, then normalise by
+      // Fold the prefix slots in ascending order, then normalise by
       // the samples this query actually evaluated.
       res.prefix_prob.assign(static_cast<std::size_t>(n), 0.0);
       const std::vector<double>& store =
           prefix_store[static_cast<std::size_t>(q)];
-      for (int slot = 0; slot < done / round_shifts; ++slot)
+      for (int slot = 0; slot < done / slot_shifts; ++slot)
         for (i64 i = 0; i < n; ++i)
           res.prefix_prob[static_cast<std::size_t>(i)] +=
               store[static_cast<std::size_t>(static_cast<i64>(slot) * n + i)];

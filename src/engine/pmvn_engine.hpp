@@ -21,11 +21,14 @@
 //    panel width or column position.
 //
 // One round loop serves every path: the fixed budget is one round, while
-// adaptive mode (EngineOptions::adaptive) and deadlines evaluate one shift
-// block per round and retire queries between rounds; each round reuses the
-// same fused wide-panel sweep, and the same panel workspace, over the
+// adaptive mode (EngineOptions::adaptive) and deadlines retire queries
+// between rounds — the adaptive path's first round sweeps its min_shifts
+// blocks at once, and every other round one shift block; each round reuses
+// the same fused wide-panel sweep, and the same panel workspace, over the
 // still-active subset. All stop decisions happen on the host thread from
-// deterministic block sums, so both contracts extend to the adaptive path.
+// deterministic block sums, and column tiles and prefix slots never
+// straddle a shift block there, so both contracts extend to the adaptive
+// path whatever the round partition.
 #pragma once
 
 #include <limits>
@@ -65,6 +68,9 @@ struct EngineOptions {
   double abs_tol = 0.0;
   /// Shift blocks evaluated before the first stop decision (>= 2: a lone
   /// block's error estimate is infinite and must never gate a decision).
+  /// The first adaptive round sweeps all of them as one fused pass (no
+  /// stop, deadline included, can come earlier); later rounds sweep one
+  /// block each. The partition moves no result bit.
   int min_shifts = 2;
 
   /// Tiered evaluation: every query carrying a decision threshold is first
@@ -92,12 +98,12 @@ struct EngineOptions {
   /// between tiered EP screens): when it expires, every still-active query
   /// retires immediately with its best-so-far block estimate,
   /// converged == false and method == EvalMethod::kDeadline. Every query
-  /// always completes at least one shift block, so a deadline result is an
-  /// estimate, never empty. A deadline routes the fixed-budget sweep
-  /// through the same round loop the adaptive path uses; deadline stops are
-  /// time-dependent and therefore explicitly exempt from the bitwise
-  /// determinism contracts (see ROADMAP) — the default (0) keeps every
-  /// contracted path bitwise unchanged.
+  /// always completes the first round — one shift block, min_shifts on the
+  /// adaptive path — so a deadline result is an estimate, never empty. A
+  /// deadline routes the fixed-budget sweep through the same round loop the
+  /// adaptive path uses; deadline stops are time-dependent and therefore
+  /// explicitly exempt from the bitwise determinism contracts (see ROADMAP)
+  /// — the default (0) keeps every contracted path bitwise unchanged.
   i64 deadline_ms = 0;
 
   [[nodiscard]] i64 total_samples() const noexcept {

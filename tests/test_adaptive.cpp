@@ -8,7 +8,11 @@
 //    samples_used — are bitwise identical across worker counts;
 //  * budget honesty: a converged adaptive estimate agrees with the
 //    full-budget reference within the combined error bars, never spends
-//    more than the fixed budget, and reports error3sigma <= abs_tol;
+//    more than the fixed budget, and reports error3sigma <= abs_tol; a
+//    query that stops after d blocks equals a fixed budget of d blocks
+//    bitwise;
+//  * round-partition invariance: sweeping the first min_shifts blocks as
+//    one fused round moves no result bit;
 //  * decision-aware early stop never flips a confidence-region side versus
 //    the full-budget sweep;
 //  * a single shift block reports *infinite* error, not the old silent 0.0;
@@ -18,9 +22,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -35,6 +42,7 @@
 #include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
+#include "stats/qmc.hpp"
 
 namespace {
 
@@ -66,6 +74,47 @@ engine::EngineOptions adaptive_opts() {
   opts.abs_tol = 5e-3;
   opts.min_shifts = 2;
   return opts;
+}
+
+constexpr engine::FactorKind kArms[] = {engine::FactorKind::kDense,
+                                        engine::FactorKind::kTlr,
+                                        engine::FactorKind::kVecchia};
+constexpr stats::SamplerKind kSamplers[] = {stats::SamplerKind::kPseudoMC,
+                                            stats::SamplerKind::kRichtmyer,
+                                            stats::SamplerKind::kHalton};
+
+// A mixed batch for a 100-site problem swept in 16-wide tiles: extents
+// short of one tile, ending mid-tile and spanning every row; prefix and
+// scalar queries; one two-sided; decision thresholds on some.
+struct MixedQueries {
+  std::vector<std::vector<double>> a, b;
+  std::vector<engine::LimitSet> queries;
+
+  explicit MixedQueries(i64 n) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const i64 extents[] = {5, 30, n, 64, n, 45, n, 17};
+    const double decisions[] = {nan, 0.5, nan, 0.2, 0.9, nan, 0.05, 0.6};
+    for (std::size_t q = 0; q < std::size(extents); ++q) {
+      a.emplace_back(static_cast<std::size_t>(n), -kInf);
+      std::fill_n(a.back().begin(), extents[q],
+                  -1.0 + 0.2 * static_cast<double>(q));
+      b.emplace_back(static_cast<std::size_t>(n), kInf);
+      if (q == 4) std::fill_n(b.back().begin() + 40, 20, 1.2);
+      engine::LimitSet ls{a.back(), b.back(), 31 + q, q % 3 != 1};
+      ls.decision = decisions[q];
+      queries.push_back(ls);
+    }
+  }
+};
+
+std::shared_ptr<const engine::CholeskyFactor> arm_factor(
+    rt::Runtime& rt, const geo::KernelCovGenerator& gen,
+    engine::FactorKind kind) {
+  std::vector<i64> identity(static_cast<std::size_t>(gen.rows()));
+  std::iota(identity.begin(), identity.end(), i64{0});
+  const engine::FactorSpec spec{kind, 16, 1e-7, -1};
+  return std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor_ordered(rt, gen, identity, spec));
 }
 
 std::shared_ptr<const engine::CholeskyFactor> dense_factor(
@@ -117,7 +166,7 @@ TEST(Adaptive, BitwiseIdenticalAcrossWorkers) {
     const std::vector<double> got = run_adaptive(workers, pb);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-      EXPECT_DOUBLE_EQ(got[i], reference[i])
+      EXPECT_EQ(got[i], reference[i])
           << "adaptive drifted, workers=" << workers << " value=" << i;
   }
 }
@@ -160,8 +209,110 @@ TEST(Adaptive, ConvergedEstimateAgreesWithFixedBudgetReference) {
   const engine::QueryResult capped = strict_eng.evaluate_one(q);
   EXPECT_EQ(capped.samples_used, fixed.total_samples());
   EXPECT_FALSE(capped.converged);
-  EXPECT_DOUBLE_EQ(capped.prob, ref.prob);
-  EXPECT_DOUBLE_EQ(capped.error3sigma, ref.error3sigma);
+  EXPECT_EQ(capped.prob, ref.prob);
+  EXPECT_EQ(capped.error3sigma, ref.error3sigma);
+
+  // Every query of a mixed batch that stops after d blocks reports exactly
+  // what a fixed budget of d blocks reports, whichever round swept its
+  // blocks: on every arm and sampler, with shift blocks narrower and wider
+  // than the column tile (16).
+  const MixedQueries mixed(gen.rows());
+  std::set<int> stops;
+  for (const engine::FactorKind kind : kArms) {
+    const auto arm = arm_factor(rt, gen, kind);
+    for (const stats::SamplerKind sampler : kSamplers) {
+      for (const i64 sps : {i64{12}, i64{40}}) {
+        engine::EngineOptions ada = adaptive_opts();
+        ada.samples_per_shift = sps;
+        ada.sampler = sampler;
+        const std::vector<engine::QueryResult> got =
+            engine::PmvnEngine(rt, arm, ada).evaluate(mixed.queries);
+        for (std::size_t qi = 0; qi < got.size(); ++qi) {
+          const int d = got[qi].shifts_used;
+          stops.insert(d);
+          engine::EngineOptions budget = ada;
+          budget.adaptive = false;
+          budget.abs_tol = 0.0;
+          budget.shifts = d;
+          const engine::QueryResult want =
+              engine::PmvnEngine(rt, arm, budget)
+                  .evaluate_one(mixed.queries[qi]);
+          const std::string where =
+              "kind=" + std::to_string(static_cast<int>(kind)) +
+              " sampler=" + stats::to_string(sampler) +
+              " sps=" + std::to_string(sps) + " query=" + std::to_string(qi);
+          EXPECT_EQ(got[qi].prob, want.prob) << where;
+          EXPECT_EQ(got[qi].error3sigma, want.error3sigma) << where;
+          EXPECT_EQ(got[qi].samples_used, want.samples_used) << where;
+        }
+      }
+    }
+  }
+  // The batch must exercise early stops and cap-length runs alike.
+  EXPECT_GE(stops.size(), 2u);
+  EXPECT_EQ(*stops.begin(), 2);
+  EXPECT_EQ(*stops.rbegin(), adaptive_opts().shifts);
+}
+
+// How the rounds partition the shift blocks moves no bit: the first
+// adaptive round sweeps min_shifts blocks as one fused pass, yet a batch
+// that never stops must come out the same whether that round covers 2
+// blocks or the whole budget — and the same as a one-block-per-round sweep
+// (a fixed budget under an unexpired deadline). Also with panel budgets
+// that cut every shift block into single column tiles, or give each block
+// a panel of its own.
+TEST(Adaptive, RoundPartitionMovesNoBit) {
+  const Problem pb(10);
+  const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
+  const i64 n = gen.rows();
+  rt::Runtime rt(4);
+  const MixedQueries mixed(n);
+  std::vector<engine::LimitSet> batch = mixed.queries;
+  for (engine::LimitSet& q : batch)
+    q.decision = std::numeric_limits<double>::quiet_NaN();
+  const auto nq = static_cast<i64>(batch.size());
+  for (const engine::FactorKind kind : kArms) {
+    const auto arm = arm_factor(rt, gen, kind);
+    // Panel widths per query: the default budget (one panel for the whole
+    // range), one column tile, and wider than a block but narrower than
+    // the range.
+    for (const i64 panel_cols : {i64{0}, i64{16}, i64{48}}) {
+      engine::EngineOptions base;
+      base.samples_per_shift = 40;
+      base.shifts = 6;
+      base.sampler = stats::SamplerKind::kRichtmyer;
+      if (panel_cols > 0) base.panel_bytes = panel_cols * 2 * 8 * n * nq;
+      engine::EngineOptions first2 = base;
+      first2.adaptive = true;  // abs_tol 0 and no decisions: never stops
+      first2.min_shifts = 2;
+      engine::EngineOptions first_all = first2;
+      first_all.min_shifts = base.shifts;
+      engine::EngineOptions one_by_one = base;
+      one_by_one.deadline_ms = i64{1000} * 3600;  // never expires here
+
+      const std::vector<engine::QueryResult> want =
+          engine::PmvnEngine(rt, arm, one_by_one).evaluate(batch);
+      for (const engine::EngineOptions& opts : {first2, first_all}) {
+        const std::vector<engine::QueryResult> got =
+            engine::PmvnEngine(rt, arm, opts).evaluate(batch);
+        for (std::size_t qi = 0; qi < got.size(); ++qi) {
+          const std::string where =
+              "kind=" + std::to_string(static_cast<int>(kind)) +
+              " panel_cols=" + std::to_string(panel_cols) +
+              " min_shifts=" + std::to_string(opts.min_shifts) +
+              " query=" + std::to_string(qi);
+          EXPECT_EQ(got[qi].shifts_used, base.shifts) << where;
+          EXPECT_EQ(got[qi].prob, want[qi].prob) << where;
+          EXPECT_EQ(got[qi].error3sigma, want[qi].error3sigma) << where;
+          ASSERT_EQ(got[qi].prefix_prob.size(), want[qi].prefix_prob.size())
+              << where;
+          for (std::size_t i = 0; i < want[qi].prefix_prob.size(); ++i)
+            EXPECT_EQ(got[qi].prefix_prob[i], want[qi].prefix_prob[i])
+                << where << " prefix=" << i;
+        }
+      }
+    }
+  }
 }
 
 // Confidence-region detection with decision-aware early stop: the adaptive

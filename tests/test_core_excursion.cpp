@@ -233,11 +233,11 @@ TEST(Crd, BelowDirectionMatchesDirectlyNegatedField) {
   EXPECT_EQ(rb.region, ra.region);
   EXPECT_EQ(rb.region_size, ra.region_size);
   for (std::size_t i = 0; i < rb.marginal.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rb.marginal[i], ra.marginal[i]) << i;
-    EXPECT_DOUBLE_EQ(rb.confidence[i], ra.confidence[i]) << i;
+    EXPECT_EQ(rb.marginal[i], ra.marginal[i]) << i;
+    EXPECT_EQ(rb.confidence[i], ra.confidence[i]) << i;
   }
   for (std::size_t i = 0; i < rb.prefix_prob.size(); ++i)
-    EXPECT_DOUBLE_EQ(rb.prefix_prob[i], ra.prefix_prob[i]) << i;
+    EXPECT_EQ(rb.prefix_prob[i], ra.prefix_prob[i]) << i;
   // And the below-region is a genuinely different object from the above-
   // region of the *original* field at the same threshold.
   EXPECT_GT(rb.region_size, 0) << "low-lying flats should be detected";
@@ -282,10 +282,10 @@ TEST(Crd, BatchedQueriesMatchSingleCallsBitwise) {
     EXPECT_EQ(batched[qi].region_size, alone.region_size) << qi;
     ASSERT_EQ(batched[qi].prefix_prob.size(), alone.prefix_prob.size()) << qi;
     for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
-      EXPECT_DOUBLE_EQ(batched[qi].prefix_prob[i], alone.prefix_prob[i])
+      EXPECT_EQ(batched[qi].prefix_prob[i], alone.prefix_prob[i])
           << "query=" << qi << " prefix=" << i;
     for (std::size_t i = 0; i < alone.confidence.size(); ++i)
-      EXPECT_DOUBLE_EQ(batched[qi].confidence[i], alone.confidence[i])
+      EXPECT_EQ(batched[qi].confidence[i], alone.confidence[i])
           << "query=" << qi << " loc=" << i;
   }
 
@@ -297,8 +297,8 @@ TEST(Crd, BatchedQueriesMatchSingleCallsBitwise) {
   EXPECT_GE(cache.stats().hits, 2);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     EXPECT_TRUE(again[qi].factor_cached) << qi;
-    EXPECT_DOUBLE_EQ(again[qi].prefix_prob.back(),
-                     batched[qi].prefix_prob.back())
+    EXPECT_EQ(again[qi].prefix_prob.back(),
+              batched[qi].prefix_prob.back())
         << qi;
   }
 }
@@ -356,7 +356,7 @@ TEST(McValidation, EmptyRegionTriviallyExceeded) {
   const std::vector<double> levels{0.95};
   const core::McValidationResult v =
       core::validate_region_mc(l.view(), a, prefix, levels, 1000, 3);
-  EXPECT_DOUBLE_EQ(v.p_hat[0], 1.0);  // region size 0
+  EXPECT_EQ(v.p_hat[0], 1.0);  // region size 0
 }
 
 }  // namespace

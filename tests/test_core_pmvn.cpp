@@ -94,7 +94,7 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
     if (threads == 0) {
       reference = r.prob;
     } else {
-      EXPECT_DOUBLE_EQ(r.prob, reference)
+      EXPECT_EQ(r.prob, reference)
           << "task arithmetic must be schedule-independent, threads="
           << threads;
     }
@@ -206,7 +206,7 @@ TEST(PmvnDense, SmallPanelBytesStillExact) {
   tiny.panel_bytes = 1;  // floor: one tile-column per panel
   const double p_big = core::pmvn_dense(rt, l, a, b, big).prob;
   const double p_tiny = core::pmvn_dense(rt, l, a, b, tiny).prob;
-  EXPECT_DOUBLE_EQ(p_big, p_tiny);
+  EXPECT_EQ(p_big, p_tiny);
 }
 
 TEST(PmvnTlr, ConvergesToDenseAsToleranceTightens) {

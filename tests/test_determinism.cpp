@@ -8,7 +8,8 @@
 //
 // Any later change that makes task arithmetic schedule-dependent (atomics
 // with relaxed reduction order, worker-local accumulators merged in
-// completion order, …) fails here with EXPECT_DOUBLE_EQ, not a tolerance.
+// completion order, …) fails here: every comparison is exact (EXPECT_EQ on
+// the doubles), not a tolerance.
 //
 // The suite runs unchanged on both kernel builds — PARMVN_KERNEL_NATIVE=ON
 // (vector-lane batched Phi/Phi^-1 in the QMC sweep) and OFF (scalar
@@ -97,7 +98,7 @@ TEST(Determinism, DensePipelineBitwiseIdenticalAcrossWorkers) {
     const PmvnOptions opts = fixed_seed_opts(sampler);
     const double reference = run_dense(/*workers=*/0, pb, opts);
     for (int workers : kWorkerMatrix) {
-      EXPECT_DOUBLE_EQ(run_dense(workers, pb, opts), reference)
+      EXPECT_EQ(run_dense(workers, pb, opts), reference)
           << "dense pipeline drifted, workers=" << workers
           << " sampler=" << static_cast<int>(sampler);
     }
@@ -109,7 +110,7 @@ TEST(Determinism, TlrPipelineBitwiseIdenticalAcrossWorkers) {
   const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kRichtmyer);
   const double reference = run_tlr(/*workers=*/0, pb, opts);
   for (int workers : kWorkerMatrix) {
-    EXPECT_DOUBLE_EQ(run_tlr(workers, pb, opts), reference)
+    EXPECT_EQ(run_tlr(workers, pb, opts), reference)
         << "TLR pipeline drifted, workers=" << workers;
   }
 }
@@ -165,7 +166,7 @@ TEST(Determinism, BatchedDensePipelineBitwiseIdenticalAcrossWorkers) {
           run_batched(workers, pb, sampler, engine::FactorKind::kDense);
       ASSERT_EQ(got.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_DOUBLE_EQ(got[i], reference[i])
+        EXPECT_EQ(got[i], reference[i])
             << "batched dense drifted, workers=" << workers << " value=" << i
             << " sampler=" << static_cast<int>(sampler);
     }
@@ -182,7 +183,7 @@ TEST(Determinism, BatchedTlrPipelineBitwiseIdenticalAcrossWorkers) {
         workers, pb, stats::SamplerKind::kRichtmyer, engine::FactorKind::kTlr);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-      EXPECT_DOUBLE_EQ(got[i], reference[i])
+      EXPECT_EQ(got[i], reference[i])
           << "batched TLR drifted, workers=" << workers << " value=" << i;
   }
 }
@@ -204,7 +205,7 @@ TEST(Determinism, BatchedVecchiaBitwiseAcrossWorkers) {
                     engine::FactorKind::kVecchia);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-      EXPECT_DOUBLE_EQ(got[i], reference[i])
+      EXPECT_EQ(got[i], reference[i])
           << "batched vecchia drifted, workers=" << workers << " value=" << i;
   }
 }
@@ -258,11 +259,11 @@ TEST(Determinism, BatchedEqualsSingleQueryEvaluationAcrossWorkers) {
       const std::vector<engine::QueryResult> fused = eng.evaluate(qs);
       for (std::size_t qi = 0; qi < qs.size(); ++qi) {
         const engine::QueryResult alone = eng.evaluate_one(qs[qi]);
-        EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
+        EXPECT_EQ(fused[qi].prob, alone.prob)
             << "workers=" << workers << " query=" << qi;
         ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size());
         for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
-          EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
+          EXPECT_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
               << "workers=" << workers << " query=" << qi << " prefix=" << i;
       }
     }
@@ -283,7 +284,7 @@ TEST(Determinism, RepeatedRunsSameRuntimeAreIdentical) {
   const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kPseudoMC);
   const double first = core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob;
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_DOUBLE_EQ(core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob, first)
+    EXPECT_EQ(core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob, first)
         << "rep=" << rep;
   }
 }

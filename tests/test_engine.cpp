@@ -152,8 +152,8 @@ TEST(CholeskyFactor, BorrowedDenseMatchesOwnedFactor) {
   const engine::LimitSet q{a, b, 99, false};
   const engine::PmvnEngine eng_owned(rt, owned, small_opts());
   const engine::PmvnEngine eng_borrowed(rt, borrowed, small_opts());
-  EXPECT_DOUBLE_EQ(eng_owned.evaluate_one(q).prob,
-                   eng_borrowed.evaluate_one(q).prob);
+  EXPECT_EQ(eng_owned.evaluate_one(q).prob,
+            eng_borrowed.evaluate_one(q).prob);
 }
 
 TEST(PmvnEngine, BatchedMatchesSingleQueryBitwise) {
@@ -189,13 +189,13 @@ TEST(PmvnEngine, BatchedMatchesSingleQueryBitwise) {
 
       for (std::size_t qi = 0; qi < qs.size(); ++qi) {
         const engine::QueryResult alone = eng.evaluate_one(qs[qi]);
-        EXPECT_DOUBLE_EQ(fused[qi].prob, alone.prob)
+        EXPECT_EQ(fused[qi].prob, alone.prob)
             << "kind=" << static_cast<int>(kind) << " query=" << qi;
-        EXPECT_DOUBLE_EQ(fused[qi].error3sigma, alone.error3sigma) << qi;
+        EXPECT_EQ(fused[qi].error3sigma, alone.error3sigma) << qi;
         ASSERT_EQ(fused[qi].prefix_prob.size(), alone.prefix_prob.size())
             << qi;
         for (std::size_t i = 0; i < alone.prefix_prob.size(); ++i)
-          EXPECT_DOUBLE_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
+          EXPECT_EQ(fused[qi].prefix_prob[i], alone.prefix_prob[i])
               << "query=" << qi << " prefix=" << i;
       }
     }
@@ -538,14 +538,14 @@ TEST(PmvnEngine, BatchedMatchesSingleUnderTightPanelBudget) {
       const engine::QueryResult alone = eng_tight.evaluate_one(batch[qi]);
       const std::string where =
           "adaptive=" + std::to_string(adaptive) + " query=" + std::to_string(qi);
-      EXPECT_DOUBLE_EQ(r_tight[qi].prob, r_wide[qi].prob) << where;
-      EXPECT_DOUBLE_EQ(r_tight[qi].prob, alone.prob) << where;
+      EXPECT_EQ(r_tight[qi].prob, r_wide[qi].prob) << where;
+      EXPECT_EQ(r_tight[qi].prob, alone.prob) << where;
       ASSERT_EQ(r_tight[qi].prefix_prob.size(), r_wide[qi].prefix_prob.size());
       ASSERT_EQ(alone.prefix_prob.size(), r_wide[qi].prefix_prob.size());
       for (std::size_t i = 0; i < r_wide[qi].prefix_prob.size(); ++i) {
-        EXPECT_DOUBLE_EQ(r_tight[qi].prefix_prob[i], r_wide[qi].prefix_prob[i])
+        EXPECT_EQ(r_tight[qi].prefix_prob[i], r_wide[qi].prefix_prob[i])
             << where << " prefix=" << i;
-        EXPECT_DOUBLE_EQ(alone.prefix_prob[i], r_wide[qi].prefix_prob[i])
+        EXPECT_EQ(alone.prefix_prob[i], r_wide[qi].prefix_prob[i])
             << where << " prefix=" << i;
       }
     }
@@ -578,8 +578,8 @@ TEST(PmvnEngine, AgreesWithLegacySingleQueryWrappers) {
   engine::EngineOptions opts = small_opts();
   const engine::PmvnEngine eng(rt, factor, opts);
   const engine::QueryResult direct = eng.evaluate_one({a, b, 21, false});
-  EXPECT_DOUBLE_EQ(via_wrapper.prob, direct.prob);
-  EXPECT_DOUBLE_EQ(via_wrapper.error3sigma, direct.error3sigma);
+  EXPECT_EQ(via_wrapper.prob, direct.prob);
+  EXPECT_EQ(via_wrapper.error3sigma, direct.error3sigma);
 }
 
 TEST(PmvnEngine, PanelHandlesAreRecycledAcrossRoundsAndCalls) {

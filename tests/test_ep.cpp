@@ -149,7 +149,7 @@ TEST(EpScreen, ExactInOneDimension) {
     EXPECT_EQ(res.sweeps, 1);
     EXPECT_NEAR(std::exp(res.logz), hi - lo, 1e-10) << c.a << " " << c.b;
     ASSERT_EQ(res.prefix_logz.size(), 1u);
-    EXPECT_DOUBLE_EQ(res.prefix_logz[0], res.logz);
+    EXPECT_EQ(res.prefix_logz[0], res.logz);
   }
 }
 
@@ -480,7 +480,7 @@ TEST(Tiered, BitwiseIdenticalAcrossWorkers) {
     const std::vector<double> got = run_tiered(workers, pb, mean, queries);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-      EXPECT_DOUBLE_EQ(got[i], reference[i])
+      EXPECT_EQ(got[i], reference[i])
           << "tiered drifted, workers=" << workers << " value=" << i;
   }
 }
@@ -511,11 +511,11 @@ TEST(Tiered, OffReproducesQmcPathBitwise) {
       engine::PmvnEngine(rt, factor, tiered).evaluate_one(q);
   EXPECT_EQ(plain.method, engine::EvalMethod::kQmc);
   EXPECT_EQ(via_tiered.method, engine::EvalMethod::kQmc);
-  EXPECT_DOUBLE_EQ(plain.prob, via_tiered.prob);
-  EXPECT_DOUBLE_EQ(plain.error3sigma, via_tiered.error3sigma);
+  EXPECT_EQ(plain.prob, via_tiered.prob);
+  EXPECT_EQ(plain.error3sigma, via_tiered.error3sigma);
   ASSERT_EQ(plain.prefix_prob.size(), via_tiered.prefix_prob.size());
   for (std::size_t i = 0; i < plain.prefix_prob.size(); ++i)
-    EXPECT_DOUBLE_EQ(plain.prefix_prob[i], via_tiered.prefix_prob[i]);
+    EXPECT_EQ(plain.prefix_prob[i], via_tiered.prefix_prob[i]);
 }
 
 // Satellite of the failure-domain hardening PR: no runtime in this suite

@@ -223,7 +223,7 @@ TEST(DenseFactor, JitterKnobWithoutARetryIsBitwiseFree) {
     const engine::PmvnEngine eng(rt, f, small_opts());
     probs[i++] = eng.evaluate_one({a, b, 7, false}).prob;
   }
-  EXPECT_DOUBLE_EQ(probs[0], probs[1]);
+  EXPECT_EQ(probs[0], probs[1]);
 }
 
 // ------------------------------------------------------- TLR degradation
@@ -301,12 +301,12 @@ TEST(EngineFaults, EverySweepSiteReleasesHandlesAndLeavesEngineReusable) {
         EXPECT_THROW((void)eng.evaluate_one(query), Error) << where;
       }
       const engine::QueryResult after = eng.evaluate_one(query);
-      EXPECT_DOUBLE_EQ(after.prob, baseline.prob) << where;
-      EXPECT_DOUBLE_EQ(after.error3sigma, baseline.error3sigma) << where;
+      EXPECT_EQ(after.prob, baseline.prob) << where;
+      EXPECT_EQ(after.error3sigma, baseline.error3sigma) << where;
       ASSERT_EQ(after.prefix_prob.size(), baseline.prefix_prob.size())
           << where;
       for (std::size_t i = 0; i < baseline.prefix_prob.size(); ++i)
-        EXPECT_DOUBLE_EQ(after.prefix_prob[i], baseline.prefix_prob[i])
+        EXPECT_EQ(after.prefix_prob[i], baseline.prefix_prob[i])
             << where << " prefix=" << i;
       const rt::DataHandle end = rt.register_data();
       EXPECT_LE(end.id(), before.id() + 64)
@@ -354,16 +354,17 @@ TEST(EpScreen, SweepFaultDemotesToQmcInsteadOfFailingTheQuery) {
   const fault::ScopedFault f("ep.sweep", 1, 1000);
   const engine::QueryResult demoted = eng_tiered.evaluate_one(query);
   EXPECT_EQ(demoted.method, engine::EvalMethod::kQmc);
-  EXPECT_DOUBLE_EQ(demoted.prob, via_qmc.prob);
-  EXPECT_DOUBLE_EQ(demoted.error3sigma, via_qmc.error3sigma);
+  EXPECT_EQ(demoted.prob, via_qmc.prob);
+  EXPECT_EQ(demoted.error3sigma, via_qmc.error3sigma);
 }
 
 // ------------------------------------------------------------- deadlines
 
 TEST(Deadline, BatchRetiresWithPartialResultsInsteadOfRunningOver) {
   // 16 queries whose full budget takes far longer than the deadline: every
-  // query must come back with at least one shift block, marked kDeadline,
-  // not converged — and nothing hangs or aborts.
+  // query must come back with at least one shift block (min_shifts on the
+  // adaptive path), marked kDeadline, not converged — and nothing hangs or
+  // aborts.
   const SpatialProblem pb(8);
   rt::Runtime rt(4);
   const auto factor = dense_factor(rt, pb);
@@ -396,6 +397,24 @@ TEST(Deadline, BatchRetiresWithPartialResultsInsteadOfRunningOver) {
     EXPECT_GE(res.prob, 0.0);
     EXPECT_LE(res.prob, 1.0 + 1e-12);
   }
+
+  // Adaptive: the first round sweeps min_shifts blocks before any check,
+  // the deadline's included, so a deadline result carries a finite error
+  // bar. abs_tol 0 and no decision threshold: nothing converges.
+  engine::EngineOptions ada = opts;
+  ada.adaptive = true;
+  ada.min_shifts = 3;
+  const std::vector<engine::QueryResult> partial =
+      engine::PmvnEngine(rt, factor, ada).evaluate(batch);
+  ASSERT_EQ(partial.size(), batch.size());
+  for (std::size_t q = 0; q < partial.size(); ++q) {
+    const engine::QueryResult& res = partial[q];
+    EXPECT_EQ(res.method, engine::EvalMethod::kDeadline) << q;
+    EXPECT_FALSE(res.converged) << q;
+    EXPECT_GE(res.shifts_used, ada.min_shifts) << q;
+    EXPECT_LT(res.shifts_used, ada.shifts) << q;
+    EXPECT_TRUE(std::isfinite(res.error3sigma)) << q;
+  }
   EXPECT_EQ(rt.handles_leaked(), 0);
 }
 
@@ -417,8 +436,8 @@ TEST(Deadline, GenerousDeadlineMatchesTheFixedBudgetBitwise) {
       engine::PmvnEngine(rt, factor, off).evaluate_one(query);
   const engine::QueryResult r_on =
       engine::PmvnEngine(rt, factor, on).evaluate_one(query);
-  EXPECT_DOUBLE_EQ(r_on.prob, r_off.prob);
-  EXPECT_DOUBLE_EQ(r_on.error3sigma, r_off.error3sigma);
+  EXPECT_EQ(r_on.prob, r_off.prob);
+  EXPECT_EQ(r_on.error3sigma, r_off.error3sigma);
   EXPECT_EQ(r_on.method, engine::EvalMethod::kQmc);
   EXPECT_EQ(r_on.shifts_used, off.shifts);
 }
