@@ -38,12 +38,12 @@ int main(int argc, char** argv) {
        {stats::SamplerKind::kPseudoMC, stats::SamplerKind::kRichtmyer,
         stats::SamplerKind::kHalton}) {
     for (const i64 total : budgets) {
-      core::SovOptions opts;
+      engine::EngineOptions opts;
       opts.sampler = kind;
       opts.shifts = 8;
       opts.samples_per_shift = total / 8;
-      opts.seed = 1234;
-      const core::SovResult r = core::mvn_probability(sigma.view(), a, b, opts);
+      const engine::QueryResult r =
+          core::mvn_probability(sigma.view(), {a, b, 1234}, opts);
       std::printf("%s,%lld,%.3e,%.3e\n", stats::to_string(kind),
                   static_cast<long long>(total),
                   std::fabs(r.prob - truth) / truth, r.error3sigma / truth);
@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   }
   bench::row_comment(
       "expect richtmyer ~1 order of magnitude below mc at the largest "
-      "budget; this is why SovOptions defaults to Richtmyer, while "
-      "EngineOptions keeps the paper listing's plain U(0,1) by default");
+      "budget; this is why the server, the examples and bench_e2e ask for "
+      "Richtmyer, while EngineOptions keeps the paper listing's plain "
+      "U(0,1) by default");
   return 0;
 }

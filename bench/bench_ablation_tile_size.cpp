@@ -8,13 +8,11 @@
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
-#include "common/timer.hpp"
-#include "core/pmvn.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tiled_potrf.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmvn;
@@ -42,16 +40,15 @@ int main(int argc, char** argv) {
     if (tile > n) continue;
     rt::Runtime rt(args.threads > 0 ? static_cast<int>(args.threads)
                                     : default_num_threads());
-    WallTimer factor;
-    tile::TileMatrix l(rt, n, n, tile, tile::Layout::kLowerSymmetric);
-    l.generate_async(rt, gen);
-    rt.wait_all();
-    tile::potrf_tiled(rt, l);
-    const double factor_s = factor.seconds();
-    core::PmvnOptions opts;
+    auto factor = std::make_shared<const engine::CholeskyFactor>(
+        engine::CholeskyFactor::factor(rt, gen,
+                                       {engine::FactorKind::kDense, tile}));
+    const double factor_s = factor->factor_seconds();
+    engine::EngineOptions opts;
     opts.samples_per_shift = 100;
     opts.shifts = 10;
-    const engine::QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const engine::QueryResult r =
+        engine::PmvnEngine(rt, factor, opts).evaluate_one({a, b});
     std::printf("%lld,%.3f,%.3f,%.3f,%.5e\n", static_cast<long long>(tile),
                 factor_s, r.seconds, factor_s + r.seconds, r.prob);
     std::fflush(stdout);

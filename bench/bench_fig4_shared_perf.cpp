@@ -7,18 +7,16 @@
 // ~n^3 for the factorization plus ~n^2*N for the sweep.
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
-#include "common/timer.hpp"
-#include "core/pmvn.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tiled_potrf.hpp"
-#include "tlr/tlr_potrf.hpp"
 
 namespace {
 
@@ -30,32 +28,14 @@ struct Timing {
   [[nodiscard]] double total() const { return factor_s + sweep_s; }
 };
 
-Timing run_dense(rt::Runtime& rt, const la::MatrixGenerator& gen, i64 tile,
-                 std::span<const double> a, std::span<const double> b,
-                 const core::PmvnOptions& opts) {
-  Timing t;
-  WallTimer factor;
-  tile::TileMatrix l(rt, gen.rows(), gen.cols(), tile,
-                     tile::Layout::kLowerSymmetric);
-  l.generate_async(rt, gen);
-  rt.wait_all();
-  tile::potrf_tiled(rt, l);
-  t.factor_s = factor.seconds();
-  t.sweep_s = core::pmvn_dense(rt, l, a, b, opts).seconds;
-  return t;
-}
-
-Timing run_tlr(rt::Runtime& rt, const la::MatrixGenerator& gen, i64 tile,
-               std::span<const double> a, std::span<const double> b,
-               const core::PmvnOptions& opts) {
-  Timing t;
-  WallTimer factor;
-  tlr::TlrMatrix l = tlr::TlrMatrix::compress(
-      rt, gen, tile, 1e-3, -1, tlr::CompressionMethod::kAca);
-  tlr::potrf_tlr(rt, l);
-  t.factor_s = factor.seconds();
-  t.sweep_s = core::pmvn_tlr(rt, l, a, b, opts).seconds;
-  return t;
+// Factor `gen` as `spec` asks, then sweep one query against it.
+Timing run(rt::Runtime& rt, const la::MatrixGenerator& gen,
+           const engine::FactorSpec& spec, std::span<const double> a,
+           std::span<const double> b, const engine::EngineOptions& opts) {
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor(rt, gen, spec));
+  const engine::PmvnEngine eng(rt, factor, opts);
+  return {factor->factor_seconds(), eng.evaluate_one({a, b}).seconds};
 }
 
 }  // namespace
@@ -103,16 +83,18 @@ int main(int argc, char** argv) {
     rt::Runtime rt(args.threads > 0 ? static_cast<int>(args.threads)
                                     : default_num_threads());
     for (const i64 qmc : qmc_sizes) {
-      core::PmvnOptions opts;
+      engine::EngineOptions opts;
       opts.samples_per_shift = qmc / 10 > 0 ? qmc / 10 : 1;
       opts.shifts = 10;
       opts.sampler = stats::SamplerKind::kPseudoMC;  // as in Algorithm 2
-      const Timing d = run_dense(rt, gen, dense_tile, a, b, opts);
+      const Timing d =
+          run(rt, gen, {engine::FactorKind::kDense, dense_tile}, a, b, opts);
       std::printf("dense,%lld,%lld,%.3f,%.3f,%.3f\n",
                   static_cast<long long>(n), static_cast<long long>(qmc),
                   d.factor_s, d.sweep_s, d.total());
       std::fflush(stdout);
-      const Timing t = run_tlr(rt, gen, tlr_tile, a, b, opts);
+      const Timing t = run(rt, gen, {engine::FactorKind::kTlr, tlr_tile, 1e-3},
+                           a, b, opts);
       std::printf("tlr,%lld,%lld,%.3f,%.3f,%.3f\n", static_cast<long long>(n),
                   static_cast<long long>(qmc), t.factor_s, t.sweep_s,
                   t.total());

@@ -19,13 +19,15 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
@@ -62,13 +64,18 @@ std::vector<double> grid_xy(const geo::LocationSet& locs) {
   return xy;
 }
 
-core::PmvnOptions sweep_opts() {
-  core::PmvnOptions o;
-  o.samples_per_shift = 500;
-  o.shifts = 10;
-  o.sampler = stats::SamplerKind::kRichtmyer;
-  o.seed = 20240517;
-  return o;
+// The box [a, b] over `factor`: Richtmyer, 500 x 10, at a fixed seed.
+engine::QueryResult sweep(rt::Runtime& rt, engine::CholeskyFactor factor,
+                          std::span<const double> a,
+                          std::span<const double> b) {
+  engine::EngineOptions opts;
+  opts.samples_per_shift = 500;
+  opts.shifts = 10;
+  opts.sampler = stats::SamplerKind::kRichtmyer;
+  const engine::PmvnEngine eng(
+      rt, std::make_shared<const engine::CholeskyFactor>(std::move(factor)),
+      opts);
+  return eng.evaluate_one({a, b, 20240517});
 }
 
 }  // namespace
@@ -101,7 +108,6 @@ int main(int argc, char** argv) {
     const i64 n = gen.rows();
     const std::vector<double> a(static_cast<std::size_t>(n), -2.0);
     const std::vector<double> b(static_cast<std::size_t>(n), kInf);
-    const core::PmvnOptions opts = sweep_opts();
 
     WallTimer td;
     tile::TileMatrix ld(rt, n, n, 256, tile::Layout::kLowerSymmetric);
@@ -109,7 +115,8 @@ int main(int argc, char** argv) {
     rt.wait_all();
     tile::potrf_tiled(rt, ld);
     const double dense_build = td.seconds();
-    const engine::QueryResult rd = core::pmvn_dense(rt, ld, a, b, opts);
+    const engine::QueryResult rd =
+        sweep(rt, engine::CholeskyFactor::borrow_dense(ld), a, b);
     rows.push_back({n, "dense", 256, rd.prob, rd.error3sigma, 0.0, dense_build,
                     rd.seconds});
 
@@ -121,14 +128,16 @@ int main(int argc, char** argv) {
     tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, 256, 1e-7, -1);
     tlr::potrf_tlr(rt, lt);
     const double tlr_build = tt.seconds();
-    const engine::QueryResult rtl = core::pmvn_tlr(rt, lt, a, b, opts);
+    const engine::QueryResult rtl =
+        sweep(rt, engine::CholeskyFactor::borrow_tlr(lt), a, b);
     rows.push_back({n, "tlr", 256, rtl.prob, rtl.error3sigma,
                     std::abs(rtl.prob - rd.prob), tlr_build, rtl.seconds});
 
     for (const i64 m : {15, 30, 60}) {
       const vecchia::VecchiaFactor f =
           vecchia::VecchiaFactor::build(rt, gen, xy, 256, m);
-      const engine::QueryResult rv = core::pmvn_vecchia(rt, f, a, b, opts);
+      const engine::QueryResult rv =
+          sweep(rt, engine::CholeskyFactor::borrow_vecchia(f), a, b);
       rows.push_back({n, "vecchia", m, rv.prob, rv.error3sigma,
                       std::abs(rv.prob - rd.prob), f.build_seconds(),
                       rv.seconds});

@@ -1,7 +1,9 @@
 // Quickstart: compute a high-dimensional MVN probability three ways.
 //
-//   1. Sequential Genz SOV (the reference algorithm, core/sov.hpp)
-//   2. Parallel tile PMVN over the task runtime (the paper's Algorithm 2)
+//   1. core::mvn_probability: Genz's SOV estimator in one call (one dense
+//      tile on an inline runtime, core/sov.hpp)
+//   2. Parallel tile PMVN over the task runtime (the paper's Algorithm 2):
+//      a tiled factor and the engine (engine/pmvn_engine.hpp)
 //   3. Plain Monte Carlo sampling (the baseline SOV replaces)
 //
 // The example uses the exchangeable-correlation identity
@@ -11,16 +13,16 @@
 // Build & run:  ./build/examples/quickstart [n]
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mvn_mc.hpp"
-#include "core/pmvn.hpp"
 #include "core/sov.hpp"
+#include "engine/pmvn_engine.hpp"
+#include "linalg/generator.hpp"
 #include "linalg/potrf.hpp"
 #include "runtime/runtime.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmvn;
@@ -38,25 +40,26 @@ int main(int argc, char** argv) {
   const std::vector<double> b(static_cast<std::size_t>(n),
                               std::numeric_limits<double>::infinity());
 
-  // 1) Sequential Genz SOV with randomized Richtmyer QMC.
-  core::SovOptions sov;
-  sov.samples_per_shift = 2000;
-  sov.shifts = 10;
-  const core::SovResult seq = core::mvn_probability(sigma.view(), a, b, sov);
-  std::printf("sequential SOV : %.6e  (3-sigma %.1e, rel err %+.2e)\n",
+  // Randomized Richtmyer QMC, 2000 samples in each of 10 shift blocks.
+  engine::EngineOptions qmc;
+  qmc.samples_per_shift = 2000;
+  qmc.shifts = 10;
+  qmc.sampler = stats::SamplerKind::kRichtmyer;
+
+  // 1) Genz SOV in one call.
+  const engine::QueryResult seq =
+      core::mvn_probability(sigma.view(), {a, b}, qmc);
+  std::printf("one-call SOV   : %.6e  (3-sigma %.1e, rel err %+.2e)\n",
               seq.prob, seq.error3sigma, seq.prob / truth - 1.0);
 
   // 2) Parallel tile PMVN (Algorithm 2): tiled Cholesky + QMC sweep as a
-  //    task graph.
+  //    task graph. The factor is built once and could serve many queries.
   rt::Runtime rt;  // default_num_threads() workers
-  tile::TileMatrix l(rt, n, n, 64, tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  core::PmvnOptions pm;
-  pm.samples_per_shift = 2000;
-  pm.shifts = 10;
-  pm.sampler = stats::SamplerKind::kRichtmyer;
-  const engine::QueryResult par = core::pmvn_dense(rt, l, a, b, pm);
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor(rt, la::DenseGenerator(sigma),
+                                     {engine::FactorKind::kDense, 64}));
+  const engine::PmvnEngine eng(rt, factor, qmc);
+  const engine::QueryResult par = eng.evaluate_one({a, b});
   std::printf("parallel PMVN  : %.6e  (3-sigma %.1e, rel err %+.2e, %.3f s)\n",
               par.prob, par.error3sigma, par.prob / truth - 1.0, par.seconds);
 

@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/pmvn.hpp"
 #include "engine/factor_cache.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "linalg/generator.hpp"
 
@@ -48,6 +48,13 @@ using CrdMode = engine::FactorKind;
 /// regions). E- is computed by the exact reflection X < u <=> -X > -u.
 enum class CrdDirection { kAbove, kBelow };
 
+/// The engine's integration parameters (samples, shifts, sampler, panel
+/// budget, adaptive/tiered/deadline knobs — see engine/pmvn_engine.hpp)
+/// plus the sample-stream seed every unseeded query of a detection uses.
+struct CrdEngineOptions : engine::EngineOptions {
+  u64 seed = 42;
+};
+
 struct CrdOptions {
   double threshold = 0.0;  // u
   double alpha = 0.05;     // confidence level 1 - alpha
@@ -57,7 +64,7 @@ struct CrdOptions {
   double tlr_tol = 1e-3;   // TLR compression accuracy (paper's sweep values)
   i64 tlr_max_rank = -1;
   i64 vecchia_m = 30;      // Vecchia conditioning-set size (kVecchia only)
-  PmvnOptions pmvn;
+  CrdEngineOptions pmvn;
 };
 
 /// One query of a batched detection: threshold/level/direction against the

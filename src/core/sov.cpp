@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/contracts.hpp"
-#include "core/qmc_kernel.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/potrf.hpp"
+#include "linalg/generator.hpp"
 #include "stats/normal.hpp"
 
 namespace parmvn::core {
@@ -15,85 +14,20 @@ namespace {
 
 constexpr double kUEps = 1e-16;  // keeps Phi^-1 arguments inside (0,1)
 
-// Samples per panel of the sample-contiguous sweep: wide enough to fill the
-// batched Phi/Phi^-1 lanes, small enough that the two (panel x n) buffers
-// stay cache-friendly at typical n.
-constexpr i64 kPanelSamples = 128;
-
-// Shape and NaN check of an estimator's inputs.
-void check_limits(const char* who, la::ConstMatrixView l,
-                  std::span<const double> a, std::span<const double> b) {
-  const i64 n = l.rows;
-  PARMVN_EXPECTS(l.cols == n);
-  PARMVN_EXPECTS(static_cast<i64>(a.size()) == n);
-  PARMVN_EXPECTS(static_cast<i64>(b.size()) == n);
-  expect_no_nan_limits(who, a, b);
-}
-
-// The sample-contiguous panel sweep of the sequential estimators: runs the
-// QMC tile kernel over panels of samples against the whole factor (one
-// "tile" of size n, so its mean panel has no earlier tile row to hold and
-// stays zero), handing each finished panel's per-sample probability
-// products to `consume(s0, pc, p)` in ascending sample order. Panelling is
-// exact — per-sample values are independent of the chunk boundaries.
-// `prefix_acc` is an optional length-n prefix accumulator (see
-// qmc_tile_kernel).
-template <class Consume>
-void sov_panel_sweep(la::ConstMatrixView l, std::span<const double> a,
-                     std::span<const double> b, const stats::PointSet& pts,
-                     double* prefix_acc, Consume&& consume) {
-  const i64 n = l.rows;
-  const i64 count = pts.num_samples();
-  const i64 chunk = std::min<i64>(kPanelSamples, count);
-  const la::Matrix mean(chunk, n);
-  la::Matrix yp(chunk, n);
-  std::vector<double> p(static_cast<std::size_t>(chunk));
-  for (i64 s0 = 0; s0 < count; s0 += chunk) {
-    const i64 pc = std::min(chunk, count - s0);
-    std::fill_n(p.data(), pc, 1.0);
-    qmc_tile_kernel(l, pts, /*row0=*/0, s0, a, b, mean.sub(0, 0, pc, n),
-                    yp.view().sub(0, 0, pc, n), p.data(), prefix_acc);
-    consume(s0, pc, p.data());
-  }
-}
-
 }  // namespace
 
-SovResult mvn_probability_chol(la::ConstMatrixView l, std::span<const double> a,
-                               std::span<const double> b,
-                               const SovOptions& opts) {
-  check_limits("mvn_probability", l, a, b);
-  const stats::PointSet pts(opts.sampler, l.rows, opts.samples_per_shift,
-                            opts.shifts, opts.seed);
-  std::vector<double> means(static_cast<std::size_t>(opts.shifts), 0.0);
-  sov_panel_sweep(l, a, b, pts, nullptr, [&](i64 s0, i64 pc, const double* p) {
-    for (i64 j = 0; j < pc; ++j)
-      means[static_cast<std::size_t>(pts.shift_of(s0 + j))] += p[j];
-  });
-  for (double& m : means) m /= static_cast<double>(opts.samples_per_shift);
-  const stats::BlockEstimate est = stats::combine_block_means(means);
-  return {est.mean, est.error3sigma};
-}
-
-SovResult mvn_probability(la::ConstMatrixView sigma, std::span<const double> a,
-                          std::span<const double> b, const SovOptions& opts) {
-  la::Matrix l = la::to_matrix(sigma);
-  la::potrf_lower_or_throw(l.view());
-  return mvn_probability_chol(l.view(), a, b, opts);
-}
-
-std::vector<double> mvn_prefix_probabilities_chol(la::ConstMatrixView l,
-                                                  std::span<const double> a,
-                                                  std::span<const double> b,
-                                                  const SovOptions& opts) {
-  check_limits("mvn_prefix_probabilities", l, a, b);
-  const stats::PointSet pts(opts.sampler, l.rows, opts.samples_per_shift,
-                            opts.shifts, opts.seed);
-  std::vector<double> acc(static_cast<std::size_t>(l.rows), 0.0);
-  sov_panel_sweep(l, a, b, pts, acc.data(), [](i64, i64, const double*) {});
-  const double inv = 1.0 / static_cast<double>(pts.num_samples());
-  for (double& v : acc) v *= inv;
-  return acc;
+engine::QueryResult mvn_probability(la::ConstMatrixView sigma,
+                                    const engine::LimitSet& limits,
+                                    const engine::EngineOptions& opts) {
+  rt::Runtime rt(0);
+  const la::DenseGenerator gen(la::to_matrix(sigma));
+  const engine::FactorSpec spec{engine::FactorKind::kDense, sigma.rows};
+  const engine::PmvnEngine eng(
+      rt,
+      std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::factor(rt, gen, spec)),
+      opts);
+  return eng.evaluate_one(limits);
 }
 
 std::vector<i64> genz_reorder(la::MatrixView sigma, std::span<double> a,
@@ -107,18 +41,23 @@ std::vector<i64> genz_reorder(la::MatrixView sigma, std::span<double> a,
   for (i64 i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
 
   // Greedy: at step i, among remaining variables pick the one whose
-  // (conditional) probability Phi(b') - Phi(a') is smallest, swap it into
+  // conditional probability Phi(b') - Phi(a') is smallest, swap it into
   // position i, and take one step of outer-product Cholesky so subsequent
   // choices condition on it (Genz & Bretz 2009, Sec. 4.1.3, expectation
-  // approximated by the midpoint y = Phi^-1((Phi(a')+Phi(b'))/2)).
+  // approximated by the midpoint y = Phi^-1((Phi(a')+Phi(b'))/2)). The
+  // limits of candidate j are standardised by its conditional variance
+  // sigma_jj - sum_{k<i} L_jk^2 (the L_jk sit in sigma(j, k) for k < i).
   std::vector<double> y(static_cast<std::size_t>(n), 0.0);
   for (i64 i = 0; i < n; ++i) {
     i64 best = -1;
     double best_mass = 2.0;
     for (i64 j = i; j < n; ++j) {
       double dotv = 0.0;
-      for (i64 k = 0; k < i; ++k) dotv += sigma(j, k) * y[static_cast<std::size_t>(k)];
-      const double denom_sq = sigma(j, j);
+      double denom_sq = sigma(j, j);
+      for (i64 k = 0; k < i; ++k) {
+        dotv += sigma(j, k) * y[static_cast<std::size_t>(k)];
+        denom_sq -= sigma(j, k) * sigma(j, k);
+      }
       if (denom_sq <= 0.0) continue;
       const double denom = std::sqrt(denom_sq);
       const double aj = (a[static_cast<std::size_t>(j)] - dotv) / denom;

@@ -101,7 +101,8 @@ class CholeskyFactor {
       const FactorSpec& spec, std::span<const double> sd = {});
 
   /// Non-owning wrappers around an existing factored matrix (the caller
-  /// keeps it alive). Used by the single-query core::pmvn_* entry points.
+  /// keeps it alive), for callers that factor through the tile, TLR or
+  /// Vecchia layer directly (tests, benches).
   [[nodiscard]] static CholeskyFactor borrow_dense(const tile::TileMatrix& l);
   [[nodiscard]] static CholeskyFactor borrow_tlr(const tlr::TlrMatrix& l);
   [[nodiscard]] static CholeskyFactor borrow_vecchia(

@@ -47,8 +47,8 @@ struct EngineOptions {
   int shifts = 10;
   /// Defaults to pseudo-MC, the paper's Algorithm 2 (R filled with i.i.d.
   /// U(0,1)). Richtmyer QMC, which Genz recommends and which converges
-  /// faster in the sampler ablation, is core::SovOptions' default; the
-  /// server and bench_e2e set it explicitly.
+  /// faster in the sampler ablation, is set explicitly by the callers that
+  /// want it (the server, bench_e2e, the examples).
   stats::SamplerKind sampler = stats::SamplerKind::kPseudoMC;
   /// Memory budget for the batch's M (conditional mean) and Y
   /// (conditioning value) panels, shared across all queries; floored at one

@@ -61,11 +61,11 @@ void gemm_packed(double alpha, Trans trans_a, ConstMatrixView a,
                  Trans trans_b, ConstMatrixView b, MatrixView c);
 
 /// SIMD dot product backing la::dot (the hot callers are the Jacobi SVD's
-/// column inner products, the Householder and pivoted-QR column norms, and
-/// the ACA compression's norm updates). Four independent 8-lane
-/// accumulators, reduced in a fixed lane order — the reduction order depends
-/// only on n, preserving the determinism contract (but it differs from the
-/// naive left-to-right sum, so callers get reassociated rounding).
+/// column inner products and the Householder and pivoted-QR column norms).
+/// Four independent 8-lane accumulators, reduced in a fixed lane order — the
+/// reduction order depends only on n, preserving the determinism contract
+/// (but it differs from the naive left-to-right sum, so callers get
+/// reassociated rounding).
 [[nodiscard]] double dot_simd(i64 n, const double* x, const double* y) noexcept;
 
 /// SIMD y[j] = alpha * (A(:, j) . x) + beta * y[j] backing la::gemv's

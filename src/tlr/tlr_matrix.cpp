@@ -4,7 +4,6 @@
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
-#include "tlr/aca.hpp"
 
 namespace parmvn::tlr {
 
@@ -70,7 +69,7 @@ TlrMatrix& TlrMatrix::operator=(const TlrMatrix& other) {
 
 TlrMatrix TlrMatrix::compress(rt::Runtime& rt, const la::MatrixGenerator& gen,
                               i64 tile_size, double accuracy, i64 max_rank,
-                              CompressionMethod method, std::string name) {
+                              std::string name) {
   PARMVN_EXPECTS(gen.rows() == gen.cols());
   PARMVN_EXPECTS(tile_size >= 1);
   PARMVN_EXPECTS(accuracy >= 0.0);
@@ -113,14 +112,10 @@ TlrMatrix TlrMatrix::compress(rt::Runtime& rt, const la::MatrixGenerator& gen,
       const i64 tc = m.tile_rows(j);
       rt.submit(
           "tlr_compress", {{m.lr_handle(i, j), rt::Access::kWrite}},
-          [&gen, dst, r0, c0, tr, tc, accuracy, max_rank, method] {
-            if (method == CompressionMethod::kAca) {
-              *dst = aca_block(gen, r0, c0, tr, tc, accuracy, max_rank);
-            } else {
-              la::Matrix dense(tr, tc);
-              gen.fill(r0, c0, dense.view());
-              *dst = compress_block(dense.view(), accuracy, max_rank);
-            }
+          [&gen, dst, r0, c0, tr, tc, accuracy, max_rank] {
+            la::Matrix dense(tr, tc);
+            gen.fill(r0, c0, dense.view());
+            *dst = compress_block(dense.view(), accuracy, max_rank);
           });
     }
   }

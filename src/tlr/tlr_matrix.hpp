@@ -13,11 +13,6 @@
 
 namespace parmvn::tlr {
 
-enum class CompressionMethod {
-  kRrqr,  // generate dense tile, rank-revealing QR (deterministic, bounded)
-  kAca,   // adaptive cross approximation straight from the generator
-};
-
 class TlrMatrix {
  public:
   /// Compress the symmetric matrix described by `gen` (must be square) into
@@ -25,10 +20,11 @@ class TlrMatrix {
   /// keeps exactly its singular components with singular value >= accuracy
   /// (the paper's "compression accuracy" 1e-1 ... 1e-9, well-scaled for
   /// unit-variance correlation matrices). `max_rank` caps tile ranks
-  /// (< 0 = uncapped; 0 throws parmvn::Error). One runtime task per tile.
+  /// (< 0 = uncapped; 0 throws parmvn::Error). One runtime task per tile:
+  /// generate the dense tile, then rank-revealing QR (deterministic,
+  /// bounded).
   static TlrMatrix compress(rt::Runtime& rt, const la::MatrixGenerator& gen,
                             i64 tile_size, double accuracy, i64 max_rank,
-                            CompressionMethod method = CompressionMethod::kRrqr,
                             std::string name = "tlr");
 
   // Copies duplicate the tile data but *share* the original's data handles

@@ -32,7 +32,6 @@
 
 #include "common/contracts.hpp"
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
 #include "core/sov.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
@@ -376,18 +375,17 @@ TEST(Adaptive, SingleShiftBlockReportsInfiniteError) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
   const la::Matrix sigma = geo::dense_from_generator(gen);
 
-  core::SovOptions sov;
-  sov.samples_per_shift = 100;
-  sov.shifts = 1;
-  const core::SovResult res = core::mvn_probability(sigma.view(), pb.a, pb.b,
-                                                    sov);
+  engine::EngineOptions eo;
+  eo.samples_per_shift = 100;
+  eo.shifts = 1;
+  engine::EngineOptions qmc = eo;
+  qmc.sampler = stats::SamplerKind::kRichtmyer;
+  const engine::QueryResult res =
+      core::mvn_probability(sigma.view(), {pb.a, pb.b}, qmc);
   EXPECT_TRUE(std::isinf(res.error3sigma));
   EXPECT_GT(res.prob, 0.0);
 
   rt::Runtime rt(2);
-  engine::EngineOptions eo;
-  eo.samples_per_shift = 100;
-  eo.shifts = 1;
   const engine::PmvnEngine eng(rt, dense_factor(rt, gen), eo);
   const engine::QueryResult qr = eng.evaluate_one({pb.a, pb.b, 42, false});
   EXPECT_TRUE(std::isinf(qr.error3sigma));

@@ -1,19 +1,18 @@
-// Tests for the parallel tile PMVN (Algorithm 2): equivalence with the
-// sequential SOV oracle, dense/TLR agreement, determinism across thread
-// counts and tile sizes, prefix-sweep semantics, and closed forms in
-// moderate dimension.
+// Tests for the parallel tile PMVN (Algorithm 2) through the engine over
+// factors built by the tile and TLR layers: dense/TLR agreement,
+// determinism across thread counts and tile sizes (down to the one-tile
+// route core::mvn_probability takes), prefix-sweep semantics, and closed
+// forms in moderate dimension.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
-#include "core/pmvn.hpp"
-#include "core/sov.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/potrf.hpp"
 #include "stats/covariance.hpp"
 #include "stats/normal.hpp"
 #include "tile/tiled_potrf.hpp"
@@ -22,7 +21,9 @@
 namespace {
 
 using namespace parmvn;
-using core::PmvnOptions;
+using engine::CholeskyFactor;
+using engine::EngineOptions;
+using engine::LimitSet;
 using engine::QueryResult;
 using la::Matrix;
 
@@ -44,37 +45,12 @@ tile::TileMatrix tiled_chol(rt::Runtime& rt, const Matrix& sigma, i64 nb) {
   return l;
 }
 
-TEST(PmvnDense, MatchesSequentialOracleExactly) {
-  // Same PointSet parameters => identical w values => the tile algorithm
-  // computes the same chains as the sequential reference (up to FP
-  // reassociation in the mean-update GEMMs).
-  const i64 n = 60;
-  Matrix sigma = equicorrelated(n, 0.45);
-  std::vector<double> a(static_cast<std::size_t>(n), -0.4);
-  std::vector<double> b(static_cast<std::size_t>(n), kInf);
-
-  core::SovOptions seq;
-  seq.samples_per_shift = 500;
-  seq.shifts = 8;
-  seq.sampler = stats::SamplerKind::kRichtmyer;
-  seq.seed = 11;
-  Matrix l_dense = la::to_matrix(sigma.view());
-  la::potrf_lower_or_throw(l_dense.view());
-  const core::SovResult expect =
-      core::mvn_probability_chol(l_dense.view(), a, b, seq);
-
-  rt::Runtime rt(4);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-  PmvnOptions opts;
-  opts.samples_per_shift = 500;
-  opts.shifts = 8;
-  opts.sampler = stats::SamplerKind::kRichtmyer;
-  opts.seed = 11;
-  const QueryResult got = core::pmvn_dense(rt, l, a, b, opts);
-
-  EXPECT_NEAR(got.prob / expect.prob, 1.0, 1e-8);
-  EXPECT_NEAR(got.error3sigma, expect.error3sigma,
-              1e-6 + 0.01 * expect.error3sigma);
+// One query through the engine.
+QueryResult evaluate(rt::Runtime& rt, CholeskyFactor factor,
+                     const LimitSet& query, const EngineOptions& opts = {}) {
+  const engine::PmvnEngine eng(
+      rt, std::make_shared<const CholeskyFactor>(std::move(factor)), opts);
+  return eng.evaluate_one(query);
 }
 
 TEST(PmvnDense, DeterministicAcrossThreadCounts) {
@@ -82,7 +58,7 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
   Matrix sigma = equicorrelated(n, 0.3);
   std::vector<double> a(static_cast<std::size_t>(n), -1.0);
   std::vector<double> b(static_cast<std::size_t>(n), 0.8);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 250;
   opts.shifts = 4;
 
@@ -90,7 +66,8 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
   for (int threads : {0, 1, 2, 8}) {
     rt::Runtime rt(threads);
     const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-    const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const QueryResult r =
+        evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, opts);
     if (threads == 0) {
       reference = r.prob;
     } else {
@@ -102,22 +79,28 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
 }
 
 TEST(PmvnDense, TileSizeOnlyPerturbsRounding) {
+  // Every tile size computes the same chains from the same w values (up to
+  // FP reassociation in the mean-update GEMMs); nb = n is the one-tile
+  // route of core::mvn_probability, which has no mean update at all.
   const i64 n = 72;
   Matrix sigma = equicorrelated(n, 0.5);
   std::vector<double> a(static_cast<std::size_t>(n), 0.0);
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 400;
   opts.shifts = 5;
-  double first = -1.0;
+  QueryResult first;
   for (i64 nb : {8, 24, 36, 72}) {
     rt::Runtime rt(4);
     const tile::TileMatrix l = tiled_chol(rt, sigma, nb);
-    const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
-    if (first < 0) {
-      first = r.prob;
+    const QueryResult r =
+        evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, opts);
+    if (nb == 8) {
+      first = r;
     } else {
-      EXPECT_NEAR(r.prob / first, 1.0, 1e-7) << "nb=" << nb;
+      EXPECT_NEAR(r.prob / first.prob, 1.0, 1e-7) << "nb=" << nb;
+      EXPECT_NEAR(r.error3sigma, first.error3sigma, 1e-7 * first.prob)
+          << "nb=" << nb;
     }
   }
 }
@@ -130,11 +113,12 @@ TEST(PmvnDense, ExchangeableHalfCorrelationOrthantHighDim) {
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
   rt::Runtime rt(4);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 32);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 2500;
   opts.shifts = 20;
   opts.sampler = stats::SamplerKind::kRichtmyer;
-  const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult r =
+      evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, opts);
   const double expect = 1.0 / 65.0;
   EXPECT_NEAR(r.prob / expect, 1.0, 0.05);
   EXPECT_LT(std::fabs(r.prob - expect), 3.0 * r.error3sigma + 0.002 * expect);
@@ -153,7 +137,7 @@ TEST(PmvnDense, IndependenceProductExact) {
   }
   rt::Runtime rt(2);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-  const QueryResult r = core::pmvn_dense(rt, l, a, b, {});
+  const QueryResult r = evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b});
   EXPECT_NEAR(r.prob / expect, 1.0, 1e-10)
       << "independent case is exact for every sample";
 }
@@ -165,11 +149,11 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
   rt::Runtime rt(4);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 12);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 300;
   opts.shifts = 4;
-  opts.prefix = true;
-  const QueryResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult r = evaluate(rt, CholeskyFactor::borrow_dense(l),
+                                 {a, b, 42, /*prefix=*/true}, opts);
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), n);
   // Monotone non-increasing; last equals the total probability.
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
@@ -183,9 +167,8 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
   for (i64 k : {i64{9}, i64{23}}) {
     std::vector<double> a_partial(static_cast<std::size_t>(n), -kInf);
     for (i64 i = 0; i < k; ++i) a_partial[static_cast<std::size_t>(i)] = -0.3;
-    PmvnOptions full = opts;
-    full.prefix = false;
-    const QueryResult sub = core::pmvn_dense(rt, l, a_partial, b, full);
+    const QueryResult sub =
+        evaluate(rt, CholeskyFactor::borrow_dense(l), {a_partial, b}, opts);
     EXPECT_NEAR(sub.prob, r.prefix_prob[static_cast<std::size_t>(k - 1)], 1e-12)
         << "k=" << k;
   }
@@ -199,13 +182,15 @@ TEST(PmvnDense, SmallPanelBytesStillExact) {
   std::vector<double> b(static_cast<std::size_t>(n), 2.0);
   rt::Runtime rt(2);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 10);
-  PmvnOptions big;
+  EngineOptions big;
   big.samples_per_shift = 200;
   big.shifts = 5;
-  PmvnOptions tiny = big;
+  EngineOptions tiny = big;
   tiny.panel_bytes = 1;  // floor: one tile-column per panel
-  const double p_big = core::pmvn_dense(rt, l, a, b, big).prob;
-  const double p_tiny = core::pmvn_dense(rt, l, a, b, tiny).prob;
+  const double p_big =
+      evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, big).prob;
+  const double p_tiny =
+      evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, tiny).prob;
   EXPECT_EQ(p_big, p_tiny);
 }
 
@@ -220,7 +205,7 @@ TEST(PmvnTlr, ConvergesToDenseAsToleranceTightens) {
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
 
   rt::Runtime rt(4);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 400;
   opts.shifts = 5;
 
@@ -228,13 +213,15 @@ TEST(PmvnTlr, ConvergesToDenseAsToleranceTightens) {
   tile::TileMatrix ld(rt, n, n, 49, tile::Layout::kLowerSymmetric);
   ld.from_dense(sigma.view());
   tile::potrf_tiled(rt, ld);
-  const double p_dense = core::pmvn_dense(rt, ld, a, b, opts).prob;
+  const double p_dense =
+      evaluate(rt, CholeskyFactor::borrow_dense(ld), {a, b}, opts).prob;
 
   double prev_gap = 1.0;
   for (double tol : {1e-2, 1e-4, 1e-8}) {
     tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, 49, tol, -1);
     tlr::potrf_tlr(rt, lt);
-    const double p_tlr = core::pmvn_tlr(rt, lt, a, b, opts).prob;
+    const double p_tlr =
+        evaluate(rt, CholeskyFactor::borrow_tlr(lt), {a, b}, opts).prob;
     const double gap = std::fabs(p_tlr - p_dense) / p_dense;
     EXPECT_LE(gap, prev_gap * 1.5 + 1e-9) << "tol=" << tol;
     prev_gap = gap;
@@ -253,11 +240,11 @@ TEST(PmvnTlr, PrefixSweepWorksInTlrMode) {
   tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, gen, 25, 1e-6, -1);
   tlr::potrf_tlr(rt, l);
   std::vector<double> a(100, 0.0), b(100, kInf);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 250;
   opts.shifts = 4;
-  opts.prefix = true;
-  const QueryResult r = core::pmvn_tlr(rt, l, a, b, opts);
+  const QueryResult r = evaluate(rt, CholeskyFactor::borrow_tlr(l),
+                                 {a, b, 42, /*prefix=*/true}, opts);
   ASSERT_EQ(r.prefix_prob.size(), 100u);
   for (std::size_t i = 1; i < 100; ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-12);
@@ -269,25 +256,29 @@ TEST(Pmvn, RejectsShapeMismatch) {
   Matrix sigma = equicorrelated(8, 0.2);
   const tile::TileMatrix l = tiled_chol(rt, sigma, 4);
   std::vector<double> short_a(4, 0.0), b(8, kInf);
-  EXPECT_THROW((void)core::pmvn_dense(rt, l, short_a, b, {}), Error);
+  EXPECT_THROW(
+      (void)evaluate(rt, CholeskyFactor::borrow_dense(l), {short_a, b}),
+      Error);
 }
 
 TEST(Pmvn, RejectsBadOptionsTyped) {
-  // The wrapper hands its EngineOptions base to the engine, whose
-  // constructor validates it: nonsense fails typed, before any sampling.
+  // The engine's constructor validates its options: nonsense fails typed,
+  // before any sampling.
   rt::Runtime rt(1);
   const tile::TileMatrix l = tiled_chol(rt, equicorrelated(8, 0.2), 4);
   std::vector<double> a(8, 0.0), b(8, kInf);
-  PmvnOptions bad;
+  EngineOptions bad;
   bad.ep_margin = -0.2;
-  EXPECT_THROW((void)core::pmvn_dense(rt, l, a, b, bad), Error);
+  EXPECT_THROW(
+      (void)evaluate(rt, CholeskyFactor::borrow_dense(l), {a, b}, bad),
+      Error);
 }
 
 TEST(Pmvn, GeneralLayoutFactorRejected) {
   rt::Runtime rt(1);
   tile::TileMatrix not_sym(rt, 8, 8, 4, tile::Layout::kGeneral);
   std::vector<double> a(8, 0.0), b(8, 1.0);
-  EXPECT_THROW((void)core::pmvn_dense(rt, not_sym, a, b, {}), Error);
+  EXPECT_THROW((void)CholeskyFactor::borrow_dense(not_sym), Error);
 }
 
 }  // namespace

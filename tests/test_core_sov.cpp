@@ -1,9 +1,10 @@
-// Tests for the sequential SOV (Genz) MVN probability against closed forms:
-// univariate, independence products, bivariate/trivariate orthant formulas,
-// exchangeable-correlation identities, plus the reordering heuristic and the
-// plain-MC baseline.
+// Tests for the small-problem MVN probability (core::mvn_probability, the
+// one-tile engine route) against closed forms: univariate, independence
+// products, bivariate/trivariate orthant formulas, exchangeable-correlation
+// identities, plus the reordering heuristic and the plain-MC baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -12,15 +13,14 @@
 #include "common/contracts.hpp"
 #include "core/mvn_mc.hpp"
 #include "core/sov.hpp"
-#include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
 #include "stats/normal.hpp"
 
 namespace {
 
 using namespace parmvn;
-using core::SovOptions;
-using core::SovResult;
+using engine::EngineOptions;
+using engine::QueryResult;
 using la::Matrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -32,11 +32,20 @@ Matrix equicorrelated(i64 n, double rho) {
   return s;
 }
 
+// Randomized Richtmyer QMC in `shifts` blocks of `samples` each.
+EngineOptions richtmyer(i64 samples = 500, int shifts = 20) {
+  EngineOptions opts;
+  opts.samples_per_shift = samples;
+  opts.shifts = shifts;
+  opts.sampler = stats::SamplerKind::kRichtmyer;
+  return opts;
+}
+
 TEST(SovSeq, UnivariateMatchesPhi) {
   Matrix s(1, 1);
   s(0, 0) = 4.0;  // sd = 2
   const std::vector<double> a{-1.0}, b{3.0};
-  const SovResult r = core::mvn_probability(s.view(), a, b);
+  const QueryResult r = core::mvn_probability(s.view(), {a, b}, richtmyer());
   const double expect = stats::norm_cdf(1.5) - stats::norm_cdf(-0.5);
   EXPECT_NEAR(r.prob, expect, 1e-12);  // one dim: no MC error at all
 }
@@ -54,7 +63,7 @@ TEST(SovSeq, IndependenceProduct) {
     expect *= stats::norm_cdf_diff(a[static_cast<std::size_t>(i)] / sd,
                                    b[static_cast<std::size_t>(i)] / sd);
   }
-  const SovResult r = core::mvn_probability(s.view(), a, b);
+  const QueryResult r = core::mvn_probability(s.view(), {a, b}, richtmyer());
   EXPECT_NEAR(r.prob, expect, 1e-12)
       << "diagonal covariance: the SOV estimator is exact per sample";
 }
@@ -65,10 +74,8 @@ TEST_P(BivariateOrthant, MatchesArcsineFormula) {
   const double rho = GetParam();
   Matrix s = equicorrelated(2, rho);
   const std::vector<double> a{0.0, 0.0}, b{kInf, kInf};
-  SovOptions opts;
-  opts.samples_per_shift = 2000;
-  opts.shifts = 25;
-  const SovResult r = core::mvn_probability(s.view(), a, b, opts);
+  const QueryResult r =
+      core::mvn_probability(s.view(), {a, b}, richtmyer(2000, 25));
   const double expect = 0.25 + std::asin(rho) / (2.0 * M_PI);
   EXPECT_NEAR(r.prob, expect, 5e-4) << "rho=" << rho;
   EXPECT_NEAR(r.prob, expect, std::max(2.0 * r.error3sigma, 1e-5))
@@ -88,10 +95,8 @@ TEST(SovSeq, TrivariateOrthantFormula) {
   s(0, 2) = s(2, 0) = r13;
   s(1, 2) = s(2, 1) = r23;
   const std::vector<double> a{0.0, 0.0, 0.0}, b{kInf, kInf, kInf};
-  SovOptions opts;
-  opts.samples_per_shift = 2000;
-  opts.shifts = 25;
-  const SovResult r = core::mvn_probability(s.view(), a, b, opts);
+  const QueryResult r =
+      core::mvn_probability(s.view(), {a, b}, richtmyer(2000, 25));
   const double expect =
       0.125 + (std::asin(r12) + std::asin(r13) + std::asin(r23)) / (4.0 * M_PI);
   EXPECT_NEAR(r.prob, expect, 5e-4);
@@ -103,10 +108,8 @@ TEST(SovSeq, ExchangeableHalfCorrelationOrthant) {
     Matrix s = equicorrelated(n, 0.5);
     std::vector<double> a(static_cast<std::size_t>(n), 0.0);
     std::vector<double> b(static_cast<std::size_t>(n), kInf);
-    SovOptions opts;
-    opts.samples_per_shift = 2000;
-    opts.shifts = 25;
-    const SovResult r = core::mvn_probability(s.view(), a, b, opts);
+    const QueryResult r =
+        core::mvn_probability(s.view(), {a, b}, richtmyer(2000, 25));
     const double expect = 1.0 / static_cast<double>(n + 1);
     EXPECT_NEAR(r.prob / expect, 1.0, 0.02) << "n=" << n;
   }
@@ -115,12 +118,16 @@ TEST(SovSeq, ExchangeableHalfCorrelationOrthant) {
 TEST(SovSeq, DegenerateAndFullBoxes) {
   Matrix s = equicorrelated(4, 0.3);
   const std::vector<double> all_inf_a(4, -kInf), all_inf_b(4, kInf);
-  EXPECT_DOUBLE_EQ(core::mvn_probability(s.view(), all_inf_a, all_inf_b).prob,
-                   1.0);
+  EXPECT_DOUBLE_EQ(
+      core::mvn_probability(s.view(), {all_inf_a, all_inf_b}, richtmyer())
+          .prob,
+      1.0);
   std::vector<double> a(4, 0.5), b(4, 0.5);  // zero-width box
-  EXPECT_DOUBLE_EQ(core::mvn_probability(s.view(), a, b).prob, 0.0);
+  EXPECT_DOUBLE_EQ(core::mvn_probability(s.view(), {a, b}, richtmyer()).prob,
+                   0.0);
   std::vector<double> a2(4, 1.0), b2(4, -1.0);  // inverted box
-  EXPECT_DOUBLE_EQ(core::mvn_probability(s.view(), a2, b2).prob, 0.0);
+  EXPECT_DOUBLE_EQ(
+      core::mvn_probability(s.view(), {a2, b2}, richtmyer()).prob, 0.0);
 }
 
 TEST(SovSeq, QmcBeatsMcAtEqualBudget) {
@@ -129,37 +136,42 @@ TEST(SovSeq, QmcBeatsMcAtEqualBudget) {
   Matrix s = equicorrelated(8, 0.5);
   std::vector<double> a(8, 0.0), b(8, kInf);
   const double expect = 1.0 / 9.0;
-  SovOptions qmc;
-  qmc.sampler = stats::SamplerKind::kRichtmyer;
-  qmc.samples_per_shift = 1000;
-  qmc.shifts = 10;
-  SovOptions mc = qmc;
+  const EngineOptions qmc = richtmyer(1000, 10);
+  EngineOptions mc = qmc;
   mc.sampler = stats::SamplerKind::kPseudoMC;
   const double err_qmc =
-      std::fabs(core::mvn_probability(s.view(), a, b, qmc).prob - expect);
+      std::fabs(core::mvn_probability(s.view(), {a, b}, qmc).prob - expect);
   const double err_mc =
-      std::fabs(core::mvn_probability(s.view(), a, b, mc).prob - expect);
+      std::fabs(core::mvn_probability(s.view(), {a, b}, mc).prob - expect);
   EXPECT_LT(err_qmc, err_mc);
 }
 
 TEST(SovSeq, PrefixProbabilitiesMonotoneAndConsistent) {
   Matrix s = equicorrelated(12, 0.4);
   std::vector<double> a(12, -0.2), b(12, kInf);
-  Matrix l = la::to_matrix(s.view());
-  la::potrf_lower_or_throw(l.view());
-  SovOptions opts;
-  opts.samples_per_shift = 1000;
-  opts.shifts = 10;
+  const EngineOptions opts = richtmyer(1000, 10);
   const std::vector<double> prefix =
-      core::mvn_prefix_probabilities_chol(l.view(), a, b, opts);
+      core::mvn_probability(s.view(), {a, b, 42, /*prefix=*/true}, opts)
+          .prefix_prob;
   ASSERT_EQ(prefix.size(), 12u);
   // First prefix = marginal of the first variable (exact).
   EXPECT_NEAR(prefix[0], 1.0 - stats::norm_cdf(-0.2), 1e-12);
   for (std::size_t i = 1; i < prefix.size(); ++i)
     EXPECT_LE(prefix[i], prefix[i - 1] + 1e-12);
   // Last prefix equals the full probability (same sampler/seed).
-  const SovResult full = core::mvn_probability_chol(l.view(), a, b, opts);
+  const QueryResult full = core::mvn_probability(s.view(), {a, b}, opts);
   EXPECT_NEAR(prefix.back(), full.prob, 1e-12);
+}
+
+// sigma with rows/columns permuted: out(i, j) = sigma(perm[i], perm[j]).
+Matrix permuted(const Matrix& sigma, const std::vector<i64>& perm) {
+  const i64 n = sigma.rows();
+  Matrix out(n, n);
+  for (i64 j = 0; j < n; ++j)
+    for (i64 i = 0; i < n; ++i)
+      out(i, j) = sigma(perm[static_cast<std::size_t>(i)],
+                        perm[static_cast<std::size_t>(j)]);
+  return out;
 }
 
 TEST(GenzReorder, PermutationValidAndProbabilityInvariant) {
@@ -173,10 +185,8 @@ TEST(GenzReorder, PermutationValidAndProbabilityInvariant) {
   std::vector<double> a{-0.3, -2.0, 0.1, -1.0, -0.5};
   std::vector<double> b{1.0, 0.5, 2.0, kInf, 0.9};
 
-  SovOptions opts;
-  opts.samples_per_shift = 4000;
-  opts.shifts = 20;
-  const double before = core::mvn_probability(s.view(), a, b, opts).prob;
+  const EngineOptions opts = richtmyer(4000, 20);
+  const double before = core::mvn_probability(s.view(), {a, b}, opts).prob;
 
   Matrix s2 = la::to_matrix(s.view());
   std::vector<double> a2 = a, b2 = b;
@@ -191,9 +201,31 @@ TEST(GenzReorder, PermutationValidAndProbabilityInvariant) {
   }
 
   // genz_reorder leaves the Cholesky factor of the permuted matrix in the
-  // lower triangle: integrate with it directly.
-  const SovResult after = core::mvn_probability_chol(s2.view(), a2, b2, opts);
+  // lower triangle.
+  const Matrix sp = permuted(s, perm);
+  Matrix lp = la::to_matrix(sp.view());
+  la::potrf_lower_or_throw(lp.view());
+  for (i64 j = 0; j < 5; ++j)
+    for (i64 i = j; i < 5; ++i)
+      EXPECT_NEAR(s2(i, j), lp(i, j), 1e-12) << "L(" << i << "," << j << ")";
+
+  const QueryResult after = core::mvn_probability(sp.view(), {a2, b2}, opts);
   EXPECT_NEAR(after.prob / before, 1.0, 0.03);
+}
+
+TEST(GenzReorder, StandardisesCandidatesByConditionalVariance) {
+  // Variables 0 and 1 are strongly correlated, 2 is independent. Step 0
+  // takes variable 1 (mass 0.223). Given it, variable 0's conditional
+  // variance is 1 - 0.95^2 = 0.0975 and its conditional mass 0.969, so
+  // variable 2 (mass 0.726) is the harder constraint and goes next (Genz &
+  // Bretz 2009, Sec. 4.1.3). Standardising by the raw variance 1 instead
+  // reads variable 0's mass as 0.719 and picks it.
+  Matrix s(3, 3);
+  s(0, 0) = s(1, 1) = s(2, 2) = 1.0;
+  s(0, 1) = s(1, 0) = 0.95;
+  std::vector<double> a{-kInf, -1.0, -0.6}, b{0.0, -0.3, kInf};
+  const std::vector<i64> perm = core::genz_reorder(s.view(), a, b);
+  EXPECT_EQ(perm, (std::vector<i64>{1, 2, 0}));
 }
 
 TEST(MvnMc, AgreesWithSovOnModerateProblem) {
@@ -203,10 +235,8 @@ TEST(MvnMc, AgreesWithSovOnModerateProblem) {
   la::potrf_lower_or_throw(l.view());
   const core::MvnMcResult mc =
       core::mvn_probability_mc(l.view(), a, b, 200000, 17);
-  SovOptions opts;
-  opts.samples_per_shift = 2000;
-  opts.shifts = 20;
-  const SovResult sov = core::mvn_probability_chol(l.view(), a, b, opts);
+  const QueryResult sov =
+      core::mvn_probability(s.view(), {a, b}, richtmyer(2000, 20));
   EXPECT_NEAR(mc.prob, sov.prob, mc.error3sigma + sov.error3sigma);
   EXPECT_GT(mc.error3sigma, 0.0);
 }
@@ -218,14 +248,11 @@ TEST(MvnMc, FullBoxIsOne) {
 }
 
 TEST(SovSeq, NanLimitThrowsNamingTheCoordinate) {
-  // Phi(b) - Phi(a) is 0 for a NaN limit: every sequential estimator must
-  // refuse it instead of returning a confident probability 0.
+  // Phi(b) - Phi(a) is 0 for a NaN limit: every estimator must refuse it
+  // instead of returning a confident probability 0.
   const Matrix s = equicorrelated(4, 0.3);
   Matrix l = la::to_matrix(s.view());
   la::potrf_lower_or_throw(l.view());
-  SovOptions opts;
-  opts.samples_per_shift = 50;
-  opts.shifts = 4;
   const auto expect_named = [](const auto& call, const std::string& coord) {
     try {
       call();
@@ -239,14 +266,14 @@ TEST(SovSeq, NanLimitThrowsNamingTheCoordinate) {
     std::vector<double> a(4, -1.0), b(4, 1.5);
     (in_a ? a : b)[2] = std::numeric_limits<double>::quiet_NaN();
     const std::string coord = in_a ? "a[2]" : "b[2]";
-    expect_named([&] { (void)core::mvn_probability(s.view(), a, b, opts); },
-                 coord);
-    expect_named(
-        [&] { (void)core::mvn_probability_chol(l.view(), a, b, opts); },
-        coord);
-    expect_named(
-        [&] { (void)core::mvn_prefix_probabilities_chol(l.view(), a, b, opts); },
-        coord);
+    for (const bool prefix : {false, true}) {
+      expect_named(
+          [&] {
+            (void)core::mvn_probability(s.view(), {a, b, 42, prefix},
+                                        richtmyer(50, 4));
+          },
+          coord);
+    }
     expect_named(
         [&] { (void)core::mvn_probability_mc(l.view(), a, b, 100, 1); },
         coord);

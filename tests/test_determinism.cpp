@@ -25,9 +25,9 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
@@ -43,7 +43,8 @@
 namespace {
 
 using namespace parmvn;
-using core::PmvnOptions;
+using engine::CholeskyFactor;
+using engine::EngineOptions;
 using la::Matrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -63,16 +64,25 @@ struct Problem {
         b(static_cast<std::size_t>(side * side), kInf) {}
 };
 
-PmvnOptions fixed_seed_opts(stats::SamplerKind sampler) {
-  PmvnOptions opts;
+constexpr u64 kSeed = 20240517;
+
+EngineOptions fixed_budget_opts(stats::SamplerKind sampler) {
+  EngineOptions opts;
   opts.samples_per_shift = 200;
   opts.shifts = 4;
-  opts.seed = 20240517;
   opts.sampler = sampler;
   return opts;
 }
 
-double run_dense(int workers, const Problem& pb, const PmvnOptions& opts) {
+// The fixed-seed probability of pb's box over `factor`.
+double run_query(rt::Runtime& rt, CholeskyFactor factor, const Problem& pb,
+                 const EngineOptions& opts) {
+  const engine::PmvnEngine eng(
+      rt, std::make_shared<const CholeskyFactor>(std::move(factor)), opts);
+  return eng.evaluate_one({pb.a, pb.b, kSeed}).prob;
+}
+
+double run_dense(int workers, const Problem& pb, const EngineOptions& opts) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
   const Matrix sigma = geo::dense_from_generator(gen);
   rt::Runtime rt(workers);
@@ -80,22 +90,22 @@ double run_dense(int workers, const Problem& pb, const PmvnOptions& opts) {
                      tile::Layout::kLowerSymmetric);
   l.from_dense(sigma.view());
   tile::potrf_tiled(rt, l);
-  return core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob;
+  return run_query(rt, CholeskyFactor::borrow_dense(l), pb, opts);
 }
 
-double run_tlr(int workers, const Problem& pb, const PmvnOptions& opts) {
+double run_tlr(int workers, const Problem& pb, const EngineOptions& opts) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
   rt::Runtime rt(workers);
   tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, gen, 25, 1e-7, -1);
   tlr::potrf_tlr(rt, l);
-  return core::pmvn_tlr(rt, l, pb.a, pb.b, opts).prob;
+  return run_query(rt, CholeskyFactor::borrow_tlr(l), pb, opts);
 }
 
 TEST(Determinism, DensePipelineBitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
   for (auto sampler :
        {stats::SamplerKind::kPseudoMC, stats::SamplerKind::kRichtmyer}) {
-    const PmvnOptions opts = fixed_seed_opts(sampler);
+    const EngineOptions opts = fixed_budget_opts(sampler);
     const double reference = run_dense(/*workers=*/0, pb, opts);
     for (int workers : kWorkerMatrix) {
       EXPECT_EQ(run_dense(workers, pb, opts), reference)
@@ -107,7 +117,7 @@ TEST(Determinism, DensePipelineBitwiseIdenticalAcrossWorkers) {
 
 TEST(Determinism, TlrPipelineBitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
-  const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kRichtmyer);
+  const EngineOptions opts = fixed_budget_opts(stats::SamplerKind::kRichtmyer);
   const double reference = run_tlr(/*workers=*/0, pb, opts);
   for (int workers : kWorkerMatrix) {
     EXPECT_EQ(run_tlr(workers, pb, opts), reference)
@@ -281,10 +291,11 @@ TEST(Determinism, RepeatedRunsSameRuntimeAreIdentical) {
                      tile::Layout::kLowerSymmetric);
   l.from_dense(sigma.view());
   tile::potrf_tiled(rt, l);
-  const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kPseudoMC);
-  const double first = core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob;
+  const EngineOptions opts = fixed_budget_opts(stats::SamplerKind::kPseudoMC);
+  const double first =
+      run_query(rt, CholeskyFactor::borrow_dense(l), pb, opts);
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob, first)
+    EXPECT_EQ(run_query(rt, CholeskyFactor::borrow_dense(l), pb, opts), first)
         << "rep=" << rep;
   }
 }

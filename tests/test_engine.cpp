@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pmvn.hpp"
 #include "core/qmc_kernel.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
@@ -32,6 +31,7 @@
 #include "tile/tiled_potrf.hpp"
 #include "tlr/lr_tile.hpp"
 #include "tlr/tlr_matrix.hpp"
+#include "vecchia/vecchia_factor.hpp"
 
 namespace {
 
@@ -550,36 +550,6 @@ TEST(PmvnEngine, BatchedMatchesSingleUnderTightPanelBudget) {
       }
     }
   }
-}
-
-TEST(PmvnEngine, AgreesWithLegacySingleQueryWrappers) {
-  // core::pmvn_dense delegates to the engine; a direct engine run over the
-  // same borrowed factor must agree bitwise.
-  const SpatialProblem pb(6);
-  rt::Runtime rt(2);
-  const i64 n = pb.n();
-  const geo::CorrelationGenerator corr(*pb.cov);
-  tile::TileMatrix l(rt, n, n, 16, tile::Layout::kLowerSymmetric);
-  l.generate_async(rt, corr);
-  rt.wait_all();
-  tile::potrf_tiled(rt, l);
-
-  const std::vector<double> a(static_cast<std::size_t>(n), -0.7);
-  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
-  core::PmvnOptions legacy;
-  legacy.samples_per_shift = 150;
-  legacy.shifts = 4;
-  legacy.sampler = stats::SamplerKind::kRichtmyer;
-  legacy.seed = 21;
-  const engine::QueryResult via_wrapper = core::pmvn_dense(rt, l, a, b, legacy);
-
-  auto factor = std::make_shared<const engine::CholeskyFactor>(
-      engine::CholeskyFactor::borrow_dense(l));
-  engine::EngineOptions opts = small_opts();
-  const engine::PmvnEngine eng(rt, factor, opts);
-  const engine::QueryResult direct = eng.evaluate_one({a, b, 21, false});
-  EXPECT_EQ(via_wrapper.prob, direct.prob);
-  EXPECT_EQ(via_wrapper.error3sigma, direct.error3sigma);
 }
 
 TEST(PmvnEngine, PanelHandlesAreRecycledAcrossRoundsAndCalls) {

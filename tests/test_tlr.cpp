@@ -1,4 +1,4 @@
-// Tests for the TLR substrate: tile compression (RRQR & ACA), recompression
+// Tests for the TLR substrate: tile compression (RRQR), recompression
 // algebra, the TLR matrix container, and TLR Cholesky vs the dense oracle.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "ref_householder_qr.hpp"
 #include "stats/covariance.hpp"
 #include "stats/rng.hpp"
-#include "tlr/aca.hpp"
 #include "tlr/lr_tile.hpp"
 #include "tlr/tlr_matrix.hpp"
 #include "tlr/tlr_potrf.hpp"
@@ -27,7 +26,6 @@ using namespace parmvn;
 using geo::KernelCovGenerator;
 using la::Matrix;
 using la::Trans;
-using tlr::CompressionMethod;
 using tlr::LowRankTile;
 using tlr::TlrMatrix;
 
@@ -397,35 +395,6 @@ TEST(LowRankTile, AddLowRankMatchesDenseArithmetic) {
   EXPECT_LE(t.rank(), 5);
 }
 
-TEST(Aca, MatchesRrqrAccuracyOnKernelBlocks) {
-  auto gen = grid_cov(20, 20, 0.1);
-  const i64 nb = 100;
-  Matrix dense(nb, nb);
-  gen->fill(300, 100, dense.view());
-  const double scale = la::frobenius_norm(dense.view());
-  for (double tol : {1e-2, 1e-4, 1e-6}) {
-    const LowRankTile t = tlr::aca_block(*gen, 300, 100, nb, nb, tol, -1);
-    // ACA is heuristic: allow a small slack factor over the requested tol.
-    EXPECT_LE(tlr::lr_error_fro(t, dense.view()), 10.0 * tol * scale) << tol;
-  }
-}
-
-TEST(Aca, ExactOnRankOneBlock) {
-  // Constant block is exactly rank 1.
-  class OnesGen final : public la::MatrixGenerator {
-   public:
-    i64 rows() const override { return 50; }
-    i64 cols() const override { return 50; }
-    double entry(i64, i64) const override { return 3.0; }
-  } gen;
-  const LowRankTile t = tlr::aca_block(gen, 0, 10, 30, 20, 1e-12, -1);
-  EXPECT_EQ(t.rank(), 1);
-  Matrix ref(30, 20);
-  for (i64 j = 0; j < 20; ++j)
-    for (i64 i = 0; i < 30; ++i) ref(i, j) = 3.0;
-  EXPECT_LE(tlr::lr_error_fro(t, ref.view()), 1e-10);
-}
-
 class TlrCompressSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(TlrCompressSweep, GlobalReconstructionErrorBounded) {
@@ -471,17 +440,6 @@ TEST(TlrMatrix, CompressionSavesMemory) {
   const TlrMatrix m = TlrMatrix::compress(rt, *gen, 96, 1e-3, -1);
   EXPECT_LT(m.memory_bytes(), m.dense_bytes() / 2)
       << "strong correlation at 1e-3 must compress well";
-}
-
-TEST(TlrMatrix, AcaMethodProducesComparableRanks) {
-  rt::Runtime rt(2);
-  auto gen = grid_cov(12, 12, 0.1);
-  const TlrMatrix rrqr =
-      TlrMatrix::compress(rt, *gen, 48, 1e-4, -1, CompressionMethod::kRrqr);
-  const TlrMatrix aca =
-      TlrMatrix::compress(rt, *gen, 48, 1e-4, -1, CompressionMethod::kAca);
-  EXPECT_NEAR(aca.mean_offdiag_rank(), rrqr.mean_offdiag_rank(),
-              0.5 * rrqr.mean_offdiag_rank() + 2.0);
 }
 
 // A rank cap of 0 would compress every off-diagonal tile to exactly zero

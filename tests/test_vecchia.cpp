@@ -16,10 +16,10 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
@@ -317,23 +317,41 @@ struct VecchiaProblem {
         b(locs.size(), kInf) {}
 };
 
-core::PmvnOptions qmc_opts() {
-  core::PmvnOptions o;
+engine::EngineOptions qmc_opts() {
+  engine::EngineOptions o;
   o.samples_per_shift = 300;
   o.shifts = 5;
   o.sampler = stats::SamplerKind::kRichtmyer;
-  o.seed = 20240517;
   return o;
 }
 
+// pb's box (prefix sweep on request) over `factor`, at a fixed seed.
+engine::QueryResult evaluate(rt::Runtime& rt, engine::CholeskyFactor factor,
+                             const VecchiaProblem& pb,
+                             const engine::EngineOptions& opts,
+                             bool prefix = false) {
+  const engine::PmvnEngine eng(
+      rt, std::make_shared<const engine::CholeskyFactor>(std::move(factor)),
+      opts);
+  return eng.evaluate_one({pb.a, pb.b, 20240517, prefix});
+}
+
+double vecchia_prob(rt::Runtime& rt, const vecchia::VecchiaFactor& f,
+                    const VecchiaProblem& pb,
+                    const engine::EngineOptions& opts) {
+  return evaluate(rt, engine::CholeskyFactor::borrow_vecchia(f), pb, opts)
+      .prob;
+}
+
 double dense_prob(rt::Runtime& rt, const VecchiaProblem& pb,
-                  const core::PmvnOptions& opts, double* err = nullptr) {
+                  const engine::EngineOptions& opts, double* err = nullptr) {
   const la::Matrix sigma = geo::dense_from_generator(*pb.cov);
   tile::TileMatrix l(rt, sigma.rows(), sigma.cols(), 16,
                      tile::Layout::kLowerSymmetric);
   l.from_dense(sigma.view());
   tile::potrf_tiled(rt, l);
-  const engine::QueryResult r = core::pmvn_dense(rt, l, pb.a, pb.b, opts);
+  const engine::QueryResult r =
+      evaluate(rt, engine::CholeskyFactor::borrow_dense(l), pb, opts);
   if (err != nullptr) *err = r.error3sigma;
   return r.prob;
 }
@@ -345,12 +363,12 @@ TEST(VecchiaPmvn, FullConditioningMatchesDenseArm) {
   const VecchiaProblem pb(6);
   const i64 n = pb.cov->rows();
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
+  const engine::EngineOptions opts = qmc_opts();
   const double pd = dense_prob(rt, pb, opts);
 
   const vecchia::VecchiaFactor f =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/16, n - 1);
-  const double pv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts).prob;
+  const double pv = vecchia_prob(rt, f, pb, opts);
   EXPECT_NEAR(pv, pd, 1e-8 * std::max(1.0, std::abs(pd)));
 }
 
@@ -360,14 +378,14 @@ TEST(VecchiaPmvn, CrossTileConditioningIsTileSizeRobust) {
   // produce the same estimate up to summation-order rounding.
   const VecchiaProblem pb(6);
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
+  const engine::EngineOptions opts = qmc_opts();
   const i64 n = pb.cov->rows();
   const vecchia::VecchiaFactor f_one =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, n, /*m=*/10);
   const vecchia::VecchiaFactor f_tiled =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/7, /*m=*/10);
-  const double p_one = core::pmvn_vecchia(rt, f_one, pb.a, pb.b, opts).prob;
-  const double p_tiled = core::pmvn_vecchia(rt, f_tiled, pb.a, pb.b, opts).prob;
+  const double p_one = vecchia_prob(rt, f_one, pb, opts);
+  const double p_tiled = vecchia_prob(rt, f_tiled, pb, opts);
   EXPECT_NEAR(p_tiled, p_one, 1e-9 * std::max(1.0, std::abs(p_one)));
 }
 
@@ -556,12 +574,13 @@ TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
   // the dense arm to a few percent.
   const VecchiaProblem pb(10, -1.0);
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
+  const engine::EngineOptions opts = qmc_opts();
   double err_d = 0.0;
   const double pd = dense_prob(rt, pb, opts, &err_d);
   const vecchia::VecchiaFactor f =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/32, /*m=*/16);
-  const engine::QueryResult rv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const engine::QueryResult rv =
+      evaluate(rt, engine::CholeskyFactor::borrow_vecchia(f), pb, opts);
   ASSERT_GT(pd, 0.0);
   ASSERT_GT(rv.prob, 0.0);
   EXPECT_NEAR(std::log(rv.prob), std::log(pd), 0.1)
@@ -572,11 +591,11 @@ TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
 TEST(VecchiaPmvn, PrefixProbabilitiesAreMonotoneAndConsistent) {
   const VecchiaProblem pb(6);
   rt::Runtime rt(2);
-  core::PmvnOptions opts = qmc_opts();
-  opts.prefix = true;
   const vecchia::VecchiaFactor f =
       vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/9, /*m=*/8);
-  const engine::QueryResult r = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const engine::QueryResult r =
+      evaluate(rt, engine::CholeskyFactor::borrow_vecchia(f), pb, qmc_opts(),
+               /*prefix=*/true);
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), pb.cov->rows());
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-15) << i;
