@@ -2,33 +2,30 @@
 // evaluate-many.
 //
 // A PmvnEngine holds one CholeskyFactor and evaluates a batch of limit sets
-// (queries) against it in a single fused task graph: the sample panels of
-// all queries are packed end to end into shared wide sample-contiguous
-// panels (rows = samples of the whole batch, columns = dimensions — the
-// same layout the QMC tile kernel sweeps), cut into tile-width column
-// tiles. Each column tile is an independent pipeline of QMC and mean-update
-// tasks, so the chains of different queries (and of one query's column
-// tiles) fill the worker pool even when a single chain would leave it idle.
+// (queries) against it in a single fused task graph: all queries' samples
+// share wide panels, cut into column tiles that are independent pipelines
+// of QMC and mean-update tasks, so the chains of different queries (and of
+// one query's column tiles) fill the worker pool.
 //
 // Two contracts, enforced by tests/test_determinism.cpp:
 //  * schedule independence: results are bitwise identical across worker
 //    counts (all arithmetic happens in tasks with fixed reduction orders,
 //    sequenced by the runtime's sequential-consistency dependency rules);
 //  * batch transparency: each query's result is bitwise identical to
-//    evaluating that query alone with the same seed. This holds because
-//    sample columns are independent chains, column tiles never straddle
-//    queries, and the microkernel's per-column arithmetic does not depend on
-//    panel width or column position.
+//    evaluating that query alone with the same seed, because sample columns
+//    are independent chains, column tiles never straddle queries, and the
+//    microkernel's per-column arithmetic does not depend on panel width or
+//    column position.
 //
-// One round loop serves every path: the fixed budget is one round, while
-// adaptive mode (EngineOptions::adaptive) and deadlines retire queries
-// between rounds — the adaptive path's first round sweeps its min_shifts
-// blocks at once, and every other round one shift block; each round reuses
-// the same fused wide-panel sweep, and the same panel workspace, over the
-// still-active subset. All stop decisions happen on the host thread from
-// deterministic block sums, and column tiles and prefix slots never
-// straddle a shift block there, so both contracts extend to the adaptive
-// path whatever the round partition.
+// One evaluate() path serves every mode: the optional EP tier screens
+// first, and the queries it does not retire run through one round loop. The
+// fixed budget is one round; adaptive mode and deadlines retire queries
+// between rounds (the adaptive first round sweeps min_shifts blocks at
+// once). Each round's task graph is a SweepPlan (engine/sweep_plan.hpp),
+// which holds every tile, panel, slot and first-writer rule. Stop decisions
+// run on the host thread from deterministic block sums, and tiles and
+// prefix slots never straddle a shift block, so both contracts extend to
+// the adaptive path whatever the round partition.
 #pragma once
 
 #include <limits>
@@ -124,9 +121,12 @@ struct LimitSet {
   std::span<const double> b;
   u64 seed = 42;
   bool prefix = false;  // also accumulate all prefix probabilities
-  /// Decision threshold for adaptive early stop: the query retires once
-  /// prob +/- error3sigma lies entirely on one side (for prefix queries:
-  /// once every prefix probability does). NaN = no decision stop.
+  /// Decision threshold, read by the adaptive stop and the EP tier: the
+  /// query retires once prob +/- error3sigma (the EP estimate +/- ep_margin
+  /// in the tier) lies entirely on one side — for prefix queries, once a
+  /// row lies cleanly below it and every earlier row cleanly above
+  /// (decision_settled in engine/sweep_plan.hpp). NaN = no decision stop,
+  /// and no EP screen.
   double decision = std::numeric_limits<double>::quiet_NaN();
 };
 
@@ -140,7 +140,9 @@ enum class EvalMethod { kQmc, kEp, kDeadline };
 struct QueryResult {
   double prob = 0.0;
   double error3sigma = 0.0;
-  double seconds = 0.0;  // wall time of the whole batch (same for each query)
+  /// Wall time of the whole evaluate() call, EP screens included; the same
+  /// for each query of the batch, whichever tier answered it.
+  double seconds = 0.0;
   std::vector<double> prefix_prob;  // filled when LimitSet::prefix
   i64 samples_used = 0;             // samples actually evaluated
   int shifts_used = 0;              // shift blocks actually evaluated
@@ -174,13 +176,6 @@ class PmvnEngine {
   [[nodiscard]] const EngineOptions& options() const noexcept { return opts_; }
 
  private:
-  /// The QMC wide-panel round loop (fixed-budget or adaptive) — the untiered
-  /// evaluate(), bitwise independent of which queries the EP screen peeled
-  /// off (batch transparency). `elapsed_s` is wall time already charged
-  /// against the deadline before the sweep started (the tiered screen).
-  [[nodiscard]] std::vector<QueryResult> evaluate_qmc(
-      std::span<const LimitSet> queries, double elapsed_s = 0.0) const;
-
   rt::Runtime& rt_;
   std::shared_ptr<const CholeskyFactor> factor_;
   EngineOptions opts_;

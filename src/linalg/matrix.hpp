@@ -93,7 +93,6 @@ class Matrix {
   [[nodiscard]] ConstMatrixView view() const noexcept {
     return {buf_.data(), rows_, cols_, rows_};
   }
-  [[nodiscard]] ConstMatrixView cview() const noexcept { return view(); }
 
   [[nodiscard]] MatrixView sub(i64 i0, i64 j0, i64 r, i64 c) {
     return view().sub(i0, j0, r, c);

@@ -2,7 +2,8 @@
 // construction and borrowing, the batched PmvnEngine's batch-transparency
 // contract (batched results bitwise-identical to single-query evaluation),
 // the engine sweep checked bitwise against a literal mean-form Algorithm 2
-// oracle, and FactorCache LRU/keying semantics.
+// oracle, the sweep plan's layout rules and the shared decision rule checked
+// as data (no runtime), and FactorCache LRU/keying semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
 #include "engine/pmvn_engine.hpp"
+#include "engine/sweep_plan.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "linalg/blas.hpp"
@@ -355,7 +357,8 @@ TEST(PmvnEngine, EachQuerySweepsOnlyItsOwnTileRows) {
   // The task graph follows each query's own extent, not the batch's: at
   // n = 64 and tile 16, top-k k = 21 takes tile rows 0-1 (2 QMC tasks, the
   // (1, 0) update) and the one-sided query all four (4 QMC tasks, 6
-  // updates) — 6 and 7 per round, where a batch-wide extent gives 8 and 12.
+  // updates) — 6 and 7 per column tile of each query, where a batch-wide
+  // extent gives 8 and 12.
   const SpatialProblem pb(8);
   rt::Runtime rt(2, /*enable_trace=*/true);
   const i64 n = pb.n();
@@ -373,13 +376,14 @@ TEST(PmvnEngine, EachQuerySweepsOnlyItsOwnTileRows) {
         engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity_order(n),
                                                spec));
     for (const bool adaptive : {false, true}) {
-      // 16 samples per query: one column tile each, in one round (fixed)
-      // or two rounds of one shift block (adaptive, no early stop).
+      // 16 samples per query, in one round either way: one column tile
+      // each (fixed), or two one-shift column tiles each, since column
+      // tiles restart at every prefix slot (adaptive, no early stop).
       engine::EngineOptions opts;
       opts.samples_per_shift = 8;
       opts.shifts = 2;
       opts.adaptive = adaptive;
-      const int rounds = adaptive ? 2 : 1;
+      const int tiles_per_query = adaptive ? 2 : 1;
       const std::size_t before = rt.trace().size();
       const engine::PmvnEngine eng(rt, factor, opts);
       (void)eng.evaluate(batch);
@@ -392,8 +396,8 @@ TEST(PmvnEngine, EachQuerySweepsOnlyItsOwnTileRows) {
       const std::string where = "kind=" +
                                 std::to_string(static_cast<int>(kind)) +
                                 " adaptive=" + std::to_string(adaptive);
-      EXPECT_EQ(qmc, 6 * rounds) << where;
-      EXPECT_EQ(update, 7 * rounds) << where;
+      EXPECT_EQ(qmc, 6 * tiles_per_query) << where;
+      EXPECT_EQ(update, 7 * tiles_per_query) << where;
     }
   }
 }
@@ -601,6 +605,296 @@ TEST(PmvnEngine, EmptyBatchAndShapeChecks) {
   const std::vector<double> short_a(4, 0.0);
   const std::vector<double> b(static_cast<std::size_t>(pb.n()), kInf);
   EXPECT_THROW((void)eng.evaluate_one({short_a, b, 1, false}), Error);
+}
+
+// ---- The sweep plan, checked as data (no runtime) ----
+
+// Round shapes at tile 16 on n = 64: extents ending inside and on tile rows
+// (two equal, so the sort's stability shows), every query or a subset
+// active, slots of 24 samples (not a tile multiple), 40 and 16, rounds of
+// one to three slots starting at slot 0 or later, panels that fit or are
+// cut per slot (32 and 16 columns), and both task shapes (per-pair updates
+// and folded backends).
+constexpr i64 kPlanTile = 16;
+const std::vector<i64> kPlanExtents = {17, 64, 3, 40, 64, 1};
+const std::vector<i64> kPlanAll = {0, 1, 2, 3, 4, 5};
+const std::vector<i64> kPlanSome = {1, 2, 4, 5};
+
+std::vector<engine::SweepRound> plan_rounds() {
+  std::vector<engine::SweepRound> rounds;
+  for (const std::vector<i64>* active : {&kPlanAll, &kPlanSome})
+    for (const i64 slot : {i64{24}, i64{40}, i64{16}})
+      for (const auto& [first, count] :
+           {std::pair<i64, i64>{0, 1}, {0, 3}, {2, 2}})
+        for (const i64 cols : {i64{16}, i64{32}, i64{1} << 20})
+          for (const bool pair : {true, false})
+            rounds.push_back({kPlanExtents, *active, first * slot,
+                              (first + count) * slot, slot, kPlanTile, cols,
+                              pair});
+  return rounds;
+}
+
+i64 plan_row_tiles(i64 extent) { return (extent + kPlanTile - 1) / kPlanTile; }
+
+std::string round_name(const engine::SweepRound& r) {
+  return "active=" + std::to_string(r.active.size()) +
+         " samples=[" + std::to_string(r.sample0) + "," +
+         std::to_string(r.sample1) + ") slot=" +
+         std::to_string(r.slot_samples) +
+         " cols=" + std::to_string(r.panel_cols) +
+         " pair=" + std::to_string(r.pair_tasks);
+}
+
+TEST(SweepPlan, EverySampleOfEveryActiveQueryIsInExactlyOneTile) {
+  for (const engine::SweepRound& round : plan_rounds()) {
+    const engine::SweepPlan plan = engine::plan_sweep(round);
+    const i64 span = round.sample1 - round.sample0;
+    std::vector<std::vector<int>> hits(kPlanExtents.size(),
+                                       std::vector<int>(span, 0));
+    for (const engine::PanelPlan& panel : plan)
+      for (const engine::ColTile& ct : panel.tiles) {
+        ASSERT_GE(ct.sample0, round.sample0) << round_name(round);
+        ASSERT_LE(ct.sample0 + ct.width, round.sample1) << round_name(round);
+        for (i64 s = ct.sample0; s < ct.sample0 + ct.width; ++s)
+          ++hits[static_cast<std::size_t>(ct.query)]
+                [static_cast<std::size_t>(s - round.sample0)];
+      }
+    for (std::size_t q = 0; q < kPlanExtents.size(); ++q) {
+      const bool active = std::find(round.active.begin(), round.active.end(),
+                                    static_cast<i64>(q)) != round.active.end();
+      for (i64 s = 0; s < span; ++s)
+        EXPECT_EQ(hits[q][static_cast<std::size_t>(s)], active ? 1 : 0)
+            << round_name(round) << " query=" << q
+            << " sample=" << round.sample0 + s;
+    }
+  }
+}
+
+TEST(SweepPlan, TilesNeverStraddleAQueryOrASlot) {
+  // A tile names one query by construction; its samples must also lie in
+  // one slot, the one its prefix sums fold into, and it is at most m wide.
+  for (const engine::SweepRound& round : plan_rounds())
+    for (const engine::PanelPlan& panel : engine::plan_sweep(round))
+      for (const engine::ColTile& ct : panel.tiles) {
+        const std::string where = round_name(round) +
+                                  " sample0=" + std::to_string(ct.sample0);
+        EXPECT_GE(ct.width, 1) << where;
+        EXPECT_LE(ct.width, kPlanTile) << where;
+        EXPECT_EQ(ct.slot, ct.sample0 / round.slot_samples) << where;
+        EXPECT_EQ(ct.slot, (ct.sample0 + ct.width - 1) / round.slot_samples)
+            << where;
+      }
+}
+
+TEST(SweepPlan, EachQuerysTilesAreContiguousAndAscending) {
+  for (const engine::SweepRound& round : plan_rounds())
+    for (const engine::PanelPlan& panel : engine::plan_sweep(round)) {
+      const std::vector<engine::ColTile>& tiles = panel.tiles;
+      i64 col = 0;
+      for (std::size_t t = 0; t < tiles.size(); ++t) {
+        const std::string where = round_name(round) + " tile=" +
+                                  std::to_string(t);
+        EXPECT_EQ(tiles[t].col0, col) << where;  // packed end to end
+        col += tiles[t].width;
+        if (t == 0 || tiles[t - 1].query != tiles[t].query) {
+          // Every query's run starts at the panel's first sample, and no
+          // earlier tile belongs to it.
+          EXPECT_EQ(tiles[t].sample0, tiles[0].sample0) << where;
+          for (std::size_t u = 0; u < t; ++u)
+            EXPECT_NE(tiles[u].query, tiles[t].query) << where;
+        } else {
+          EXPECT_EQ(tiles[t].sample0,
+                    tiles[t - 1].sample0 + tiles[t - 1].width)
+              << where;
+        }
+      }
+    }
+}
+
+TEST(SweepPlan, TilesAreStablySortedByDescendingExtent) {
+  // Descending extent; equal extents keep the active order of their
+  // queries (query 1 before query 4, both at extent 64).
+  for (const engine::SweepRound& round : plan_rounds())
+    for (const engine::PanelPlan& panel : engine::plan_sweep(round)) {
+      const auto rank = [&](i64 q) {
+        return std::find(round.active.begin(), round.active.end(), q) -
+               round.active.begin();
+      };
+      for (std::size_t t = 1; t < panel.tiles.size(); ++t) {
+        const engine::ColTile& x = panel.tiles[t - 1];
+        const engine::ColTile& y = panel.tiles[t];
+        EXPECT_GE(x.extent, y.extent) << round_name(round);
+        if (x.extent == y.extent) {
+          EXPECT_LE(rank(x.query), rank(y.query)) << round_name(round);
+        }
+      }
+    }
+}
+
+TEST(SweepPlan, RowWidthsAndExtentsAreRowExact) {
+  for (const engine::SweepRound& round : plan_rounds()) {
+    i64 row_tiles = 0;
+    for (const i64 q : round.active)
+      row_tiles = std::max(
+          row_tiles, plan_row_tiles(kPlanExtents[static_cast<std::size_t>(q)]));
+    for (const engine::PanelPlan& panel : engine::plan_sweep(round)) {
+      const std::string where = round_name(round);
+      ASSERT_EQ(static_cast<i64>(panel.row_width.size()), row_tiles) << where;
+      for (i64 r = 0; r < row_tiles; ++r) {
+        // Row r's panels are exactly the leading tiles that reach it.
+        i64 width = 0;
+        bool leading = true;
+        for (const engine::ColTile& ct : panel.tiles) {
+          const bool reaches = r < plan_row_tiles(ct.extent);
+          EXPECT_TRUE(leading || !reaches) << where << " row=" << r;
+          leading = leading && reaches;
+          if (reaches) width += ct.width;
+        }
+        EXPECT_EQ(panel.row_width[static_cast<std::size_t>(r)], width)
+            << where << " row=" << r;
+      }
+      // Each tile sweeps its query's rows [0, e) exactly: QMC tasks on
+      // tile rows r < ceil(e / m) only, the last cut to e - r * m rows,
+      // and updates into the same rows.
+      for (std::size_t t = 0; t < panel.tiles.size(); ++t) {
+        const engine::ColTile& ct = panel.tiles[t];
+        EXPECT_EQ(ct.extent, kPlanExtents[static_cast<std::size_t>(ct.query)])
+            << where;
+        i64 rows = 0;
+        i64 next_row = 0;
+        for (const engine::SweepTask& task : panel.tasks) {
+          if (task.tile != static_cast<i64>(t)) continue;
+          ASSERT_LT(task.i, plan_row_tiles(ct.extent)) << where;
+          EXPECT_EQ(task.rows_r,
+                    std::min(kPlanTile, ct.extent - task.r * kPlanTile))
+              << where;
+          EXPECT_EQ(task.rows_i,
+                    std::min(kPlanTile, ct.extent - task.i * kPlanTile))
+              << where;
+          if (task.qmc()) {
+            EXPECT_EQ(task.r, next_row++) << where;
+            rows += task.rows_r;
+          }
+        }
+        EXPECT_EQ(rows, ct.extent) << where << " tile=" << t;
+      }
+    }
+  }
+}
+
+TEST(SweepPlan, PanelCutsEqualOneSlotRounds) {
+  // A round that does not fit one panel is cut exactly as its slots would
+  // be, each swept as a round of its own.
+  for (const engine::SweepRound& round : plan_rounds()) {
+    if (round.sample1 - round.sample0 <= round.panel_cols) continue;
+    const engine::SweepPlan plan = engine::plan_sweep(round);
+    engine::SweepPlan by_slot;
+    for (i64 g = round.sample0; g < round.sample1; g += round.slot_samples) {
+      engine::SweepRound one = round;
+      one.sample0 = g;
+      one.sample1 = g + round.slot_samples;
+      for (engine::PanelPlan& panel : engine::plan_sweep(one))
+        by_slot.push_back(std::move(panel));
+    }
+    const std::string where = round_name(round);
+    ASSERT_EQ(plan.size(), by_slot.size()) << where;
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      const engine::PanelPlan& x = plan[k];
+      const engine::PanelPlan& y = by_slot[k];
+      EXPECT_EQ(x.row_width, y.row_width) << where << " panel=" << k;
+      ASSERT_EQ(x.tiles.size(), y.tiles.size()) << where << " panel=" << k;
+      for (std::size_t t = 0; t < x.tiles.size(); ++t) {
+        EXPECT_EQ(x.tiles[t].query, y.tiles[t].query) << where;
+        EXPECT_EQ(x.tiles[t].sample0, y.tiles[t].sample0) << where;
+        EXPECT_EQ(x.tiles[t].col0, y.tiles[t].col0) << where;
+        EXPECT_EQ(x.tiles[t].width, y.tiles[t].width) << where;
+        EXPECT_EQ(x.tiles[t].slot, y.tiles[t].slot) << where;
+      }
+      EXPECT_EQ(x.tasks.size(), y.tasks.size()) << where << " panel=" << k;
+    }
+  }
+}
+
+TEST(SweepPlan, EveryMeanTileHasOneFirstWriterAndAscendingUpdates) {
+  // The M/Y workspace is never zero-filled on the host, so the first task
+  // to write each M tile (tile row i, column tile t) must overwrite it.
+  // Writers of (i, t) are the updates (i, r) and the QMC task on (i, t);
+  // updates arrive in ascending r, each after the QMC task on (r, t) whose
+  // Y tile it reads, and the QMC task on (i, t) comes last.
+  for (const engine::SweepRound& round : plan_rounds())
+    for (const engine::PanelPlan& panel : engine::plan_sweep(round))
+      for (std::size_t t = 0; t < panel.tiles.size(); ++t) {
+        const i64 rows = plan_row_tiles(panel.tiles[t].extent);
+        for (i64 i = 0; i < rows; ++i) {
+          const std::string where = round_name(round) + " tile=" +
+                                    std::to_string(t) + " row=" +
+                                    std::to_string(i);
+          std::vector<engine::SweepTask> writers;
+          std::vector<i64> y_ready;  // tile rows whose Y tile is written
+          for (const engine::SweepTask& task : panel.tasks) {
+            if (task.tile != static_cast<i64>(t)) continue;
+            if (task.i == i) {
+              EXPECT_TRUE(task.qmc() ||
+                          std::count(y_ready.begin(), y_ready.end(), task.r))
+                  << where << " update from row " << task.r;
+              writers.push_back(task);
+            }
+            if (task.qmc()) y_ready.push_back(task.r);
+          }
+          ASSERT_FALSE(writers.empty()) << where;
+          EXPECT_TRUE(writers.front().first) << where;
+          EXPECT_EQ(std::count_if(writers.begin(), writers.end(),
+                                  [](const engine::SweepTask& w) {
+                                    return w.first;
+                                  }),
+                    1)
+              << where;
+          EXPECT_TRUE(writers.back().qmc()) << where;
+          EXPECT_EQ(static_cast<i64>(writers.size()),
+                    round.pair_tasks ? i + 1 : 1)
+              << where;
+          for (std::size_t w = 0; w < writers.size(); ++w)
+            EXPECT_EQ(writers[w].r, round.pair_tasks ? static_cast<i64>(w) : i)
+                << where;
+        }
+      }
+}
+
+// ---- The shared decision rule (EP tier and adaptive stop) ----
+
+bool settled(const std::vector<stats::BlockEstimate>& rows, double decision,
+             double abs_tol = 0.0) {
+  return engine::decision_settled(
+      static_cast<i64>(rows.size()), decision, abs_tol,
+      [&](i64 i) { return rows[static_cast<std::size_t>(i)]; });
+}
+
+TEST(DecisionRule, RowCleanlyBelowSettlesEveryLaterRow) {
+  EXPECT_TRUE(settled({{0.95, 0.01}, {0.5, 0.01}, {0.9, 0.2}}, 0.9));
+  EXPECT_TRUE(settled({{0.5, 0.01}}, 0.9));  // a scalar is a one-row curve
+  EXPECT_TRUE(settled({{0.97, 0.01}, {0.96, 0.01}}, 0.9));  // all above
+}
+
+TEST(DecisionRule, StraddlingRowBeforeItLeavesTheQueryUndecided) {
+  EXPECT_FALSE(settled({{0.95, 0.01}, {0.9, 0.2}, {0.5, 0.01}}, 0.9));
+  EXPECT_FALSE(settled({{0.91, 0.02}}, 0.9));
+}
+
+TEST(DecisionRule, NanDecisionNeverSettles) {
+  EXPECT_FALSE(settled({{0.5, 0.01}}, kNaN));
+  EXPECT_FALSE(settled({{0.95, 0.01}, {0.01, 0.001}}, kNaN));
+}
+
+TEST(DecisionRule, AbsTolSettlesStraddlingRows) {
+  // A straddling row whose error meets abs_tol no longer blocks; without
+  // abs_tol it does.
+  const std::vector<stats::BlockEstimate> rows = {{0.9, 0.004}, {0.5, 0.01}};
+  EXPECT_TRUE(settled(rows, 0.9, 0.005));
+  EXPECT_FALSE(settled(rows, 0.9, 0.0));
+  EXPECT_FALSE(settled(rows, 0.9, 0.001));
+  // With no decision, every row must meet abs_tol.
+  EXPECT_TRUE(settled({{0.9, 0.004}, {0.5, 0.005}}, kNaN, 0.005));
+  EXPECT_FALSE(settled({{0.9, 0.004}, {0.5, 0.01}}, kNaN, 0.005));
 }
 
 TEST(EngineOptions, ValidateRejectsEveryBadKnobTyped) {

@@ -518,6 +518,33 @@ TEST(Tiered, OffReproducesQmcPathBitwise) {
     EXPECT_EQ(plain.prefix_prob[i], via_tiered.prefix_prob[i]);
 }
 
+TEST(Tiered, EveryResultOfAMixedBatchCarriesTheBatchSeconds) {
+  // QueryResult::seconds is the wall time of the whole evaluate() call, the
+  // same for each query whichever tier answered it: an EP-retired query
+  // and a decision-free QMC query of one batch report the same time.
+  const Problem pb(8);
+  const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
+  const i64 n = gen.rows();
+  rt::Runtime rt(2);
+  const auto factor = make_factor(rt, gen, engine::FactorKind::kDense, 16);
+  engine::EngineOptions opts;
+  opts.samples_per_shift = 200;
+  opts.shifts = 4;
+  opts.tiered = true;
+  const std::vector<double> a(static_cast<std::size_t>(n), -0.5);
+  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
+  // P(all 64 sites above -0.5) is far below 0.9 - ep_margin.
+  const std::vector<engine::LimitSet> batch = {{a, b, 1, false, 0.9},
+                                               {a, b, 2, true}};
+  const std::vector<engine::QueryResult> got =
+      engine::PmvnEngine(rt, factor, opts).evaluate(batch);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].method, engine::EvalMethod::kEp);
+  EXPECT_EQ(got[1].method, engine::EvalMethod::kQmc);
+  EXPECT_GT(got[0].seconds, 0.0);
+  EXPECT_EQ(got[0].seconds, got[1].seconds);
+}
+
 // Satellite of the failure-domain hardening PR: no runtime in this suite
 // may have leaked a tile-handle slot through HandleLease::release().
 TEST(HandleHygiene, NoHandleLeakedAcrossTheWholeSuite) {
